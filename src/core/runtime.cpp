@@ -133,7 +133,12 @@ StagedPipeline::~StagedPipeline() {
   // while the simulator can still run, then drain the remaining events so
   // every loop observes the close and finishes.
   if (gm_) gm_->shutdown();
-  for (const auto& c : containers_) c->shutdown();
+  for (const auto& c : containers_) {
+    c->shutdown();
+    // completion_watch() parks on each online container's done event, and
+    // a container torn down before it drained never sets it.
+    c->done().set();
+  }
   if (source_stream_) source_stream_->close();
   // Interleave the transport pump: a socket transport may hold frames in
   // kernel buffers whose delivery resumes suspended post() coroutines — the

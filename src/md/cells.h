@@ -1,22 +1,33 @@
 // Linked-cell neighbor search: O(n) pair enumeration for short-range
-// potentials and for the analytics kernels' cutoff queries. Falls back to
-// the O(n^2) double loop when the box is too small for a 3x3x3 cell stencil
-// (which would otherwise double-count periodic images).
+// potentials and per-atom neighbour rows for the analytics kernels' cutoff
+// queries. Falls back to the O(n^2) double loop when the box is too small
+// for a 3x3x3 cell stencil (which would otherwise double-count periodic
+// images).
 //
 // Storage is a flat CSR layout (cell_start_ offsets into one cell_atoms_
-// index array) rebuilt by counting sort, and the pair visitor is a template
-// so the per-pair callback inlines — no per-pair indirect call and no
-// per-cell heap allocation. The visitor's cell path is tiled over SoA
-// coordinate lanes so the distance math auto-vectorizes while visit order
-// and bits stay identical to the scalar loop (docs/PERFORMANCE.md).
+// index array) rebuilt by counting sort. Two visitors read it, both
+// templates so the callback inlines:
+//  * the pair visitor (for_each_pair_range) walks a half stencil and hands
+//    each unordered pair to the callback once. The LJ force kernel uses it:
+//    Newton's third law wants each pair exactly once.
+//  * the row visitor (for_each_row_range / for_each_row_of) gathers the
+//    full 27-cell stencil once per home cell and emits each atom's complete
+//    row: its neighbours in ascending index, with displacement and r2.
+//    Bonds (through neighbor_csr), CSym and CNA use it: they all want
+//    per-atom neighbourhoods, not pairs.
+// Both visitors tile their distance math over SoA lanes so it
+// auto-vectorizes, and both produce the bits Box::min_image would
+// (docs/PERFORMANCE.md "Bit-identical by construction", "Neighbour rows").
 // An optional Verlet skin widens the bins by
 // `skin` so the structure stays valid until some atom drifts more than
 // skin/2 from its position at build time; update() performs that check and
 // rebuilds only when needed (or when the box deformed, e.g. under strain).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -43,6 +54,40 @@ inline void invoke_pair(Fn& fn, std::size_t i, std::size_t j, double r2,
 }
 
 }  // namespace detail
+
+/// One atom's neighbour row as the row visitors emit it: the atoms within
+/// the cutoff in ascending index, each with the minimum-image displacement
+/// d = pos[j] - pos[i] and r2 = |d|^2, bitwise equal to
+/// Box::min_image(pos[j], pos[i]) and its norm2(). The arrays live in the
+/// visitor's scratch and are valid only during the callback.
+struct NeighborRow {
+  const std::uint32_t* j = nullptr;
+  const double* r2 = nullptr;
+  const Vec3* d = nullptr;
+  std::size_t size = 0;
+};
+
+/// Rows recorded in visit order, for assembly into a CSR indexed by atom
+/// (assemble_csr). Lets a row pass run in chunks, or over a subset of the
+/// atoms, and still produce one flat adjacency.
+struct RowBuffer {
+  std::vector<std::uint32_t> atoms;  ///< atom of each recorded row
+  std::vector<std::uint32_t> sizes;  ///< that row's length
+  std::vector<std::uint32_t> ids;    ///< the rows' neighbours, concatenated
+
+  void add(std::size_t i, const NeighborRow& row) {
+    atoms.push_back(static_cast<std::uint32_t>(i));
+    sizes.push_back(static_cast<std::uint32_t>(row.size));
+    ids.insert(ids.end(), row.j, row.j + row.size);
+  }
+};
+
+/// CSR over `natoms` atoms from recorded rows: offsets gets natoms+1
+/// entries, neighbors row i in [offsets[i], offsets[i+1]). Atoms no buffer
+/// recorded get an empty row; each atom may be recorded at most once.
+void assemble_csr(std::size_t natoms, std::span<const RowBuffer> parts,
+                  std::vector<std::uint32_t>* offsets,
+                  std::vector<std::uint32_t>* neighbors);
 
 class CellList {
  public:
@@ -193,12 +238,67 @@ class CellList {
     return use_cells_ ? nx_ * ny_ * nz_ : natoms_;
   }
 
+  /// Visit the neighbour row (see NeighborRow) of every atom owned by a
+  /// slice of the work domain — cells [begin, end) when the cell grid is
+  /// active, atoms [begin, end) in the O(n^2) fallback. The callback
+  /// receives (i, const NeighborRow&). Per home cell the 27-cell stencil
+  /// is gathered into SoA lanes once; each home atom then takes one
+  /// branchless distance pass over the gathered candidates, keeps the
+  /// survivors, and sorts them by index. Scratch is per call, so disjoint
+  /// slices can run concurrently.
+  template <class Fn>
+  void for_each_row_range(const std::vector<Vec3>& pos, std::size_t begin,
+                          std::size_t end, Fn&& fn) const {
+    RowScratch s;
+    if (!use_cells_) {
+      for (std::size_t i = begin; i < end; ++i) fn(i, naive_row(pos, i, s));
+      return;
+    }
+    for (std::size_t c = begin; c < end; ++c) {
+      if (cell_start_[c] == cell_start_[c + 1]) continue;
+      gather_stencil(pos, c, s);
+      for (std::uint32_t a = cell_start_[c]; a < cell_start_[c + 1]; ++a) {
+        const std::uint32_t i = cell_atoms_[a];
+        fn(static_cast<std::size_t>(i), stencil_row(pos[i], i, s));
+      }
+    }
+  }
+
+  /// Rows of the listed atoms only (distinct indices, any order), emitted
+  /// in unspecified order; atoms sharing a home cell share one stencil
+  /// gather. The analytics use it to take rows for a region, not the
+  /// crystal.
+  template <class Fn>
+  void for_each_row_of(const std::vector<Vec3>& pos,
+                       std::span<const std::uint32_t> atoms, Fn&& fn) const {
+    RowScratch s;
+    if (!use_cells_) {
+      for (std::uint32_t i : atoms) fn(std::size_t{i}, naive_row(pos, i, s));
+      return;
+    }
+    // (home cell << 32 | atom), sorted: one gather per distinct cell.
+    std::vector<std::uint64_t> order(atoms.size());
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      order[k] = std::uint64_t{atom_cell_[atoms[k]]} << 32 | atoms[k];
+    }
+    std::sort(order.begin(), order.end());
+    std::uint64_t gathered = ~std::uint64_t{0};
+    for (std::uint64_t key : order) {
+      const auto i = static_cast<std::uint32_t>(key);
+      if (key >> 32 != gathered) {
+        gathered = key >> 32;
+        gather_stencil(pos, static_cast<std::size_t>(gathered), s);
+      }
+      fn(std::size_t{i}, stencil_row(pos[i], i, s));
+    }
+  }
+
   /// Neighbor CSR within the cutoff, both directions present, each row
   /// sorted ascending: offsets has natoms+1 entries, neighbors holds row i
   /// in [offsets[i], offsets[i+1]). This is the zero-copy path into
-  /// sp::Adjacency::from_csr; `threads > 1` parallelizes the count, fill,
-  /// and per-row sort passes (the sorted rows make the result independent
-  /// of thread interleaving).
+  /// sp::Adjacency::from_csr. One code path at every thread count: each
+  /// chunk of the cell domain records its rows, then assemble_csr places
+  /// them (rows are sorted, so the result does not depend on `threads`).
   void neighbor_csr(const std::vector<Vec3>& pos, unsigned threads,
                     std::vector<std::uint32_t>* offsets,
                     std::vector<std::uint32_t>* neighbors) const;
@@ -216,8 +316,34 @@ class CellList {
   std::uint64_t builds() const { return builds_; }
 
  private:
+  /// Row-visitor scratch: the gathered stencil's lanes, the distance tiles
+  /// and the current row. Per call, so concurrent visitors share nothing.
+  struct RowScratch {
+    std::size_t m = 0;                    ///< gathered candidates
+    Vec3 len, inv;                        ///< box lengths, reciprocals
+    std::vector<double> x, y, z;          ///< stencil candidates, SoA
+    std::vector<std::uint32_t> id;        ///< their atom indices
+    std::vector<double> dx, dy, dz, r2;   ///< one home atom's distance tile
+    std::vector<std::uint64_t> keys;      ///< survivors as (j << 32 | slot)
+    std::vector<std::uint32_t> row_j;
+    std::vector<double> row_r2;
+    std::vector<Vec3> row_d;
+
+    /// Size every lane for up to n candidates.
+    void reserve(std::size_t n);
+  };
+
   void configure(const Box& box);
   std::size_t cell_of(const Vec3& p) const;
+  /// Gather the 27-cell stencil around cell c into s's candidate lanes.
+  void gather_stencil(const std::vector<Vec3>& pos, std::size_t c,
+                      RowScratch& s) const;
+  /// Row of atom i (at pi) against the gathered stencil of its home cell.
+  NeighborRow stencil_row(const Vec3& pi, std::uint32_t i,
+                          RowScratch& s) const;
+  /// Row of atom i by the O(n^2) scan with Box::min_image.
+  NeighborRow naive_row(const std::vector<Vec3>& pos, std::size_t i,
+                        RowScratch& s) const;
 
   Box box_;
   double cutoff_;
@@ -227,6 +353,7 @@ class CellList {
   std::size_t natoms_ = 0;
   std::vector<std::uint32_t> cell_start_;  ///< CSR offsets, num_cells + 1
   std::vector<std::uint32_t> cell_atoms_;  ///< atom indices grouped by cell
+  std::vector<std::uint32_t> atom_cell_;   ///< each atom's home cell
   std::size_t max_cell_atoms_ = 0;         ///< largest cell, sizes SoA tiles
   std::vector<Vec3> build_pos_;            ///< positions at last build (skin > 0)
   std::uint64_t builds_ = 0;

@@ -96,12 +96,17 @@ std::size_t MdSim::carve_notch(double x0, double x1, double half_width) {
 }
 
 std::vector<char> MdSim::checkpoint() const {
-  std::vector<char> out;
-  auto put = [&out](const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    out.insert(out.end(), c, c + n);
-  };
   const std::uint64_t n = atoms_.size();
+  // Sized once, then filled in place: the layout restore() reads.
+  std::vector<char> out(sizeof(n) + sizeof(steps_) + sizeof(applied_strain_) +
+                        sizeof(atoms_.box) +
+                        n * (sizeof(std::int64_t) + 3 * sizeof(Vec3)));
+  std::size_t off = 0;
+  auto put = [&out, &off](const void* p, std::size_t len) {
+    if (len == 0) return;  // an empty atom array may have no storage
+    std::memcpy(out.data() + off, p, len);
+    off += len;
+  };
   put(&n, sizeof(n));
   put(&steps_, sizeof(steps_));
   put(&applied_strain_, sizeof(applied_strain_));

@@ -57,8 +57,10 @@ class CommonNeighborAnalysis {
   /// Classify all atoms.
   CnaResult classify(const md::AtomData& atoms) const;
   /// Classify only a subset (the crack region), against full neighborhoods.
-  /// Subset entries must be distinct (BreakDetector::region emits them so);
-  /// duplicates would make concurrent label writes race.
+  /// Neighbour rows are built for the subset and its neighbours only, not
+  /// for the whole crystal. Subset entries must be distinct
+  /// (BreakDetector::region emits them so); duplicates would make
+  /// concurrent label writes race.
   CnaResult classify_subset(const md::AtomData& atoms,
                             const std::vector<std::uint32_t>& subset) const;
 
@@ -68,8 +70,6 @@ class CommonNeighborAnalysis {
                                      std::uint32_t j);
 
  private:
-  CnaLabel label_atom(const Adjacency& adj, std::uint32_t i) const;
-
   CnaConfig cfg_;
 };
 

@@ -139,6 +139,18 @@ TEST(StagedPipeline, UnmanagedRunDeliversAllSteps) {
   EXPECT_TRUE(p.pool().conserved());
 }
 
+TEST(StagedPipeline, DestroyedAfterStartWithoutRun) {
+  // A live host calls start() and may be torn down before the pipeline
+  // drains. Every loop start() spawned must still finish during the
+  // destructor's drain: a coroutine left suspended leaks its frame, which
+  // LeakSanitizer reports in the asan tree.
+  const auto spec = PipelineSpec::from_config(util::Config::load(
+      std::string(IOC_SOURCE_DIR) + "/examples/configs/lammps_256x13.ini"));
+  StagedPipeline p(spec);
+  p.start();
+  EXPECT_FALSE(p.all_done());
+}
+
 TEST(StagedPipeline, SinkEmitsEndToEndSamples) {
   StagedPipeline p(tiny_spec(false));
   p.run();

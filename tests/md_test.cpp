@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -327,22 +328,99 @@ TEST(LjForce, ThreadedMatchesSerialWithinTolerance) {
 }
 
 TEST(CellList, NeighborCsrMatchesNeighborLists) {
-  auto atoms = jiggled_crystal(3);
-  CellList cl(atoms.box, 1.3);
-  cl.build(atoms.pos);
-  const auto lists = cl.neighbor_lists(atoms.pos);
-  for (unsigned threads : {1u, 4u}) {
-    std::vector<std::uint32_t> offsets, neighbors;
-    cl.neighbor_csr(atoms.pos, threads, &offsets, &neighbors);
-    ASSERT_EQ(offsets.size(), atoms.size() + 1);
+  // 108 atoms stay under the threading grain; 2048 atoms split into two and
+  // four chunks at threads 2 and 4.
+  for (std::size_t cells : {3u, 8u}) {
+    auto atoms = jiggled_crystal(cells);
+    CellList cl(atoms.box, 1.3);
+    cl.build(atoms.pos);
+    const auto lists = cl.neighbor_lists(atoms.pos);
+    std::vector<std::uint32_t> serial_offsets, serial_neighbors;
+    cl.neighbor_csr(atoms.pos, 1, &serial_offsets, &serial_neighbors);
+    ASSERT_EQ(serial_offsets.size(), atoms.size() + 1);
     for (std::size_t i = 0; i < atoms.size(); ++i) {
-      std::vector<std::uint32_t> row(neighbors.begin() + offsets[i],
-                                     neighbors.begin() + offsets[i + 1]);
+      std::vector<std::uint32_t> row(
+          serial_neighbors.begin() + serial_offsets[i],
+          serial_neighbors.begin() + serial_offsets[i + 1]);
       auto expect = lists[i];
       std::sort(expect.begin(), expect.end());
-      EXPECT_EQ(row, expect) << "atom " << i << " threads " << threads;
+      EXPECT_EQ(row, expect) << "atom " << i << " cells " << cells;
+    }
+    for (unsigned threads : {2u, 4u}) {
+      std::vector<std::uint32_t> offsets, neighbors;
+      cl.neighbor_csr(atoms.pos, threads, &offsets, &neighbors);
+      EXPECT_EQ(offsets, serial_offsets) << "threads " << threads;
+      EXPECT_EQ(neighbors, serial_neighbors) << "threads " << threads;
     }
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every row the row visitors emit equals the sorted neighbor_lists row,
+/// and every entry carries exactly Box::min_image(pos[j], pos[i]) and its
+/// norm2(), bit for bit. for_each_row_of over any subset agrees.
+void expect_rows_exact(const CellList& cl, const Box& box,
+                       const std::vector<Vec3>& pos) {
+  const auto lists = cl.neighbor_lists(pos);
+  std::vector<int> seen(pos.size(), 0);
+  auto check = [&](std::size_t i, const NeighborRow& row) {
+    ++seen[i];
+    auto expect = lists[i];
+    std::sort(expect.begin(), expect.end());
+    ASSERT_EQ(std::vector<std::uint32_t>(row.j, row.j + row.size), expect)
+        << "atom " << i;
+    for (std::size_t t = 0; t < row.size; ++t) {
+      const Vec3 d = box.min_image(pos[row.j[t]], pos[i]);
+      EXPECT_EQ(bits(row.d[t].x), bits(d.x)) << i << "->" << row.j[t];
+      EXPECT_EQ(bits(row.d[t].y), bits(d.y)) << i << "->" << row.j[t];
+      EXPECT_EQ(bits(row.d[t].z), bits(d.z)) << i << "->" << row.j[t];
+      EXPECT_EQ(bits(row.r2[t]), bits(d.norm2())) << i << "->" << row.j[t];
+    }
+  };
+  cl.for_each_row_range(pos, 0, cl.range_size(), check);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    ASSERT_EQ(seen[i], 1) << "atom " << i << " rows";
+  }
+  std::vector<std::uint32_t> every_third;
+  for (std::uint32_t i = 0; i < pos.size(); i += 3) every_third.push_back(i);
+  cl.for_each_row_of(pos, every_third, check);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    EXPECT_EQ(seen[i], i % 3 == 0 ? 2 : 1) << "atom " << i << " rows";
+  }
+}
+
+TEST(CellList, RowsAreExactOnTheCellPath) {
+  auto atoms = jiggled_crystal(4);
+  CellList cl(atoms.box, 1.6);
+  ASSERT_TRUE(cl.using_cells());
+  cl.build(atoms.pos);
+  expect_rows_exact(cl, atoms.box, atoms.pos);
+}
+
+TEST(CellList, RowsAreExactOnTheSmallBoxFallback) {
+  auto atoms = jiggled_crystal(2);
+  CellList cl(atoms.box, 1.6);
+  ASSERT_FALSE(cl.using_cells());
+  cl.build(atoms.pos);
+  expect_rows_exact(cl, atoms.box, atoms.pos);
+}
+
+TEST(CellList, RowsAreExactAfterDriftWithinTheSkin) {
+  auto atoms = jiggled_crystal(4);
+  CellList cl(atoms.box, 1.3, 0.4);
+  cl.build(atoms.pos);
+  auto moved = atoms.pos;
+  std::uint64_t s = 99;
+  for (auto& p : moved) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(s >> 11) / 9007199254740992.0;
+    p.x += 0.19 * (u - 0.5);  // under skin/2 = 0.2 in every direction
+    p.y -= 0.09;
+    p.z += 0.05 * u;
+  }
+  ASSERT_FALSE(cl.update(atoms.box, moved));  // the stale structure stays
+  expect_rows_exact(cl, atoms.box, moved);
 }
 
 std::set<std::pair<std::uint32_t, std::uint32_t>> pair_set(

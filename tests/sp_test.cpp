@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "md/lattice.h"
 #include "md/sim.h"
@@ -427,6 +432,168 @@ TEST(KernelSpan, ParallelKernelsEmitComputeSpans) {
   sink.set_enabled(false);
   BondAnalysis(bc).compute(atoms);
   EXPECT_EQ(sink.size(), 0u);
+}
+
+// --- CSym and CNA against their whole-crystal formulations ----------------
+
+/// CSym as it was computed from a full neighbour CSR: Box::min_image for
+/// every neighbour, the k nearest by partial_sort over (r2, displacement)
+/// in ascending-j order, then the k/2 smallest pair sums by a second
+/// partial_sort. The adjacency comes from the O(n^2) Bonds reference, so
+/// nothing here shares code with the row visitor.
+std::vector<double> reference_csym(const md::AtomData& atoms,
+                                   const CsymConfig& cfg) {
+  const Adjacency adj = BondAnalysis({cfg.cutoff}).compute_naive(atoms);
+  std::vector<double> csp(atoms.size(), 0.0);
+  std::vector<std::pair<double, md::Vec3>> nn;
+  std::vector<double> pair_sums;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    nn.clear();
+    for (std::uint32_t j : adj.neighbors_of(i)) {
+      const md::Vec3 d = atoms.box.min_image(atoms.pos[j], atoms.pos[i]);
+      nn.emplace_back(d.norm2(), d);
+    }
+    const std::size_t k = std::min<std::size_t>(
+        nn.size(), static_cast<std::size_t>(cfg.num_neighbors));
+    if (k < 2) {
+      csp[i] = cfg.cutoff * cfg.cutoff;
+      continue;
+    }
+    std::partial_sort(
+        nn.begin(), nn.begin() + static_cast<std::ptrdiff_t>(k), nn.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    pair_sums.clear();
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        pair_sums.push_back((nn[a].second + nn[b].second).norm2());
+      }
+    }
+    const std::size_t take = k / 2;
+    std::partial_sort(pair_sums.begin(),
+                      pair_sums.begin() + static_cast<std::ptrdiff_t>(take),
+                      pair_sums.end());
+    double sum = 0;
+    for (std::size_t t = 0; t < take; ++t) sum += pair_sums[t];
+    csp[i] = sum;
+  }
+  return csp;
+}
+
+void expect_csym_matches_reference(const md::AtomData& atoms) {
+  const CsymConfig cfg;
+  const auto want = reference_csym(atoms, cfg);
+  const auto got = CentralSymmetry(cfg).compute(atoms);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "atom " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(Csym, MatchesReferenceOnSlabWithTiesAtTheTwelfth) {
+  // a = 1.5 puts every coordinate on a multiple of 0.75, so distances are
+  // exact: surface atoms have 8 first-shell and 5 second-shell (r = a < 1.6)
+  // neighbours, and the 12th nearest is an exact five-way tie.
+  auto atoms = md::make_fcc(4, 4, 4, 1.5);
+  atoms.box.hi.z += 4.0;  // free surfaces at z = 0 and z = 4.5
+  std::size_t straddled = 0;
+  const Adjacency adj = BondAnalysis({1.6}).compute_naive(atoms);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    std::vector<double> r2;
+    for (std::uint32_t j : adj.neighbors_of(i)) {
+      r2.push_back(atoms.box.min_image(atoms.pos[j], atoms.pos[i]).norm2());
+    }
+    std::sort(r2.begin(), r2.end());
+    if (r2.size() > 12 && r2[11] == r2[12]) ++straddled;
+  }
+  ASSERT_GT(straddled, 0u);  // the case under test really occurs
+  expect_csym_matches_reference(atoms);
+}
+
+TEST(Csym, MatchesReferenceOnSmallBoxFallback) {
+  auto atoms = md::make_fcc(2, 2, 2, kA);
+  std::uint64_t s = 5;
+  for (auto& p : atoms.pos) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    p.x += 0.08 * (static_cast<double>(s >> 11) / 9007199254740992.0 - 0.5);
+  }
+  ASSERT_LT(atoms.box.hi.x, 3 * CsymConfig{}.cutoff);  // under 3 bins
+  expect_csym_matches_reference(atoms);
+}
+
+md::MdSim notched_thermal_crystal() {
+  md::MdConfig cfg;
+  cfg.target_temperature = 0.05;
+  md::MdSim sim(md::make_fcc(6, 5, 4, kA), cfg, 11);
+  sim.carve_notch(0.0, 0.4 * sim.atoms().box.hi.x, 1.0);
+  sim.initialize_velocities();
+  sim.run(30);
+  return sim;
+}
+
+TEST(Csym, MatchesReferenceOnNotchedThermalCrystal) {
+  const auto sim = notched_thermal_crystal();
+  expect_csym_matches_reference(sim.atoms());
+}
+
+void expect_subset_matches_classify(const md::AtomData& atoms,
+                                    const std::vector<std::uint32_t>& subset) {
+  const CommonNeighborAnalysis cna({0.854 * kA});
+  const auto all = cna.classify(atoms);
+  const auto part = cna.classify_subset(atoms, subset);
+  ASSERT_EQ(part.labels.size(), atoms.size());
+  std::vector<bool> in(atoms.size(), false);
+  for (std::uint32_t i : subset) in[i] = true;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    EXPECT_EQ(part.labels[i], in[i] ? all.labels[i] : CnaLabel::kOther)
+        << "atom " << i;
+  }
+}
+
+TEST(Cna, SubsetMatchesClassifyOnCsymRegion) {
+  const auto sim = notched_thermal_crystal();
+  const auto region =
+      BreakDetector{}.region(CentralSymmetry{}.compute(sim.atoms()));
+  ASSERT_FALSE(region.empty());
+  expect_subset_matches_classify(sim.atoms(), region);
+}
+
+TEST(Cna, SubsetMatchesClassifyOnRandomSubsets) {
+  const auto sim = notched_thermal_crystal();
+  const std::size_t n = sim.atoms().size();
+  std::uint64_t s = 17;
+  for (std::size_t size : {std::size_t{1}, std::size_t{40}, n / 2, n}) {
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+    for (std::size_t t = 0; t + 1 < n; ++t) {  // Fisher-Yates
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      std::swap(all[t], all[t + (s >> 33) % (n - t)]);
+    }
+    all.resize(size);
+    expect_subset_matches_classify(sim.atoms(), all);
+  }
+}
+
+TEST(Cna, PairSignatureBeyondSixtyFourCommonNeighbours) {
+  // Atoms 0 and 1 share 70 neighbours (2..71) that form a simple path:
+  // 70 common, 69 bonds among them, longest chain 69.
+  std::vector<std::vector<std::uint32_t>> lists(72);
+  for (std::uint32_t c = 2; c < 72; ++c) {
+    for (std::uint32_t end : {0u, 1u}) {
+      lists[end].push_back(c);
+      lists[c].push_back(end);
+    }
+    if (c + 1 < 72) {
+      lists[c].push_back(c + 1);
+      lists[c + 1].push_back(c);
+    }
+  }
+  lists[0].push_back(1);
+  lists[1].push_back(0);
+  const auto adj = Adjacency::from_lists(lists);
+  EXPECT_EQ(CommonNeighborAnalysis::pair_signature(adj, 0, 1),
+            (CnaSignature{70, 69, 69}));
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // latency from write to fully parsed response. Emits BENCH_svc.json
 // (schema ioc.bench.svc/v1, unit p99_ms) for bench_check:
 //
-//   ioc_loadgen --self-host --connections 256 --requests 4096 \
-//               --out BENCH_svc.json
+//   ioc_loadgen --self-host --connections 256 --requests 4096
+//               --out BENCH_svc.json          (one command line)
 //
 // --self-host runs a ServiceHost (with a live SocketBus pipeline) on a
 // background thread and aims the load at it; --port aims at an already
