@@ -6,7 +6,9 @@
 //   * every trade committed or aborted atomically (ledger totals conserved),
 //   * staging nodes conserved, none double-owned, widths match the ledger,
 //   * the pipeline drained (no deadlock),
-//   * the same seed reproduces the identical run bit-for-bit.
+//   * the same seed reproduces the identical run bit-for-bit, and matches a
+//     golden FNV fold of the run recorded per seed (two runs of one binary
+//     cannot see a change that moves both the same way).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,9 +23,31 @@
 #include "net/cluster.h"
 #include "net/network.h"
 #include "txn/d2t.h"
+#include "util/hash.h"
 
 namespace ioc {
 namespace {
+
+std::uint64_t fold_str(const std::string& v, std::uint64_t h) {
+  return util::fnv1a(v.data(), v.size(), h);
+}
+
+template <class Tuple>
+std::uint64_t fold_tuple(const Tuple& t, std::uint64_t h) {
+  std::apply([&h](const auto&... v) { ((h = util::fnv1a_value(v, h)), ...); },
+             t);
+  return h;
+}
+
+/// The golden fold of seed `seed` in `table` (one {seed, fold} row each).
+template <std::size_t N>
+std::uint64_t golden_of(const std::uint64_t (&table)[N][2],
+                        std::uint64_t seed) {
+  for (const auto& row : table) {
+    if (row[0] == seed) return row[1];
+  }
+  return 0;
+}
 
 // --- Part 1: transactions under message faults + a member-node crash ------
 
@@ -68,6 +92,22 @@ struct TxnChaosRun {
              std::uint64_t, std::uint64_t>
       faults;  ///< dropped, duplicated, delayed, crash_drops, crashes, restarts
   bool operator==(const TxnChaosRun&) const = default;
+
+  std::uint64_t fold() const {
+    std::uint64_t h = util::kFnvOffset;
+    for (int o : outcomes) h = util::fnv1a_value(o, h);
+    for (int t : totals) h = util::fnv1a_value(t, h);
+    h = util::fnv1a_value(a, h);
+    h = util::fnv1a_value(b, h);
+    h = util::fnv1a_value(events, h);
+    return fold_tuple(faults, h);
+  }
+};
+
+constexpr std::uint64_t kTxnChaosGolden[][2] = {
+    {1, 0x661d027bb251203full},    {7, 0x8d4703c2d6f3987eull},
+    {42, 0xf907ae1516c74d63ull},   {1234, 0xfca27d04d182a15eull},
+    {987654321, 0x9840f06a87dc7b8aull},
 };
 
 des::Process txn_chaos_driver(txn::TxnHarness& h, des::Simulator& sim,
@@ -140,6 +180,8 @@ TEST_P(TxnChaosSoak, TradesStayAtomicAndRunsReplayBitForBit) {
   EXPECT_EQ(std::get<5>(run.faults), 1u);
   // Same seed, same everything: outcomes, ledger, event count, fault stats.
   EXPECT_EQ(run, txn_chaos(GetParam()));
+  EXPECT_EQ(run.fold(), golden_of(kTxnChaosGolden, GetParam()))
+      << std::hex << run.fold();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TxnChaosSoak,
@@ -159,10 +201,31 @@ struct PipelineChaosRun {
       faults;  ///< dropped, duplicated, delayed, crash_drops
   bool drained = false;
   bool operator==(const PipelineChaosRun&) const = default;
+
+  std::uint64_t fold() const {
+    std::uint64_t h = util::kFnvOffset;
+    h = util::fnv1a_value(steps, h);
+    h = util::fnv1a_value(failovers, h);
+    h = util::fnv1a_value(conserved, h);
+    for (const auto& w : widths) h = fold_str(w, h);
+    for (const auto& a : actions) h = fold_str(a, h);
+    h = util::fnv1a_value(events, h);
+    h = fold_tuple(faults, h);
+    return util::fnv1a_value(drained, h);
+  }
+};
+
+constexpr std::uint64_t kPipelineChaosGolden[][2] = {
+    {1, 0x9bf9c6ee8dfce5e6ull},    {7, 0x3f55ec20c6856dbdull},
+    {42, 0x30032b43b75dff2dull},   {1234, 0x602986468a1d8eb2ull},
+    {987654321, 0x1fecaff6a6f673c1ull},
 };
 
 PipelineChaosRun pipeline_chaos(std::uint64_t seed) {
-  auto spec = core::PipelineSpec::lammps_smartpointer(8, 13);
+  // The Fig. 7 row: at 256 simulation nodes the 13-node layout breaks its
+  // SLA, so the GM steals and its control rounds give the fault rates below
+  // messages to hit (the 8-node row never manages and sends none).
+  auto spec = core::PipelineSpec::lammps_smartpointer(256, 13);
   spec.steps = 12;
   core::StagedPipeline::Options opt;
   opt.seed = seed;
@@ -216,6 +279,11 @@ TEST_P(PipelineChaosSoak, SurvivesFaultsAndGmCrashWithInvariantsIntact) {
   EXPECT_TRUE(run.drained);           // and the run finished, not hung
   EXPECT_GE(run.failovers, 1u);       // heartbeats detected the dead GM
   EXPECT_TRUE(run.conserved);         // no node lost or double-owned
+  EXPECT_FALSE(run.actions.empty());  // the GM managed under faults
+  // And faults did bite: dropped + duplicated + delayed control messages.
+  EXPECT_GT(std::get<0>(run.faults) + std::get<1>(run.faults) +
+                std::get<2>(run.faults),
+            0u);
   // Container bookkeeping agrees with the pool ledger for every container,
   // fenced or not (fenced: both sides read zero).
   for (const std::string& w : run.widths) {
@@ -226,6 +294,8 @@ TEST_P(PipelineChaosSoak, SurvivesFaultsAndGmCrashWithInvariantsIntact) {
   }
   // Bit-for-bit reproducibility of the whole run, faults and all.
   EXPECT_EQ(run, pipeline_chaos(GetParam()));
+  EXPECT_EQ(run.fold(), golden_of(kPipelineChaosGolden, GetParam()))
+      << std::hex << run.fold();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineChaosSoak,
@@ -291,6 +361,25 @@ TEST(Escalation, PartitionedManagerIsFencedAndNodesReclaimed) {
   EXPECT_TRUE(saw_timeout);
   EXPECT_TRUE(saw_retry);
   EXPECT_TRUE(saw_escalate);
+  // The whole trail, timestamps included, against a golden copy: a change
+  // to the round plumbing that moves any entry or instant fails here.
+  std::vector<std::string> trail;
+  for (const auto& ev : p.gm().control_trace()) {
+    trail.push_back(std::to_string(ev.at) + " " + ev.container + "/" +
+                    ev.type + "/" + (ev.to_cm ? "req" : "reply") + "/" +
+                    std::to_string(ev.delta));
+  }
+  const std::vector<std::string> golden = {
+      "25000000000 csym/INCREASE_REQ/req/0",
+      "25500007128 csym/TIMEOUT/req/0",
+      "25500007128 csym/RETRY/req/0",
+      "26100014256 csym/TIMEOUT/req/0",
+      "26100014256 csym/RETRY/req/0",
+      "26800021384 csym/TIMEOUT/req/0",
+      "26800021384 bonds/SWITCH_TO_DISK/req/0",
+      "26800035640 bonds/DONE/reply/0",
+      "26800035640 csym/ESCALATE/req/-4"};
+  EXPECT_EQ(trail, golden);
   const auto lint = lint::check_trace(p.spec(), p.gm().control_trace());
   EXPECT_TRUE(lint.ok()) << lint::to_text(lint);
 }

@@ -5,7 +5,10 @@
 //
 // The chaos soaks follow the repo's determinism idiom: every run is a pure
 // function of (Options, fault schedule), so a soak runs twice per seed and
-// the two Fleet::Results must compare equal field-for-field.
+// the two Fleet::Results must compare equal field-for-field. Two runs of one
+// binary cannot see a change that moves both the same way, so the directed
+// fleets and the chaos seeds also pin golden Result digests and an FNV fold
+// of every shard's and the root's control trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "fed/hash.h"
 #include "lint/trace.h"
 #include "trace/metrics.h"
+#include "util/hash.h"
 #include "verify/fed_model.h"
 
 namespace {
@@ -37,6 +41,30 @@ std::vector<std::string> test_keys(std::size_t n) {
   keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i) keys.push_back("pipe-" + std::to_string(i));
   return keys;
+}
+
+/// Continue FNV-1a `h` over every field of every entry of trace `t`.
+std::uint64_t fold_trace(const std::vector<ioc::core::ControlTraceEvent>& t,
+                         std::uint64_t h) {
+  using ioc::util::fnv1a;
+  using ioc::util::fnv1a_value;
+  for (const auto& e : t) {
+    h = fnv1a_value(e.at, h);
+    h = fnv1a(e.container.data(), e.container.size(), h);
+    h = fnv1a(e.type.data(), e.type.size(), h);
+    h = fnv1a_value(e.to_cm, h);
+    h = fnv1a_value(e.delta, h);
+  }
+  return h;
+}
+
+/// Every shard's control trace, then the root's.
+std::uint64_t control_trace_fold(Fleet& fleet) {
+  std::uint64_t h = ioc::util::kFnvOffset;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    h = fold_trace(fleet.shard(i).control_trace(), h);
+  }
+  return fold_trace(fleet.root().control_trace(), h);
 }
 
 HashRing ring_of(std::size_t shards, std::size_t vnodes = 64) {
@@ -149,6 +177,7 @@ TEST(Fleet, QuietFleetConvergesAndConserves) {
   EXPECT_EQ(r.live_pipelines, 16u);
   EXPECT_EQ(r.converged_pipelines, r.live_pipelines);
   EXPECT_GT(r.resizes, 0u);
+  EXPECT_EQ(r.digest, 0xc3d3143d92cd160bull);
 }
 
 TEST(Fleet, ScarcePoolsForceCrossShardTrades) {
@@ -167,6 +196,7 @@ TEST(Fleet, ScarcePoolsForceCrossShardTrades) {
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(r.open_escrow, 0u);
   EXPECT_GT(r.trades_committed, 0u);
+  EXPECT_EQ(r.digest, 0x3d57b72dd2cd19e0ull);
 }
 
 // --- failover --------------------------------------------------------------
@@ -189,6 +219,7 @@ TEST(Fleet, ShardCrashFailsPipelinesOverToSurvivors) {
   EXPECT_EQ(r.converged_pipelines, r.live_pipelines);
   EXPECT_TRUE(fleet.shard(0).fenced());
   EXPECT_GT(r.pipelines_reassigned, 0u);
+  EXPECT_EQ(r.digest, 0x8ed2e1dfa279a995ull);
 }
 
 TEST(Fleet, PartitionedShardIsFencedNotLeaked) {
@@ -208,11 +239,14 @@ TEST(Fleet, PartitionedShardIsFencedNotLeaked) {
   EXPECT_GE(r.failovers, 1u);
   EXPECT_TRUE(fleet.shard(1).fenced());
   EXPECT_EQ(r.converged_pipelines, r.live_pipelines);
+  EXPECT_EQ(r.digest, 0x082c128975151e62ull);
 }
 
 // --- chaos soak ------------------------------------------------------------
 
-Fleet::Result run_chaos(std::uint64_t seed) {
+/// Runs the chaos soak; `trace_fold`, when set, receives control_trace_fold.
+Fleet::Result run_chaos(std::uint64_t seed,
+                        std::uint64_t* trace_fold = nullptr) {
   Fleet::Options opt;
   opt.shards = 8;
   opt.pipelines = 32;
@@ -239,8 +273,24 @@ Fleet::Result run_chaos(std::uint64_t seed) {
   fleet.injector()->schedule_crash(fleet.shard_node(5), 10 * kSecond);
   fleet.injector()->partition({fleet.shard_node(6)}, {0},
                               12 * kSecond, 15 * kSecond);
-  return fleet.run();
+  Fleet::Result r = fleet.run();
+  if (trace_fold != nullptr) *trace_fold = control_trace_fold(fleet);
+  return r;
 }
+
+struct ChaosGolden {
+  std::uint64_t seed;
+  std::uint64_t digest;      ///< Fleet::Result::digest
+  std::uint64_t trace_fold;  ///< control_trace_fold
+};
+
+constexpr ChaosGolden kChaosGolden[] = {
+    {1, 0x4a0e250698da962full, 0xa116d59e28add94cull},
+    {7, 0x49ba9d03e18f96fdull, 0xdf2f39015e8ac567ull},
+    {42, 0xda14f93bccea084bull, 0xbda801ce66b24d0aull},
+    {1234, 0x4faacf20f8935337ull, 0xd22cb02d18088b6eull},
+    {987654321, 0x7a1bdf985ac38127ull, 0x978df4742f47fc5bull},
+};
 
 class FedChaos : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -268,9 +318,19 @@ TEST_P(FedChaos, SurvivesCrashesAndPartitionsConserved) {
 }
 
 TEST_P(FedChaos, SameSeedSameFleetBitForBit) {
-  const Fleet::Result a = run_chaos(GetParam());
-  const Fleet::Result b = run_chaos(GetParam());
+  std::uint64_t fold_a = 0;
+  std::uint64_t fold_b = 0;
+  const Fleet::Result a = run_chaos(GetParam(), &fold_a);
+  const Fleet::Result b = run_chaos(GetParam(), &fold_b);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(fold_a, fold_b);
+  const std::uint64_t seed = GetParam();
+  const auto* g = std::find_if(
+      std::begin(kChaosGolden), std::end(kChaosGolden),
+      [seed](const ChaosGolden& c) { return c.seed == seed; });
+  ASSERT_NE(g, std::end(kChaosGolden));
+  EXPECT_EQ(a.digest, g->digest) << std::hex << a.digest;
+  EXPECT_EQ(fold_a, g->trace_fold) << std::hex << fold_a;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FedChaos,

@@ -10,6 +10,7 @@
 
 #include "core/runtime.h"
 #include "core/spec.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace ioc::core {
@@ -126,6 +127,29 @@ TEST_P(ManagementFuzzUnderFaults, InvariantsSurviveActionsOnALossyFabric) {
   EXPECT_EQ(p.steps_emitted(), 16u);
   const auto& st = p.injector()->stats();
   EXPECT_GT(st.dropped + st.duplicated + st.delayed, 0u);  // faults did bite
+  // Golden fold of the GM's control trace and the run's event and fault
+  // counts, recorded per seed: retries, reply replays and fences must keep
+  // landing at the same simulated instants.
+  std::uint64_t h = util::kFnvOffset;
+  for (const auto& ev : p.gm().control_trace()) {
+    h = util::fnv1a_value(ev.at, h);
+    h = util::fnv1a(ev.container.data(), ev.container.size(), h);
+    h = util::fnv1a(ev.type.data(), ev.type.size(), h);
+    h = util::fnv1a_value(ev.to_cm, h);
+    h = util::fnv1a_value(ev.delta, h);
+  }
+  for (std::uint64_t v : {p.sim().events_processed(), st.dropped,
+                          st.duplicated, st.delayed}) {
+    h = util::fnv1a_value(v, h);
+  }
+  const std::uint64_t golden[][2] = {{11, 0xc0f38098debb8672ull},
+                                     {29, 0xfbc102dd3706a69full},
+                                     {4242, 0x850469035fe1fe19ull}};
+  for (const auto& g : golden) {
+    if (g[0] == GetParam()) {
+      EXPECT_EQ(h, g[1]) << std::hex << h;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ManagementFuzzUnderFaults,
