@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "des/event.h"
@@ -35,6 +36,15 @@ struct FanParam {
   int consumers;
   std::size_t capacity;
 };
+
+// gtest prints a struct param as its raw bytes, padding included, and
+// gtest_discover_tests names each ctest entry by that printed value, so the
+// names would change from build to build. Spell the fields out instead; the
+// ctest entry then reads .../p8_n50_c8_cap3.
+void PrintTo(const FanParam& p, std::ostream* os) {
+  *os << "p" << p.producers << "_n" << p.per_producer << "_c" << p.consumers
+      << "_cap" << p.capacity;
+}
 
 class QueueFan : public ::testing::TestWithParam<FanParam> {};
 

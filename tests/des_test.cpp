@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -389,6 +390,15 @@ struct BacklogParam {
   SimTime service;
   int items;
 };
+
+// gtest prints a struct param as its raw bytes, padding included, and
+// gtest_discover_tests names each ctest entry by that printed value, so the
+// names would change from build to build. Spell the fields out instead; the
+// ctest entry then reads .../period100_service150_items50.
+void PrintTo(const BacklogParam& p, std::ostream* os) {
+  *os << "period" << p.period << "_service" << p.service << "_items"
+      << p.items;
+}
 
 class QueueBacklog : public ::testing::TestWithParam<BacklogParam> {};
 
