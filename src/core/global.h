@@ -7,24 +7,21 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/container.h"
-#include "core/manager_if.h"
 #include "core/protocol.h"
-#include "core/protocol_fsm.h"
 #include "core/resources.h"
+#include "core/rounds.h"
 #include "core/spec.h"
 #include "des/process.h"
-#include "ev/bus.h"
 #include "mon/hub.h"
 
 namespace ioc::core {
 
-class GlobalManager : public ManagerIf {
+class GlobalManager {
  public:
   struct Options {
     des::SimTime policy_interval = 30 * des::kSecond;
@@ -34,15 +31,12 @@ class GlobalManager : public ManagerIf {
     /// happens over successive policy rounds (visible in Fig. 8).
     std::uint32_t max_grant_per_action = 4;
     std::size_t monitoring_window = 4;
-    /// Deadline for one GM -> CM control round. 0 (the default) waits
-    /// forever — the pre-robustness behaviour, kept for runs on a fabric
-    /// known lossless. With a deadline set, an unanswered round is retried
-    /// `cm_retries` times with capped exponential backoff and then
-    /// escalates: the container is fenced (see docs/ROBUSTNESS.md).
-    des::SimTime cm_timeout = 0;
-    int cm_retries = 3;
-    des::SimTime cm_backoff = 500 * des::kMillisecond;
-    des::SimTime cm_backoff_cap = 4 * des::kSecond;
+    /// Retry ladder for GM -> CM control rounds. The default timeout of 0
+    /// waits forever — the pre-robustness behaviour, kept for runs on a
+    /// fabric known lossless. With a deadline set, an unanswered round is
+    /// retried `round.retries` times with capped exponential backoff and
+    /// then escalates: the container is fenced (see docs/ROBUSTNESS.md).
+    RoundOptions round;
   };
 
   GlobalManager(Container::Env env, const PipelineSpec& spec,
@@ -52,7 +46,7 @@ class GlobalManager : public ManagerIf {
                 ResourcePool& pool, std::vector<Container*> containers)
       : GlobalManager(std::move(env), spec, pool, std::move(containers),
                       Options{}) {}
-  ~GlobalManager() override;
+  ~GlobalManager();
   GlobalManager(const GlobalManager&) = delete;
   GlobalManager& operator=(const GlobalManager&) = delete;
 
@@ -66,7 +60,7 @@ class GlobalManager : public ManagerIf {
   /// resilient; StagedPipeline::failover_gm() promotes a fresh manager that
   /// rebuilds its (soft) monitoring state from the live sample stream.
   void fail();
-  bool failed() const override { return failed_; }
+  bool failed() const { return failed_; }
   /// Quiet teardown: stop the policy loop and close the control/monitoring
   /// endpoints so the blocked loops can finish once remaining events drain.
   void shutdown();
@@ -74,20 +68,12 @@ class GlobalManager : public ManagerIf {
   ev::EndpointId monitor_endpoint() const { return mon_ep_; }
   mon::MonitoringHub& hub() { return hub_; }
   const mon::MonitoringHub& hub() const { return hub_; }
-  /// ManagerIf identity: the classic single manager is always "gm" (a
-  /// one-shard fleet promotes it without renaming anything).
-  const std::string& manager_id() const override;
-  ResourcePool& pool() override { return pool_; }
   const std::vector<ManagementEvent>& events() const { return events_; }
   /// Every control message this manager exchanged with a CM, in order; feed
   /// it to lint::check_trace to audit a run offline.
-  const std::vector<ControlTraceEvent>& control_trace() const override {
-    return trace_;
+  const std::vector<ControlTraceEvent>& control_trace() const {
+    return rounds_.trace();
   }
-  /// Current Fig. 3 protocol state of a container's manager (kIdle when the
-  /// container is unknown); control-round spans label their FSM edge with
-  /// this.
-  CmState cm_state(const std::string& container) const;
   Container* find(const std::string& name) const;
 
   // --- protocol drivers ---------------------------------------------------
@@ -138,14 +124,6 @@ class GlobalManager : public ManagerIf {
   /// in offline_cascade), fence the container, and repair the pool. Returns
   /// the kErrFenced reply request_cm hands to its caller.
   des::Task<ev::Message> escalate_fence(Container* c, std::uint64_t token);
-  /// Append to the control trace and, in debug builds, assert the message
-  /// is legal for the container's Fig. 3 protocol state.
-  void trace_control(const std::string& container, const std::string& type,
-                     bool to_cm, int delta);
-  /// Append a robustness marker (TIMEOUT/RETRY/ESCALATE) to the control
-  /// trace. Markers never touch the FSM.
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
   void log_event(const std::string& action, const std::string& container,
                  const std::string& reason, int delta,
                  ProtocolReport report);
@@ -164,10 +142,9 @@ class GlobalManager : public ManagerIf {
   ev::EndpointId mon_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   std::vector<ManagementEvent> events_;
-  std::vector<ControlTraceEvent> trace_;
-  /// Per-container Fig. 3 protocol state, advanced alongside the trace so
+  /// Control trace and per-container Fig. 3 state, advanced together so
   /// debug builds catch illegal sequences at the moment they happen.
-  std::map<std::string, ProtocolFsm> fsm_;
+  Coordinator rounds_;
   bool stopping_ = false;
   bool failed_ = false;
   des::Process mon_proc_;

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/protocol.h"
+#include "util/check.h"
 #include "util/log.h"
 
 namespace ioc::core {
@@ -51,6 +51,104 @@ des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
              << attempt + 1 << "/" << opt.retries;
     co_await des::delay(sim, backoff);
   }
+}
+
+RoundEnd round_end(const ev::Message& reply) {
+  if (reply.type_id == ev::kMidErrClosed) return RoundEnd::kSelfDied;
+  if (reply.type_id == ev::kMidErrTimeout ||
+      reply.type_id == ev::kMidErrUnreachable) {
+    return RoundEnd::kEscalate;
+  }
+  return RoundEnd::kReply;
+}
+
+CmState Coordinator::state(const std::string& peer) const {
+  auto it = fsm_.find(peer);
+  return it == fsm_.end() ? CmState::kIdle : it->second.state();
+}
+
+void Coordinator::append(const std::string& peer, std::string_view type,
+                         bool to_cm, int delta) {
+  ControlTraceEvent ev;
+  ev.at = bus_->sim().now();
+  ev.container = peer;
+  ev.type = type;
+  ev.to_cm = to_cm;
+  ev.delta = delta;
+  trace_.push_back(std::move(ev));
+}
+
+void Coordinator::record(const std::string& peer, std::string_view type,
+                         bool to_cm, int delta) {
+  append(peer, type, to_cm, delta);
+  auto it = fsm_.find(peer);
+  if (it != fsm_.end()) {
+    const bool legal = it->second.advance(trace_.back().type);
+    IOC_CHECK(legal) << "protocol violation: " << type << " for " << peer
+                     << " in state " << cm_state_name(it->second.state())
+                     << " at " << owner_;
+    (void)legal;
+  }
+}
+
+void Coordinator::marker(const std::string& peer, const char* marker,
+                         int delta) {
+  append(peer, marker, /*to_cm=*/true, delta);
+}
+
+RoundHooks Coordinator::hooks(const std::string& peer) {
+  RoundHooks h;
+  h.peer = peer;
+  h.trace = sink_;
+  h.on_marker = [this, peer](const char* mk) { marker(peer, mk); };
+  return h;
+}
+
+RoundHooks Coordinator::open(const std::string& peer, ev::Message& m) {
+  record(peer, m.type(), /*to_cm=*/true, 0);
+  m.token = bus_->fresh_token();
+  return hooks(peer);
+}
+
+int Coordinator::close(const std::string& peer, const ev::Message& reply) {
+  int delta = 0;
+  if (const auto* done = reply.as<DonePayload>()) delta = done->report.delta;
+  record(peer, reply.type(), /*to_cm=*/false, delta);
+  return delta;
+}
+
+std::size_t Coordinator::fence(const std::string& peer, ResourcePool& pool) {
+  const std::size_t freed = pool.reclaim_all(peer).size();
+  // The recorded delta is the pool's view; the lint replay settles the
+  // fenced peer's width to zero regardless (an in-flight grant may not have
+  // reached the trace ledger yet).
+  marker(peer, kMarkEscalate, -static_cast<int>(freed));
+  if (auto it = fsm_.find(peer); it != fsm_.end()) {
+    it->second.reset(CmState::kOffline);
+  }
+  return freed;
+}
+
+namespace {
+bool cacheable(const ev::Message& m) {
+  return m.token != 0 &&
+         (m.type_id == kMidIncrease || m.type_id == kMidDecrease ||
+          m.type_id == kMidOffline || m.type_id == kMidActivate);
+}
+}  // namespace
+
+const ev::Message* ReplyCache::find(const ev::Message& request) const {
+  if (!cacheable(request)) return nullptr;
+  for (const auto& [token, reply] : entries_) {
+    if (token == request.token) return &reply;
+  }
+  return nullptr;
+}
+
+void ReplyCache::store(const ev::Message& request, const ev::Message& reply) {
+  if (!cacheable(request)) return;
+  if (entries_.size() >= kCapacity) entries_.erase(entries_.begin());
+  entries_.emplace_back(request.token, reply);
 }
 
 }  // namespace ioc::core

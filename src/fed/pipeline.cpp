@@ -7,7 +7,7 @@
 
 namespace ioc::fed {
 
-FedPipeline::FedPipeline(ev::Bus& bus, net::NodeId node, std::string name,
+FedPipeline::FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name,
                          Options opt)
     : bus_(&bus), name_(std::move(name)), opt_(opt) {
   ep_ = bus_->open(node, "fed.pipe." + name_).id();
@@ -71,10 +71,10 @@ des::Process FedPipeline::service_loop() {
                << " from non-owner endpoint " << msg->from;
       continue;
     }
-    if (auto hit = replay_.find(msg->token); hit != replay_.end()) {
+    if (const ev::Message* cached = replay_.find(*msg)) {
       // Retry/duplicate of a round already applied: replay the recorded
       // reply (the at-most-once half of the Fig. 3 robustness story).
-      ev::Message copy = hit->second;
+      ev::Message copy = *cached;
       co_await bus_->post(ep_, msg->from, std::move(copy));
       continue;
     }
@@ -118,18 +118,11 @@ des::Process FedPipeline::service_loop() {
       done.freed_nodes = std::move(freed);
       reply.type_id = core::kMidDone;
       reply.payload = std::move(done);
-    } else if (msg->type_id == core::kMidQueryNeeds) {
-      core::NeedsPayload needs;
-      needs.extra_nodes = target_ > width()
-                              ? static_cast<std::uint32_t>(target_ - width())
-                              : 0;
-      reply.type_id = core::kMidNeeds;
-      reply.payload = needs;
     } else {
       continue;  // not part of the resize conversation
     }
     note_converged();
-    replay_[msg->token] = reply;
+    replay_.store(*msg, reply);
     co_await bus_->post(ep_, msg->from, std::move(reply));
   }
 }

@@ -2,13 +2,14 @@
 // analytics pipeline, reduced to what the federation control plane needs.
 // Where core::Container models a full container (components, DataTap
 // streams, metadata exchange), FedPipeline models only the Fig. 3 resize
-// conversation — apply an INCREASE/DECREASE after a fixed delay, answer
-// QUERY_NEEDS, reply DONE — so a fleet of thousands of pipelines stays
-// cheap enough to chaos-soak.
+// conversation — apply an INCREASE/DECREASE after a fixed delay, reply
+// DONE — so a fleet of thousands of pipelines stays cheap enough to
+// chaos-soak.
 //
-// Robustness pieces mirrored from the real CM:
-//  * a token -> reply cache: a retried or duplicated round request replays
-//    the recorded answer instead of resizing twice (at-most-once);
+// Robustness:
+//  * core::ReplyCache, the same bounded cache core::Container keeps: a
+//    retried or duplicated round request replays the recorded answer
+//    instead of resizing twice (at-most-once);
 //  * an owner filter: only the shard currently owning this pipeline may
 //    drive it. Failover re-points the owner atomically (in sim time) with
 //    the ledger reconcile, so a resize a dead shard launched before it was
@@ -18,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "core/rounds.h"
 #include "des/process.h"
 #include "des/time.h"
-#include "ev/bus.h"
+#include "ev/bus_if.h"
 #include "net/cluster.h"
 
 namespace ioc::fed {
@@ -36,7 +37,7 @@ class FedPipeline {
     des::SimTime apply_delay = 2 * des::kMillisecond;
   };
 
-  FedPipeline(ev::Bus& bus, net::NodeId node, std::string name,
+  FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name,
               Options opt);
   ~FedPipeline();
 
@@ -81,7 +82,7 @@ class FedPipeline {
   des::Process service_loop();
   void note_converged();
 
-  ev::Bus* bus_;
+  ev::BusIf* bus_;
   std::string name_;
   ev::EndpointId ep_ = ev::kInvalidEndpoint;
   ev::EndpointId owner_ep_ = ev::kInvalidEndpoint;
@@ -94,7 +95,7 @@ class FedPipeline {
   std::vector<des::SimTime> resize_latencies_;
   std::uint64_t resizes_applied_ = 0;
   std::uint64_t stale_owner_drops_ = 0;
-  std::map<std::uint64_t, ev::Message> replay_;  // round token -> reply
+  core::ReplyCache replay_;
   des::Process proc_;
 };
 

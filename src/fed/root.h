@@ -27,7 +27,7 @@
 #include "core/rounds.h"
 #include "des/process.h"
 #include "des/time.h"
-#include "ev/bus.h"
+#include "ev/bus_if.h"
 #include "fed/hash.h"
 #include "fed/shard.h"
 #include "trace/sink.h"
@@ -62,7 +62,7 @@ class Root {
     std::uint64_t trades_denied = 0;
   };
 
-  Root(ev::Bus& bus, net::NodeId node, Options opt);
+  Root(ev::BusIf& bus, net::NodeId node, Options opt);
   ~Root();
 
   /// Register a shard (before start). Adds it to the consistent-hash ring
@@ -93,7 +93,7 @@ class Root {
     return it == health_.end() ? nullptr : &it->second.load;
   }
   const std::vector<core::ControlTraceEvent>& control_trace() const {
-    return trace_;
+    return rounds_.trace();
   }
 
  private:
@@ -112,10 +112,8 @@ class Root {
   /// chain recorded at failover to the first unfenced shard.
   Shard* live_heir(const std::string& dead_id);
   Shard* find_shard(const std::string& id) const;
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
 
-  ev::Bus* bus_;
+  ev::BusIf* bus_;
   net::NodeId node_;
   Options opt_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
@@ -136,7 +134,9 @@ class Root {
   std::uint64_t txn_counter_ = 0;
   bool stopped_ = false;
   Stats stats_;
-  std::vector<core::ControlTraceEvent> trace_;
+  /// The root's control trace: FAILOVER/REASSIGN/TRADE_* markers and the
+  /// trade ladder's TIMEOUT/RETRY markers.
+  core::Coordinator rounds_;
   std::vector<des::Process> procs_;
 };
 

@@ -8,13 +8,14 @@
 
 namespace ioc::fed {
 
-Shard::Shard(ev::Bus& bus, std::string id, net::NodeId node,
+Shard::Shard(ev::BusIf& bus, std::string id, net::NodeId node,
              const std::vector<net::NodeId>& staging, Options opt)
     : bus_(&bus),
       id_(std::move(id)),
       node_(node),
       pool_(staging),
-      opt_(opt) {
+      opt_(opt),
+      rounds_(bus, "shard " + id_, opt_.trace) {
   id_name_ = util::intern(id_);
   ctl_ep_ = bus_->open(node_, "fed.shard." + id_ + ".ctl").id();
   trade_ep_ = bus_->open(node_, "fed.shard." + id_ + ".trade").id();
@@ -34,7 +35,7 @@ void Shard::start() {
 void Shard::add_pipeline(FedPipeline* p) {
   pipelines_.push_back(p);
   p->set_owner(ctl_ep_);
-  fsm_.emplace(p->name(), core::ProtocolFsm(core::CmState::kIdle));
+  rounds_.track(p->name(), core::CmState::kIdle);
 }
 
 void Shard::adopt(FedPipeline* p) {
@@ -44,9 +45,8 @@ void Shard::adopt(FedPipeline* p) {
   // our pool before calling adopt; re-reconcile against the pipeline's own
   // node list so ledger and ground truth agree from the first policy tick.
   pool_.reconcile(p->name(), p->nodes());
-  fsm_.emplace(p->name(), core::ProtocolFsm(p->fenced()
-                                                ? core::CmState::kOffline
-                                                : core::CmState::kIdle));
+  rounds_.track(p->name(), p->fenced() ? core::CmState::kOffline
+                                       : core::CmState::kIdle);
 }
 
 std::vector<FedPipeline*> Shard::release_pipelines() {
@@ -112,37 +112,6 @@ std::size_t Shard::unmet_demand() const {
     if (p->target() > p->width()) unmet += p->target() - p->width();
   }
   return unmet;
-}
-
-void Shard::trace_control(const std::string& container,
-                          const std::string& type, bool to_cm, int delta) {
-  core::ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = container;
-  ev.type = type;
-  ev.to_cm = to_cm;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));
-  auto it = fsm_.find(container);
-  if (it != fsm_.end()) {
-    const bool legal = it->second.advance(type);
-    IOC_CHECK(legal) << "protocol violation: " << type << " for pipeline "
-                     << container << " in state "
-                     << cm_state_name(it->second.state()) << " at shard "
-                     << id_;
-    (void)legal;
-  }
-}
-
-void Shard::trace_marker(const std::string& container, const char* marker,
-                         int delta) {
-  core::ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = container;
-  ev.type = marker;
-  ev.to_cm = true;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));  // markers never advance the FSM
 }
 
 des::Process Shard::policy_loop() {
@@ -234,34 +203,23 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
     m.type_id = core::kMidDecrease;
     m.payload = core::DecreasePayload{static_cast<std::uint32_t>(-delta)};
   }
-  m.token = bus_->fresh_token();
-  trace_control(p->name(), std::string(m.type()), /*to_cm=*/true, 0);
-  core::RoundHooks hooks;
-  hooks.peer = p->name();
-  hooks.trace = opt_.trace;
-  const std::string pname = p->name();
-  hooks.on_marker = [this, pname](const char* marker) {
-    trace_marker(pname, marker);
-  };
+  const core::RoundHooks hooks = rounds_.open(p->name(), m);
   ev::Message reply = co_await core::run_control_round(
       *bus_, ctl_ep_, p->endpoint(), std::move(m), opt_.round, hooks);
   if (fenced_) co_return;  // the root fenced us mid-round: hands off
-  if (reply.type_id == ev::kMidErrClosed) {
+  const core::RoundEnd end = core::round_end(reply);
+  if (end == core::RoundEnd::kSelfDied) {
     // Our own endpoint died under the round (crash injection): stop without
     // fencing a healthy pipeline for our failure.
     crashed_ = true;
     co_return;
   }
-  if (reply.type_id == ev::kMidErrTimeout ||
-      reply.type_id == ev::kMidErrUnreachable) {
+  if (end == core::RoundEnd::kEscalate) {
     escalate_fence_pipeline(p);
     co_return;
   }
-  int applied = 0;
-  const auto* done = reply.as<core::DonePayload>();
-  if (done != nullptr) applied = done->report.delta;
-  trace_control(p->name(), std::string(reply.type()), /*to_cm=*/false, applied);
-  if (done != nullptr) {
+  rounds_.close(p->name(), reply);
+  if (const auto* done = reply.as<core::DonePayload>()) {
     if (!done->report.ok) {
       if (!granted.empty()) pool_.reclaim(p->name(), granted);
     } else if (!done->freed_nodes.empty()) {
@@ -277,19 +235,12 @@ void Shard::escalate_fence_pipeline(FedPipeline* p) {
   const std::string name = p->name();
   IOC_WARN << "shard " << id_ << " escalating: fencing pipeline " << name;
   p->fence();
-  const auto freed = pool_.reclaim_all(name);
-  // Pool-view delta, as in the GM's fence path: an in-flight grant may not
-  // have reached the trace ledger, so the lint replay settles a fenced
-  // pipeline's width to zero regardless.
-  trace_marker(name, core::kMarkEscalate, -static_cast<int>(freed.size()));
-  if (auto it = fsm_.find(name); it != fsm_.end()) {
-    it->second.reset(core::CmState::kOffline);
-  }
+  const std::size_t freed = rounds_.fence(name, pool_);
   ++stats_.escalations;
   if (trace::active(opt_.trace)) {
     opt_.trace->span("escalate", "fed", name, 0, bus_->sim().now(),
                      bus_->sim().now(),
-                     {{"freed", static_cast<double>(freed.size())}});
+                     {{"freed", static_cast<double>(freed)}});
   }
   IOC_CHECK(pool_.conserved())
       << "pool corrupted fencing " << name << " at shard " << id_;

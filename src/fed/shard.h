@@ -1,8 +1,11 @@
 // One GM shard of a federated fleet: owns the consistent-hash slice of
 // pipelines assigned to it and a private ResourcePool carved from the job's
 // staging allocation, drives the Fig. 3 resize protocol against each
-// pipeline with the shared retry ladder (core/rounds.h), and participates
-// in the root's cross-shard D2T resource trades as donor or recipient.
+// pipeline with the GM's round core (core/rounds.h: retry ladder, control
+// trace, FSM check, fence record), and participates in the root's
+// cross-shard D2T resource trades as donor or recipient. Its policy is its
+// own on purpose: it moves each pipeline's width toward the workload's
+// target, where the GM's evaluate() enforces a latency SLA.
 //
 // Failure roles:
 //  * as a coordinator, a shard that loses its own endpoints mid-round stops
@@ -21,14 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "core/manager_if.h"
 #include "core/protocol.h"
-#include "core/protocol_fsm.h"
 #include "core/resources.h"
 #include "core/rounds.h"
 #include "des/process.h"
 #include "des/time.h"
-#include "ev/bus.h"
+#include "ev/bus_if.h"
 #include "fed/pipeline.h"
 #include "fed/wire.h"
 #include "trace/sink.h"
@@ -36,7 +37,7 @@
 
 namespace ioc::fed {
 
-class Shard : public core::ManagerIf {
+class Shard {
  public:
   struct Options {
     des::SimTime policy_interval = 20 * des::kMillisecond;
@@ -55,24 +56,27 @@ class Shard : public core::ManagerIf {
     std::uint64_t nodes_received = 0;   ///< nodes gained from trades
   };
 
-  Shard(ev::Bus& bus, std::string id, net::NodeId node,
+  Shard(ev::BusIf& bus, std::string id, net::NodeId node,
         const std::vector<net::NodeId>& staging, Options opt);
-  ~Shard() override;
+  ~Shard();
 
   /// Spawn the policy / heartbeat / trade-participant loops. Call after
   /// set_root and initial pipeline placement.
   void start();
 
-  // core::ManagerIf
-  const std::string& manager_id() const override { return id_; }
+  /// Stable identity in the fleet; consistent hashing keys on it.
+  const std::string& manager_id() const { return id_; }
   /// Interned form of manager_id(), cached at construction. The root's
   /// sweep and trade loops key their heartbeat/spares maps by this id every
   /// tick; re-interning the string there showed up in the fleet bench.
   util::NameId manager_name() const { return id_name_; }
-  core::ResourcePool& pool() override { return pool_; }
-  bool failed() const override { return fenced_ || crashed_; }
-  const std::vector<core::ControlTraceEvent>& control_trace() const override {
-    return trace_;
+  core::ResourcePool& pool() { return pool_; }
+  /// True once the shard crashed or was fenced by the root.
+  bool failed() const { return fenced_ || crashed_; }
+  /// Every control message this shard exchanged with its pipelines, in
+  /// order; feed it to lint::check_trace to audit a run offline.
+  const std::vector<core::ControlTraceEvent>& control_trace() const {
+    return rounds_.trace();
   }
 
   net::NodeId node() const { return node_; }
@@ -127,12 +131,8 @@ class Shard : public core::ManagerIf {
   des::Process participant_loop();
   des::Task<void> resize(FedPipeline* p, int delta);
   void escalate_fence_pipeline(FedPipeline* p);
-  void trace_control(const std::string& container, const std::string& type,
-                     bool to_cm, int delta);
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
 
-  ev::Bus* bus_;
+  ev::BusIf* bus_;
   std::string id_;
   util::NameId id_name_ = util::kEmptyName;  ///< interned id_, for heartbeats
   net::NodeId node_;
@@ -142,8 +142,8 @@ class Shard : public core::ManagerIf {
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId root_ep_ = ev::kInvalidEndpoint;
   std::vector<FedPipeline*> pipelines_;
-  std::map<std::string, core::ProtocolFsm> fsm_;
-  std::vector<core::ControlTraceEvent> trace_;
+  /// Control trace and per-pipeline Fig. 3 state, advanced together.
+  core::Coordinator rounds_;
   bool fenced_ = false;
   bool crashed_ = false;
   txn::D2tMemberGuard guard_;

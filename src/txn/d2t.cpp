@@ -2,19 +2,14 @@
 
 #include <algorithm>
 
+#include "net/network.h"
 #include "txn/d2t_model.h"
 #include "util/log.h"
 
 namespace ioc::txn {
 
-bool TxnHarness::reply_matches(const std::string& sent,
-                               const std::string& reply) {
-  // Delegates to the shared round table (d2t_model.h) so the verifier's
-  // model of legal replies and this runtime filter are one definition.
-  return d2t_reply_matches(sent, reply);
-}
-
-TxnHarness::TxnHarness(ev::Bus& bus, TxnConfig cfg) : bus_(&bus), cfg_(cfg) {
+TxnHarness::TxnHarness(ev::BusIf& bus, TxnConfig cfg)
+    : bus_(&bus), cfg_(cfg) {
   auto& cluster = bus.network().cluster();
   const net::NodeId sub_reader_node =
       cluster.size() > 1 ? net::NodeId{1} : net::NodeId{0};

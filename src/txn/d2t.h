@@ -28,7 +28,7 @@
 
 #include "des/process.h"
 #include "des/time.h"
-#include "ev/bus.h"
+#include "ev/bus_if.h"
 #include "trace/sink.h"
 #include "txn/d2t_model.h"
 
@@ -82,7 +82,7 @@ class TxnHarness {
  public:
   /// Participants are placed round-robin over the cluster's nodes; the
   /// coordinator and sub-coordinators get their own endpoints on node 0.
-  TxnHarness(ev::Bus& bus, TxnConfig cfg);
+  TxnHarness(ev::BusIf& bus, TxnConfig cfg);
   ~TxnHarness();
   TxnHarness(const TxnHarness&) = delete;
   TxnHarness& operator=(const TxnHarness&) = delete;
@@ -129,10 +129,8 @@ class TxnHarness {
                                       const std::vector<std::size_t>& members,
                                       ev::MessageId type,
                                       std::uint64_t token);
-  /// True iff `reply` is a legal reply type for a `sent` round message.
-  static bool reply_matches(const std::string& sent, const std::string& reply);
 
-  ev::Bus* bus_;
+  ev::BusIf* bus_;
   TxnConfig cfg_;
   ev::EndpointId coord_ = ev::kInvalidEndpoint;
   SubCoord writer_side_;

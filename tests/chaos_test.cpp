@@ -231,9 +231,9 @@ PipelineChaosRun pipeline_chaos(std::uint64_t seed) {
   opt.seed = seed;
   // Timeouts sit above an honest round's worst case (aprun alone is 3-27 s,
   // plus pause/drain), so only real message loss trips the retry ladder.
-  opt.gm.cm_timeout = 60 * des::kSecond;
-  opt.gm.cm_retries = 3;
-  opt.gm.cm_backoff = 2 * des::kSecond;
+  opt.gm.round.timeout = 60 * des::kSecond;
+  opt.gm.round.retries = 3;
+  opt.gm.round.backoff = 2 * des::kSecond;
   opt.faults_enabled = true;
   opt.faults.seed = seed;
   opt.faults.control.drop_rate = 0.05;
@@ -320,9 +320,9 @@ TEST(Escalation, PartitionedManagerIsFencedAndNodesReclaimed) {
   spec.steps = 12;
   spec.management_enabled = false;  // the test drives the only round
   core::StagedPipeline::Options opt;
-  opt.gm.cm_timeout = 500 * des::kMillisecond;
-  opt.gm.cm_retries = 2;
-  opt.gm.cm_backoff = 100 * des::kMillisecond;
+  opt.gm.round.timeout = 500 * des::kMillisecond;
+  opt.gm.round.retries = 2;
+  opt.gm.round.backoff = 100 * des::kMillisecond;
   opt.faults_enabled = true;  // no random faults; we only need partitions
   core::StagedPipeline p(std::move(spec), opt);
 

@@ -4,6 +4,7 @@
 #include "core/global.h"
 #include "core/protocol.h"
 #include "core/resources.h"
+#include "core/rounds.h"
 #include "core/runtime.h"
 #include "core/spec.h"
 #include "core/trade.h"
@@ -47,6 +48,39 @@ TEST(ResourcePool, TransferValidatesOwnership) {
   pool.transfer("x", "z", {a[0]});
   EXPECT_EQ(pool.owner_of(a[0]), "z");
   EXPECT_THROW(pool.owner_of(99), std::invalid_argument);
+}
+
+TEST(ReplyCache, KeepsNewestMutatingRepliesOnly) {
+  auto request = [](ev::MessageId type, std::uint64_t token) {
+    ev::Message m;
+    m.type_id = type;
+    m.token = token;
+    return m;
+  };
+  auto reply = [](std::uint64_t token) {
+    ev::Message m;
+    m.type_id = kMidDone;
+    m.token = token;
+    return m;
+  };
+  ReplyCache cache;
+  // Not cached: a query (it changes nothing) and an untokened request.
+  cache.store(request(kMidQueryNeeds, 1), reply(1));
+  cache.store(request(kMidIncrease, 0), reply(0));
+  EXPECT_EQ(cache.find(request(kMidQueryNeeds, 1)), nullptr);
+  EXPECT_EQ(cache.find(request(kMidIncrease, 0)), nullptr);
+  // 65 mutating rounds: the oldest falls out, the newest 64 replay.
+  for (std::uint64_t t = 1; t <= 65; ++t) {
+    cache.store(request(t % 2 != 0 ? kMidIncrease : kMidDecrease, t),
+                reply(t));
+  }
+  EXPECT_EQ(cache.find(request(kMidIncrease, 1)), nullptr);
+  for (std::uint64_t t = 2; t <= 65; ++t) {
+    const ev::Message* hit =
+        cache.find(request(t % 2 != 0 ? kMidIncrease : kMidDecrease, t));
+    ASSERT_NE(hit, nullptr) << t;
+    EXPECT_EQ(hit->token, t);
+  }
 }
 
 TEST(Spec, LammpsSmartpointerValid) {

@@ -109,9 +109,9 @@ TEST_P(ManagementFuzzUnderFaults, InvariantsSurviveActionsOnALossyFabric) {
   StagedPipeline::Options opt;
   // Above an honest round's worst case (aprun is 3-27 s plus pause/drain):
   // only genuine message loss should trip the retry ladder.
-  opt.gm.cm_timeout = 60 * des::kSecond;
-  opt.gm.cm_retries = 3;
-  opt.gm.cm_backoff = 2 * des::kSecond;
+  opt.gm.round.timeout = 60 * des::kSecond;
+  opt.gm.round.retries = 3;
+  opt.gm.round.backoff = 2 * des::kSecond;
   opt.faults_enabled = true;
   opt.faults.seed = GetParam();
   opt.faults.control.drop_rate = 0.05;
