@@ -110,6 +110,13 @@ void PipelineSpec::validate() const {
 }
 
 PipelineSpec PipelineSpec::from_config(const util::Config& cfg) {
+  PipelineSpec spec = read_config(cfg);
+  spec.validate();
+  return spec;
+}
+
+PipelineSpec PipelineSpec::read_config(const util::Config& cfg,
+                                       const LoadProblemFn& on_problem) {
   PipelineSpec spec;
   if (const auto* p = cfg.find("pipeline")) {
     spec.output_interval_s = p->get_double("output_interval_s", 15.0);
@@ -126,9 +133,24 @@ PipelineSpec PipelineSpec::from_config(const util::Config& cfg) {
   for (const auto* s : cfg.find_all("container")) {
     ContainerSpec c;
     c.name = s->get_or("name", "");
-    if (c.name.empty()) throw std::runtime_error("spec: container w/o name");
-    c.kind = component_kind_from_string(s->get_or("kind", c.name));
-    c.model = compute_model_from_string(s->get_or("model", "round-robin"));
+    if (c.name.empty()) {
+      if (!on_problem) throw std::runtime_error("spec: container w/o name");
+      on_problem(LoadProblem::kNoName, *s, c.name);
+      continue;
+    }
+    try {
+      c.kind = component_kind_from_string(s->get_or("kind", c.name));
+    } catch (const std::exception&) {
+      if (!on_problem) throw;
+      on_problem(LoadProblem::kUnknownKind, *s, c.name);
+    }
+    try {
+      c.model = compute_model_from_string(s->get_or("model", "round-robin"));
+    } catch (const std::exception&) {
+      if (!on_problem) throw;
+      on_problem(LoadProblem::kUnknownModel, *s, c.name);
+      c.model = sp::traits(c.kind).supported_models.front();
+    }
     c.initial_nodes =
         static_cast<std::uint32_t>(s->get_int("nodes", 1));
     c.min_nodes = static_cast<std::uint32_t>(s->get_int("min_nodes", 1));
@@ -148,7 +170,6 @@ PipelineSpec PipelineSpec::from_config(const util::Config& cfg) {
     c.deadline_s = s->get_double("deadline_s", 0.0);
     spec.containers.push_back(std::move(c));
   }
-  spec.validate();
   return spec;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,8 +87,22 @@ struct PipelineSpec {
   void validate() const;
 
   /// Parse from an INI config (one [pipeline] section, repeated [container]
-  /// sections). See tests/core_test.cpp for the format.
+  /// sections) and validate. See tests/core_test.cpp for the format.
   static PipelineSpec from_config(const util::Config& cfg);
+
+  /// A [container] section the reader cannot take as written.
+  enum class LoadProblem { kNoName, kUnknownKind, kUnknownModel };
+  /// Receives each problem with its section and the container's name.
+  using LoadProblemFn = std::function<void(
+      LoadProblem, const util::ConfigSection&, const std::string& name)>;
+  /// The one reader of every [pipeline] and [container] key, without
+  /// validation. With no `on_problem` the first problem throws (what
+  /// from_config does); with one, the reader reports it and carries on: a
+  /// section without a name is skipped, an unknown kind keeps the default
+  /// kind, an unknown model takes the kind's first supported model. The
+  /// lint loader reads specs this way.
+  static PipelineSpec read_config(const util::Config& cfg,
+                                  const LoadProblemFn& on_problem = {});
 
   /// The LAMMPS/SmartPointer pipeline of the paper's evaluation, sized for
   /// the given Table II row and staging allocation.

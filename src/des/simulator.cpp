@@ -4,17 +4,8 @@
 #include <cstdio>
 
 #include "des/time.h"
-#include "util/log.h"
 
 namespace ioc::des {
-
-namespace {
-Simulator* g_log_sim = nullptr;
-std::string log_time() {
-  if (g_log_sim == nullptr) return "-";
-  return format_time(g_log_sim->now());
-}
-}  // namespace
 
 std::string format_time(SimTime t) {
   char buf[48];
@@ -90,11 +81,6 @@ SimTime Simulator::run_until(SimTime deadline) {
   }
   if (now_ < deadline) now_ = deadline;
   return now_;
-}
-
-void Simulator::attach_logger() {
-  g_log_sim = this;
-  util::set_log_time_source(&log_time);
 }
 
 }  // namespace ioc::des

@@ -95,9 +95,6 @@ class Simulator {
   bool empty() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Install this simulator as the source of timestamps for IOC_LOG lines.
-  void attach_logger();
-
  private:
   // Trivially copyable on purpose: the ladder queue shuffles entries through
   // vector inserts and sorts millions of times per soak, and a POD entry

@@ -433,62 +433,26 @@ LintResult lint_spec(const core::PipelineSpec& spec) {
 
 core::PipelineSpec load_spec_lenient(const util::Config& cfg,
                                      SpecLocator& loc, LintResult& out) {
-  PipelineSpec spec;
-  if (const auto* p = cfg.find("pipeline")) {
-    spec.output_interval_s = p->get_double("output_interval_s", 15.0);
-    spec.latency_sla_s = p->get_double("latency_sla_s", spec.output_interval_s);
-    spec.e2e_sla_s = p->get_double("e2e_sla_s", 0.0);
-    spec.overflow_backlog = static_cast<std::size_t>(p->get_int(
-        "overflow_backlog", static_cast<std::int64_t>(spec.overflow_backlog)));
-    spec.sim_nodes = static_cast<std::uint64_t>(p->get_int("sim_nodes", 256));
-    spec.staging_nodes =
-        static_cast<std::size_t>(p->get_int("staging_nodes", 13));
-    spec.steps = static_cast<std::uint64_t>(p->get_int("steps", 40));
-    spec.management_enabled = p->get_bool("management", true);
-  }
-  for (const auto* s : cfg.find_all("container")) {
-    ContainerSpec c;
-    c.name = s->get_or("name", "");
-    if (c.name.empty()) {
-      out.add("IOC021", Severity::kError, "", "name", s->line(),
-              "container section without a name");
-      continue;
-    }
-    try {
-      c.kind = core::component_kind_from_string(s->get_or("kind", c.name));
-    } catch (const std::exception&) {
-      out.add("IOC019", Severity::kError, c.name, "kind",
-              s->line_of("kind") > 0 ? s->line_of("kind") : s->line(),
-              "unknown component kind '" + s->get_or("kind", c.name) + "'");
-      loc.poisoned.insert(c.name);
-    }
-    try {
-      c.model = core::compute_model_from_string(s->get_or("model", "round-robin"));
-    } catch (const std::exception&) {
-      out.add("IOC020", Severity::kError, c.name, "model",
-              s->line_of("model") > 0 ? s->line_of("model") : s->line(),
-              "unknown compute model '" + s->get_or("model", "") + "'");
-      loc.poisoned.insert(c.name);
-      c.model = sp::traits(c.kind).supported_models.front();
-    }
-    c.initial_nodes = static_cast<std::uint32_t>(s->get_int("nodes", 1));
-    c.min_nodes = static_cast<std::uint32_t>(s->get_int("min_nodes", 1));
-    c.essential = s->get_bool("essential", false);
-    c.priority = static_cast<int>(s->get_int("priority", 0));
-    c.upstream = s->get_or("upstream", "");
-    c.output_ratio = s->get_double("output_ratio", 1.0);
-    c.starts_offline = s->get_bool("starts_offline", false);
-    c.hash_output = s->get_bool("hash_output", false);
-    c.stateful = s->get_bool("stateful", false);
-    c.state_bytes = static_cast<std::uint64_t>(
-        s->get_int("state_bytes", static_cast<std::int64_t>(c.state_bytes)));
-    c.threads_per_node =
-        static_cast<std::uint32_t>(s->get_int("threads", 1));
-    c.monitor_every =
-        static_cast<std::uint32_t>(s->get_int("monitor_every", 1));
-    c.deadline_s = s->get_double("deadline_s", 0.0);
-    spec.containers.push_back(std::move(c));
-  }
+  using Problem = PipelineSpec::LoadProblem;
+  PipelineSpec spec = PipelineSpec::read_config(
+      cfg, [&](Problem p, const util::ConfigSection& s,
+               const std::string& name) {
+        if (p == Problem::kNoName) {
+          out.add("IOC021", Severity::kError, "", "name", s.line(),
+                  "container section without a name");
+          return;
+        }
+        loc.poisoned.insert(name);
+        if (p == Problem::kUnknownKind) {
+          out.add("IOC019", Severity::kError, name, "kind",
+                  s.line_of("kind") > 0 ? s.line_of("kind") : s.line(),
+                  "unknown component kind '" + s.get_or("kind", name) + "'");
+        } else {
+          out.add("IOC020", Severity::kError, name, "model",
+                  s.line_of("model") > 0 ? s.line_of("model") : s.line(),
+                  "unknown compute model '" + s.get_or("model", "") + "'");
+        }
+      });
   if (spec.containers.empty()) {
     out.add("IOC021", Severity::kError, "", "name", 0,
             "pipeline declares no containers");

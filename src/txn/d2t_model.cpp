@@ -1,7 +1,6 @@
 #include "txn/d2t_model.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace ioc::txn {
 
@@ -19,22 +18,6 @@ const D2tRound* d2t_rounds(std::size_t* count) {
   return kRounds;
 }
 
-const D2tRound* d2t_round_for(const std::string& sent) {
-  std::size_t n = 0;
-  const D2tRound* rounds = d2t_rounds(&n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sent == rounds[i].request) return &rounds[i];
-  }
-  return nullptr;
-}
-
-bool d2t_reply_matches(const std::string& sent, const std::string& reply) {
-  const D2tRound* r = d2t_round_for(sent);
-  if (r == nullptr) return false;
-  return reply == r->reply_a ||
-         (r->reply_b != nullptr && reply == r->reply_b);
-}
-
 bool d2t_reply_matches(ev::MessageId sent, ev::MessageId reply) {
   std::size_t n = 0;
   const D2tRound* rounds = d2t_rounds(&n);
@@ -45,10 +28,6 @@ bool d2t_reply_matches(ev::MessageId sent, ev::MessageId reply) {
            reply == ev::intern_type(rounds[i].reply_b);
   }
   return false;
-}
-
-bool d2t_is_decision(const std::string& type) {
-  return type == kCommitMsg || type == kAbortMsg;
 }
 
 D2tMemberGuard::VoteAction D2tMemberGuard::classify_vote(

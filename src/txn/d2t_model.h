@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "ev/intern.h"
 
@@ -71,17 +70,11 @@ struct D2tRound {
 /// the same round — same phase offset, same reply).
 const D2tRound* d2t_rounds(std::size_t* count);
 
-/// Table lookup: the round driven by request type `sent` (null = unknown).
-const D2tRound* d2t_round_for(const std::string& sent);
-
 /// True iff `reply` is a legal reply type for a `sent` round message —
 /// derived from the table, used by the gather loop's reply filter.
-bool d2t_reply_matches(const std::string& sent, const std::string& reply);
-/// Interned-id form of the same test (the hot-path gather filter).
 bool d2t_reply_matches(ev::MessageId sent, ev::MessageId reply);
 
 /// True for TXN_COMMIT / TXN_ABORT.
-bool d2t_is_decision(const std::string& type);
 inline bool d2t_is_decision(ev::MessageId type) {
   return type == kMidCommit || type == kMidAbort;
 }

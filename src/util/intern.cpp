@@ -66,10 +66,4 @@ std::string_view name_of(NameId id) {
   return t.views[id];
 }
 
-std::size_t intern_count() {
-  Table& t = table();
-  std::lock_guard<std::mutex> lock(t.mu);
-  return t.views.size();
-}
-
 }  // namespace ioc::util

@@ -30,7 +30,4 @@ NameId intern(std::string_view s);
 /// zero-initialized-record convention.
 std::string_view name_of(NameId id);
 
-/// Number of distinct strings interned so far (the empty string counts).
-std::size_t intern_count();
-
 }  // namespace ioc::util

@@ -6,7 +6,6 @@ namespace ioc::util {
 
 namespace {
 LogLevel g_level = LogLevel::kWarn;
-std::string (*g_time_source)() = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -23,17 +22,11 @@ const char* level_name(LogLevel level) {
 
 LogLevel log_level() { return g_level; }
 void set_log_level(LogLevel level) { g_level = level; }
-void set_log_time_source(std::string (*fn)()) { g_time_source = fn; }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {
   if (level < g_level) return;
-  if (g_time_source != nullptr) {
-    std::fprintf(stderr, "[%s %s] %s\n", level_name(level),
-                 g_time_source().c_str(), msg.c_str());
-  } else {
-    std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
-  }
+  std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
 }  // namespace detail
 

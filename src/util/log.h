@@ -13,10 +13,6 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 LogLevel log_level();
 void set_log_level(LogLevel level);
 
-/// Optional prefix printed on every line, e.g. the current virtual time.
-/// The DES installs a callback here so log lines carry simulation time.
-void set_log_time_source(std::string (*fn)());
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
 }

@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) doc_files.emplace_back(argv[i]);
 
   // File references: paths rooted at a first-party source directory with an
-  // extension. Globs and code-fence wildcards are skipped.
+  // extension. A reference starts at the beginning of the text or after a
+  // character that cannot be part of a path, so "perfbench/run.py" is never
+  // read as "bench/run.py". Globs and code-fence wildcards are skipped.
   const std::regex path_re(
-      R"((?:src|docs|tools|bench|tests|examples)/[A-Za-z0-9_./-]*\.[A-Za-z0-9]+)");
+      R"((?:^|[^A-Za-z0-9_./-])((?:src|docs|tools|bench|perfbench|tests|examples)/[A-Za-z0-9_./-]*\.[A-Za-z0-9]+))");
   const std::regex code_re(R"(IOC[0-9]{3})");
   // Bench artifact schema tags, e.g. "ioc.bench.kernels/v1". Every tag a doc
   // quotes must be in the bench_schemas.h table bench_check dispatches on.
@@ -81,12 +83,12 @@ int main(int argc, char** argv) {
     }
     for (auto it = std::sregex_iterator(text.begin(), text.end(), path_re);
          it != std::sregex_iterator(); ++it) {
-      const std::string ref = it->str();
+      const std::string ref = it->str(1);
       if (ref.find('*') != std::string::npos) continue;
       if (!fs::exists(root / ref)) {
         std::printf("%s:%d: reference to missing file '%s'\n",
                     doc.string().c_str(),
-                    line_of(text, static_cast<std::size_t>(it->position())),
+                    line_of(text, static_cast<std::size_t>(it->position(1))),
                     ref.c_str());
         ++findings;
       }
