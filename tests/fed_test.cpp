@@ -366,7 +366,10 @@ TEST(FedVerify, CleanTradeModelHasNoOrphanEscrow) {
   ioc::verify::FedScenario sc;  // 1 drop + 1 dup + 1 crash budget
   const auto rep = ioc::verify::run_fed_check(ioc::verify::FedModel(sc));
   EXPECT_TRUE(rep.ok()) << (rep.violation ? rep.violation->message : "cap");
-  EXPECT_GT(rep.states, 100u);
+  EXPECT_EQ(rep.states, 2216u);
+  EXPECT_EQ(rep.edges, 6629u);
+  EXPECT_EQ(rep.terminals, 70u);
+  EXPECT_EQ(rep.depth, 13u);
 }
 
 TEST(FedVerify, LeakEscrowCounterexampleReplaysAsIOC106) {
@@ -380,6 +383,11 @@ TEST(FedVerify, LeakEscrowCounterexampleReplaysAsIOC106) {
   const auto rep = ioc::verify::run_fed_check(ioc::verify::FedModel(sc));
   ASSERT_TRUE(rep.violation.has_value());
   EXPECT_EQ(rep.violation->property, ioc::verify::Property::kOrphanEscrow);
+  EXPECT_EQ(rep.states, 1274u);
+  EXPECT_EQ(rep.edges, 3186u);
+  EXPECT_EQ(rep.terminals, 3u);
+  EXPECT_EQ(rep.depth, 8u);
+  EXPECT_EQ(rep.counterexample.size(), 8u);
   ASSERT_FALSE(rep.trace.empty());
 
   ioc::core::PipelineSpec spec;
