@@ -66,7 +66,7 @@ int main() {
     txn::TxnConfig cfg;
     cfg.writers = 4;
     cfg.readers = 2;
-    cfg.gather_timeout = des::kSecond;
+    cfg.round.timeout = des::kSecond;
     cfg.failure = sc.failure;
     txn::TxnHarness h(bus, cfg);
     core::DonorTradeOp donor(pool, "viz", donated);

@@ -36,7 +36,7 @@ class GlobalManager {
     /// fabric known lossless. With a deadline set, an unanswered round is
     /// retried `round.retries` times with capped exponential backoff and
     /// then escalates: the container is fenced (see docs/ROBUSTNESS.md).
-    RoundOptions round;
+    ev::RoundOptions round;
   };
 
   GlobalManager(Container::Env env, const PipelineSpec& spec,

@@ -9,7 +9,7 @@ namespace ioc::core {
 
 des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
                                          ev::EndpointId to, ev::Message m,
-                                         const RoundOptions& opt,
+                                         const ev::RoundOptions& opt,
                                          const RoundHooks& hooks) {
   const std::string_view type = m.type();
   const std::uint64_t token = m.token;
@@ -37,11 +37,8 @@ des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
       hooks.trace->span("timeout", "control", hooks.peer, token, sim.now(),
                         sim.now());
     }
-    // A vanished endpoint never comes back (crash destroys endpoints;
-    // restart does not resurrect them), so retrying only burns the clock.
-    if (unreachable || attempt >= opt.retries) co_return reply;
-    des::SimTime backoff = opt.backoff << attempt;
-    if (backoff > opt.backoff_cap) backoff = opt.backoff_cap;
+    const auto backoff = ev::ladder_step(opt, attempt, unreachable);
+    if (!backoff) co_return reply;
     if (hooks.on_marker) hooks.on_marker(kMarkRetry);
     if (trace::active(hooks.trace)) {
       hooks.trace->span("retry", "control", hooks.peer, token, sim.now(),
@@ -49,7 +46,7 @@ des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
     }
     IOC_WARN << hooks.peer << ": " << type << " round timed out; retry "
              << attempt + 1 << "/" << opt.retries;
-    co_await des::delay(sim, backoff);
+    co_await des::delay(sim, *backoff);
   }
 }
 

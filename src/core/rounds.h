@@ -3,11 +3,12 @@
 // its pipelines, the federation root driving a cross-shard trade.
 //
 // Coordinator side:
-//   * run_control_round climbs the retry ladder: one token for the whole
-//     round (the receiver's ReplyCache recognizes a resend and replays its
-//     answer), TIMEOUT/RETRY markers and spans as the ladder climbs, capped
-//     exponential backoff between attempts, and a terminal error the caller
-//     escalates on;
+//   * run_control_round climbs the retry ladder (ev::RoundOptions; each
+//     "retry or give up" is ev::ladder_step, the pure step the model
+//     checker also calls): one token for the whole round (the receiver's
+//     ReplyCache recognizes a resend and replays its answer), TIMEOUT/RETRY
+//     markers and spans as the ladder climbs, capped exponential backoff
+//     between attempts, and a terminal error the caller escalates on;
 //   * Coordinator owns the bookkeeping around it: the control trace the lint
 //     replayer audits, the per-peer ProtocolFsm check, robustness markers,
 //     and the fence record of an escalation. open() and close() bracket a
@@ -46,16 +47,6 @@
 
 namespace ioc::core {
 
-struct RoundOptions {
-  /// Deadline for one attempt. 0 waits forever (no ladder: the first reply,
-  /// whenever it comes, ends the round).
-  des::SimTime timeout = 0;
-  /// Resend attempts after the first send.
-  int retries = 3;
-  des::SimTime backoff = 500 * des::kMillisecond;
-  des::SimTime backoff_cap = 4 * des::kSecond;
-};
-
 /// Caller-side observers: `on_marker` receives kMarkTimeout / kMarkRetry in
 /// ladder order (the caller appends them to its control trace); spans go to
 /// `trace` labeled with `peer`.
@@ -69,7 +60,7 @@ struct RoundHooks {
 /// assigned (one token for the whole round, retries included).
 des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
                                          ev::EndpointId to, ev::Message m,
-                                         const RoundOptions& opt,
+                                         const ev::RoundOptions& opt,
                                          const RoundHooks& hooks);
 
 /// How a round ended, from the coordinator's point of view.

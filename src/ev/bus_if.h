@@ -20,8 +20,10 @@
 // §17 for the contract and its invariants.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,32 @@ inline constexpr const char* kErrTimeout = "ERROR/timeout";
 inline const MessageId kMidErrUnreachable = intern_type(kErrUnreachable);
 inline const MessageId kMidErrClosed = intern_type(kErrClosed);
 inline const MessageId kMidErrTimeout = intern_type(kErrTimeout);
+
+/// The retry ladder of a request/reply round: a deadline per attempt, then
+/// a bounded number of resends with capped exponential backoff between
+/// them. core::run_control_round and txn::TxnHarness's gathers climb it.
+struct RoundOptions {
+  /// Deadline for one attempt. 0 waits forever (no ladder: the first reply,
+  /// whenever it comes, ends the round).
+  des::SimTime timeout = 0;
+  /// Resend attempts after the first send.
+  int retries = 3;
+  des::SimTime backoff = 500 * des::kMillisecond;
+  des::SimTime backoff_cap = 4 * des::kSecond;
+};
+
+/// The ladder's one decision, made after attempt `attempt` (0-based) of a
+/// round failed: the backoff to wait before resending, or nullopt to give
+/// up so the caller escalates. It gives up once the retries are spent, and
+/// at once when the peer is gone — a vanished endpoint never comes back
+/// (a crash destroys endpoints; a restart does not resurrect them), so a
+/// resend would only burn the clock. Pure, so the model checker
+/// (src/verify) asks the same question the runtime drivers do.
+inline std::optional<des::SimTime> ladder_step(const RoundOptions& opt,
+                                               int attempt, bool peer_gone) {
+  if (peer_gone || attempt >= opt.retries) return std::nullopt;
+  return std::min(opt.backoff << attempt, opt.backoff_cap);
+}
 
 /// Interception point for deterministic fault injection (src/fault). The
 /// bus consults the installed hook once per delivery, after the transfer

@@ -9,15 +9,15 @@
 
 namespace ioc::fed {
 
-// Per-member token phases within a transaction's block (kTokensPerTxn wide).
-// Donor and recipient rounds use disjoint tokens so a delayed duplicate of
-// one member's reply can never complete the other member's round.
+// Each member's rounds carry its own tokens (txn::kDonorBase,
+// txn::kRecipientBase), so a delayed duplicate of one member's reply can
+// never complete the other member's round.
 namespace {
-constexpr std::uint64_t kDonorBase = 0;
-constexpr std::uint64_t kRecipientBase = 3;
-constexpr std::uint64_t kPhaseBegin = 0;
-constexpr std::uint64_t kPhaseVote = 1;
-constexpr std::uint64_t kPhaseDecide = 2;
+using txn::kDonorBase;
+using txn::kPhaseBegin;
+using txn::kPhaseDecide;
+using txn::kPhaseVote;
+using txn::kRecipientBase;
 
 bool is_round_error(const ev::Message& r) {
   return core::round_end(r) != core::RoundEnd::kReply;

@@ -42,8 +42,8 @@ class Root {
     des::SimTime heartbeat_timeout = 100 * des::kMillisecond;
     des::SimTime trade_interval = 10 * des::kMillisecond;
     /// Retry ladder for root -> shard trade rounds.
-    core::RoundOptions round{10 * des::kMillisecond, 3,
-                             5 * des::kMillisecond, 40 * des::kMillisecond};
+    ev::RoundOptions round{10 * des::kMillisecond, 3,
+                           5 * des::kMillisecond, 40 * des::kMillisecond};
     std::size_t ring_vnodes = 64;
     trace::TraceSink* trace = nullptr;
     /// Fault-seeding knob for the IOC106 end-to-end test: a fenced trade

@@ -79,10 +79,8 @@ std::vector<net::NodeId> Shard::take_escrow(std::uint64_t txn) {
 void Shard::apply_decision(std::uint64_t txn, bool commit, bool as_donor,
                            const std::vector<net::NodeId>& nodes) {
   // The root serializes trades and settles each one (live or via recovery)
-  // before starting the next, so any transaction at or below the recorded
-  // decision is already settled; applying a late duplicate would attach
-  // nodes a second time.
-  if (txn <= txn::d2t_txn_of(guard_.decided_token)) return;
+  // before starting the next; a late duplicate must not attach nodes twice.
+  if (guard_.settled(txn)) return;
   if (as_donor) {
     auto esc = take_escrow(txn);
     if (!esc.empty()) {
@@ -96,14 +94,12 @@ void Shard::apply_decision(std::uint64_t txn, bool commit, bool as_donor,
     pool_.attach("", nodes);
     stats_.nodes_received += nodes.size();
   }
-  guard_.record_decision(txn::d2t_token(txn, 2));
+  guard_.settle(txn);
   IOC_CHECK(pool_.conserved()) << "pool corrupted settling trade " << txn
                                << " at shard " << id_;
 }
 
-void Shard::mark_settled(std::uint64_t txn) {
-  guard_.record_decision(txn::d2t_token(txn, 2));
-}
+void Shard::mark_settled(std::uint64_t txn) { guard_.settle(txn); }
 
 std::size_t Shard::unmet_demand() const {
   std::size_t unmet = 0;

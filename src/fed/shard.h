@@ -43,8 +43,8 @@ class Shard {
     des::SimTime policy_interval = 20 * des::kMillisecond;
     des::SimTime heartbeat_interval = 25 * des::kMillisecond;
     /// Retry ladder for shard -> pipeline resize rounds.
-    core::RoundOptions round{10 * des::kMillisecond, 3,
-                             5 * des::kMillisecond, 40 * des::kMillisecond};
+    ev::RoundOptions round{10 * des::kMillisecond, 3,
+                           5 * des::kMillisecond, 40 * des::kMillisecond};
     trace::TraceSink* trace = nullptr;
   };
 

@@ -145,7 +145,7 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
   std::vector<char> answered(members.size(), 0);
   std::size_t pending = members.size();
 
-  for (int attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
     // (Re)send the round message to everyone still unanswered. The token is
     // the round's token on every attempt, so the member-side dedupe caches
     // recognize a retry and the gather below can never credit a reply from
@@ -160,7 +160,7 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
     // Arm this attempt's deadline. The Timer handle is cancelled the moment
     // the gather completes, so a finished round can never receive a stale
     // timeout — the bug that used to make round N+1 end early.
-    des::Timer timer = sim.timer_in(cfg_.gather_timeout, [this, from, token] {
+    des::Timer timer = sim.timer_in(cfg_.round.timeout, [this, from, token] {
       ev::Endpoint* ep = bus_->find(from);
       if (ep != nullptr) {
         ev::Message t;
@@ -169,7 +169,6 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
         ep->mailbox().try_put(std::move(t));
       }
     });
-    bool timed_out = false;
     while (pending > 0) {
       ev::Endpoint* self = bus_->find(from);
       if (self == nullptr) {
@@ -182,10 +181,7 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
         co_return out;
       }
       if (msg->token != token) continue;   // stale round traffic
-      if (msg->type_id == kMidTimeout) {
-        timed_out = true;
-        break;
-      }
+      if (msg->type_id == kMidTimeout) break;
       if (!d2t_reply_matches(type, msg->type_id)) continue;
       // Deduplicate per member: a duplicated delivery or a reply to both
       // the original and a retry counts once.
@@ -207,18 +203,18 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
       out.complete = true;
       co_return out;
     }
-    if (attempt == cfg_.max_retries) break;
+    // The deadline fired with members unanswered. A member whose endpoint
+    // vanished looks the same as a lost message here, so no peer is "gone".
+    const auto backoff =
+        ev::ladder_step(cfg_.round, attempt, /*peer_gone=*/false);
+    if (!backoff) co_return out;
     ++out.retries;
-    des::SimTime backoff = cfg_.retry_backoff << attempt;
-    if (backoff > cfg_.retry_backoff_cap) backoff = cfg_.retry_backoff_cap;
-    (void)timed_out;  // pending > 0 here implies the deadline fired
     if (trace::active(cfg_.trace)) {
       cfg_.trace->span("retry", "txn", ev::type_name(type), token, sim.now(),
                        sim.now());
     }
-    co_await des::delay(sim, backoff);
+    co_await des::delay(sim, *backoff);
   }
-  co_return out;
 }
 
 namespace {

@@ -15,10 +15,12 @@
 // Message-loss model: every gather round carries its own token (so a stale
 // timeout or a late reply from round N can never be miscounted in round
 // N+1), filters replies on the exact type the round expects, deduplicates
-// per participant, and retries unanswered participants with capped
-// exponential backoff. A round that stays incomplete after the retries are
-// exhausted escalates: the transaction aborts cleanly (prepared operations
-// roll back, sub-coordinator recovery still applies a logged decision).
+// per participant, and retries unanswered participants on the retry ladder
+// of ev/bus_if.h (TxnConfig::round; ev::ladder_step decides each "retry or
+// give up", the same step the control rounds and the model checker use).
+// A round that stays incomplete after the retries are exhausted escalates:
+// the transaction aborts cleanly (prepared operations roll back,
+// sub-coordinator recovery still applies a logged decision).
 #pragma once
 
 #include <cstdint>
@@ -55,12 +57,13 @@ struct FailureSpec {
 struct TxnConfig {
   std::size_t writers = 4;
   std::size_t readers = 2;
-  des::SimTime gather_timeout = 2 * des::kSecond;
-  /// Resend attempts per gather round after the first send; each retry adds
-  /// a backoff of retry_backoff * 2^attempt, capped at retry_backoff_cap.
-  int max_retries = 3;
-  des::SimTime retry_backoff = 250 * des::kMillisecond;
-  des::SimTime retry_backoff_cap = 2 * des::kSecond;
+  /// Ladder of every gather round: the deadline per attempt, then up to
+  /// `retries` resends to the unanswered members, each after a backoff of
+  /// backoff * 2^attempt capped at backoff_cap. A gather always arms its
+  /// deadline, so round.timeout must be positive (0 does not wait forever
+  /// here, unlike a control round's).
+  ev::RoundOptions round{2 * des::kSecond, 3, 250 * des::kMillisecond,
+                         2 * des::kSecond};
   FailureSpec failure;
   /// When set, every retry and escalation emits a span here.
   trace::TraceSink* trace = nullptr;

@@ -53,6 +53,18 @@ inline constexpr std::uint64_t kTokensPerTxn = 10;
 /// First token block (keeps txn tokens disjoint from control-round tokens).
 inline constexpr std::uint64_t kTokenFloor = 1000;
 
+/// Phase offsets of the three rounds within a transaction's block.
+inline constexpr std::uint64_t kPhaseBegin = 0;
+inline constexpr std::uint64_t kPhaseVote = 1;
+inline constexpr std::uint64_t kPhaseDecide = 2;
+/// Per-member token bases of a two-member trade whose coordinator runs
+/// each member's rounds on their own (fed::Root; verify::FedModel models
+/// it): the donor's rounds use offsets base + phase from kDonorBase, the
+/// recipient's from kRecipientBase. The tokens are disjoint, so a delayed
+/// duplicate of one member's reply can never complete the other's round.
+inline constexpr std::uint64_t kDonorBase = 0;
+inline constexpr std::uint64_t kRecipientBase = 3;
+
 /// One gather round of the D2T protocol: the request the coordinator fans
 /// out, the replies that legally answer it, and the phase offset added to
 /// the transaction's base token.
@@ -123,10 +135,17 @@ struct D2tMemberGuard {
   /// logged decision on a silent participant's behalf.
   void record_decision(std::uint64_t token);
 
-  /// True iff this participant's recorded decision belongs to `txn` — the
-  /// coordinator-side recovery test for "did the member apply it itself".
-  bool decided_txn(std::uint64_t txn) const {
-    return d2t_txn_of(decided_token) == txn;
+  /// True iff transaction `txn` is settled here. A coordinator that
+  /// serializes its transactions and settles each one — live, or by its
+  /// recovery pass — before starting the next (fed::Root) leaves every
+  /// transaction at or below the recorded decision settled, so applying a
+  /// late duplicate would move nodes a second time.
+  bool settled(std::uint64_t txn) const {
+    return txn <= d2t_txn_of(decided_token);
+  }
+  /// Record `txn` as settled (forward-only, like record_decision).
+  void settle(std::uint64_t txn) {
+    record_decision(d2t_token(txn, kPhaseDecide));
   }
 };
 

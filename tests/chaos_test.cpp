@@ -140,9 +140,9 @@ TxnChaosRun txn_chaos(std::uint64_t seed) {
   txn::TxnConfig cfg;
   cfg.writers = 6;
   cfg.readers = 2;
-  cfg.gather_timeout = des::kSecond;
-  cfg.max_retries = 3;
-  cfg.retry_backoff = 100 * des::kMillisecond;
+  cfg.round.timeout = des::kSecond;
+  cfg.round.retries = 3;
+  cfg.round.backoff = 100 * des::kMillisecond;
   txn::TxnHarness h(bus, cfg);
   Ledger ledger;
   DebitOp debit(&ledger);

@@ -408,7 +408,7 @@ TEST_P(TradeFailures, NodesNeverLostOrDuplicated) {
   txn::TxnConfig cfg;
   cfg.writers = 2;
   cfg.readers = 2;
-  cfg.gather_timeout = des::kSecond;
+  cfg.round.timeout = des::kSecond;
   cfg.failure = GetParam();
   txn::TxnHarness h(f.bus, cfg);
   DonorTradeOp donor(f.pool, "viz", viz_nodes);

@@ -160,7 +160,7 @@ TEST_P(D2tFailures, AtomicUnderFailure) {
   TxnConfig cfg;
   cfg.writers = 4;
   cfg.readers = 2;
-  cfg.gather_timeout = des::kSecond;
+  cfg.round.timeout = des::kSecond;
   cfg.failure.participant = p.participant;
   cfg.failure.at = p.phase;
   TxnHarness h(f.bus, cfg);
@@ -222,8 +222,8 @@ TEST(D2t, MessagesDerivedFromRoundsExecuted) {
 
 TEST(D2t, StaleTimeoutRegression_SlowNetworkCommitsViaRetries) {
   // The original fan_gather shared ONE token across all three rounds and
-  // never cancelled its timeout callback: with replies slower than
-  // gather_timeout, round N's stale timeout terminated round N+1 early and
+  // never cancelled its timeout callback: with replies slower than the
+  // gather timeout, round N's stale timeout terminated round N+1 early and
   // the transaction aborted. With per-round tokens, cancellable timers, and
   // resends, the late replies are credited to the right round and the
   // transaction commits. This test aborts on the pre-fix code.
@@ -235,9 +235,9 @@ TEST(D2t, StaleTimeoutRegression_SlowNetworkCommitsViaRetries) {
   TxnConfig cfg;
   cfg.writers = 4;
   cfg.readers = 2;
-  cfg.gather_timeout = 200 * des::kMillisecond;  // far below the RTT
-  cfg.retry_backoff = 100 * des::kMillisecond;
-  cfg.max_retries = 5;
+  cfg.round.timeout = 200 * des::kMillisecond;  // far below the RTT
+  cfg.round.backoff = 100 * des::kMillisecond;
+  cfg.round.retries = 5;
   TxnHarness h(slow_bus, cfg);
   Ledger ledger;
   DebitOp debit(&ledger);
@@ -292,9 +292,9 @@ TEST_P(D2tMessageFaults, AtomicUnderMessageFaults) {
   TxnConfig cfg;
   cfg.writers = 4;
   cfg.readers = 2;
-  cfg.gather_timeout = des::kSecond;
-  cfg.max_retries = 5;
-  cfg.retry_backoff = 100 * des::kMillisecond;
+  cfg.round.timeout = des::kSecond;
+  cfg.round.retries = 5;
+  cfg.round.backoff = 100 * des::kMillisecond;
   cfg.failure.participant = p.participant;
   cfg.failure.at = p.phase;
   TxnHarness h(f.bus, cfg);
@@ -403,9 +403,9 @@ TEST(D2t, SoakSequentialTxnsUnderDropAndDupStayAtMostOnce) {
   TxnConfig cfg;
   cfg.writers = 4;
   cfg.readers = 2;
-  cfg.gather_timeout = 500 * des::kMillisecond;
-  cfg.max_retries = 6;
-  cfg.retry_backoff = 100 * des::kMillisecond;
+  cfg.round.timeout = 500 * des::kMillisecond;
+  cfg.round.retries = 6;
+  cfg.round.backoff = 100 * des::kMillisecond;
   TxnHarness h(f.bus, cfg);
   Ledger ledger;
   ledger.a = 1000;
