@@ -11,9 +11,30 @@ namespace ioc::verify {
 
 namespace {
 
+// What differs between the two models: how a state is keyed, and which of
+// its enabled actions are expanded.
+std::string key(const Model& model, const State& s) {
+  return s.encode(model.num_containers());
+}
+std::string key(const FedModel&, const FedState& s) { return s.encode(); }
+
+void expand(const Model& model, const State& s, bool por,
+            std::vector<Action>* out) {
+  if (por) {
+    model.ample(s, out);
+  } else {
+    model.enabled(s, out);
+  }
+}
+void expand(const FedModel& model, const FedState& s, bool /*por*/,
+            std::vector<Action>* out) {
+  model.enabled(s, out);
+}
+
 /// Rebuild the shortest path to `id` from the BFS parent links, then replay
 /// it through the model to recover the per-step labels and trace events.
-void reconstruct(const Model& model,
+template <class M>
+void reconstruct(const M& model,
                  const std::vector<std::pair<std::uint32_t, Action>>& parent,
                  std::uint32_t id, CheckReport* rep) {
   std::vector<Action> path;
@@ -22,7 +43,7 @@ void reconstruct(const Model& model,
     id = parent[id].first;
   }
   std::reverse(path.begin(), path.end());
-  State s = model.initial();
+  auto s = model.initial();
   for (const Action& a : path) {
     Step step;
     s = model.apply(s, a, &step);
@@ -36,18 +57,17 @@ void reconstruct(const Model& model,
   }
 }
 
-}  // namespace
-
-CheckReport run_check(const Model& model, const CheckOptions& opts) {
+template <class M>
+CheckReport explore(const M& model, const CheckOptions& opts) {
+  using S = decltype(model.initial());
   const auto started = std::chrono::steady_clock::now();
   CheckReport rep;
-  const std::size_t n = model.num_containers();
 
   std::unordered_map<std::string, std::uint32_t> visited;
   std::vector<std::pair<std::uint32_t, Action>> parent;
   // Frontier entries carry the full state so expansion never has to decode
   // or replay; the visited set only ever stores the byte encoding.
-  std::deque<std::pair<State, std::uint32_t>> frontier;
+  std::deque<std::pair<S, std::uint32_t>> frontier;
 
   const auto finish = [&](std::optional<Violation> v, std::uint32_t id) {
     rep.violation = std::move(v);
@@ -58,8 +78,8 @@ CheckReport run_check(const Model& model, const CheckOptions& opts) {
             .count();
   };
 
-  const State init = model.initial();
-  visited.emplace(init.encode(n), 0);
+  const S init = model.initial();
+  visited.emplace(key(model, init), 0);
   parent.emplace_back(0u, Action{});
   rep.states = 1;
   if (auto v = model.check(init)) {
@@ -81,11 +101,7 @@ CheckReport run_check(const Model& model, const CheckOptions& opts) {
     const auto [s, id] = frontier.front();
     frontier.pop_front();
 
-    if (opts.por) {
-      model.ample(s, &actions);
-    } else {
-      model.enabled(s, &actions);
-    }
+    expand(model, s, opts.por, &actions);
     if (actions.empty()) {
       ++rep.terminals;
       if (auto v = model.stuck(s)) {
@@ -95,10 +111,10 @@ CheckReport run_check(const Model& model, const CheckOptions& opts) {
       continue;
     }
     for (const Action& a : actions) {
-      const State succ = model.apply(s, a, nullptr);
+      const S succ = model.apply(s, a, nullptr);
       ++rep.edges;
       const auto next_id = static_cast<std::uint32_t>(parent.size());
-      const auto [it, fresh] = visited.emplace(succ.encode(n), next_id);
+      const auto [it, fresh] = visited.emplace(key(model, succ), next_id);
       if (!fresh) continue;
       parent.emplace_back(id, a);
       ++rep.states;
@@ -121,6 +137,16 @@ CheckReport run_check(const Model& model, const CheckOptions& opts) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
   return rep;
+}
+
+}  // namespace
+
+CheckReport run_check(const Model& model, const CheckOptions& opts) {
+  return explore(model, opts);
+}
+
+CheckReport run_check(const FedModel& model, const CheckOptions& opts) {
+  return explore(model, opts);
 }
 
 }  // namespace ioc::verify

@@ -1,8 +1,12 @@
-// Exhaustive explorer for the verification model: breadth-first search over
-// the product automaton with state hashing (a visited set over the
-// canonical byte encoding) and optional partial-order reduction via the
-// model's ample sets. BFS, not DFS, so the first violation found sits at
-// minimum depth — the counterexample is a shortest trace.
+// The one exhaustive explorer of both verification models — the
+// control-plane model (verify/model.h) and the federation trade model
+// (verify/fed_model.h): breadth-first search over the product automaton
+// with state hashing (a visited set over the canonical byte encoding) and,
+// for the control-plane model, optional partial-order reduction via its
+// ample sets. Every state is checked when it is discovered, and quiescence
+// when a state with no enabled action is expanded. BFS, not DFS, so the
+// first violation found sits at minimum depth — the counterexample is a
+// shortest trace.
 //
 // Termination needs no cycle handling beyond the visited set: the model's
 // state graph is acyclic. Every action strictly decreases the lexicographic
@@ -11,18 +15,22 @@
 // conversation and round progress consumes one-shot milestones (resets of
 // round retries ride on a milestone), and deliveries convert a
 // weight-2 request copy into at most a weight-1 reply copy. This is also
-// what discharges the ample-set cycle condition for the reduction.
+// what discharges the ample-set cycle condition for the reduction. The
+// federation model is acyclic for the same reasons.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <vector>
 
+#include "verify/fed_model.h"
 #include "verify/model.h"
 
 namespace ioc::verify {
 
 struct CheckOptions {
+  /// Partial-order reduction (the control-plane model only; the federation
+  /// model has no reduction and is always explored in full).
   bool por = true;
   /// Hard cap on stored states; hitting it makes the run inconclusive.
   std::size_t max_states = 20u * 1000 * 1000;
@@ -46,5 +54,6 @@ struct CheckReport {
 };
 
 CheckReport run_check(const Model& model, const CheckOptions& opts = {});
+CheckReport run_check(const FedModel& model, const CheckOptions& opts = {});
 
 }  // namespace ioc::verify

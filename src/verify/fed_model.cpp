@@ -1,10 +1,6 @@
 #include "verify/fed_model.h"
 
-#include <algorithm>
-#include <chrono>
-#include <deque>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 namespace ioc::verify {
@@ -12,31 +8,26 @@ namespace ioc::verify {
 namespace {
 
 constexpr char kTradeId[] = "trade#1";
+/// The one trade the model runs is transaction 1 of the root's counter.
+constexpr std::uint64_t kTxn = 1;
+constexpr std::size_t kDonor = 0;
 
 const char* member_name(std::size_t m) {
-  return m == 0 ? "donor" : "recipient";
+  return m == kDonor ? "donor" : "recipient";
 }
 
 const char* round_name(std::size_t r) {
   return r == kVoteRound ? "vote" : "decide";
 }
 
-}  // namespace
-
-const char* fed_action_name(FedActionKind k) {
-  switch (k) {
-    case FedActionKind::kStart:      return "start-trade";
-    case FedActionKind::kDeliverReq: return "deliver-req";
-    case FedActionKind::kDropReq:    return "drop-req";
-    case FedActionKind::kDupReq:     return "dup-req";
-    case FedActionKind::kDeliverRep: return "deliver-rep";
-    case FedActionKind::kDropRep:    return "drop-rep";
-    case FedActionKind::kDupRep:     return "dup-rep";
-    case FedActionKind::kTimeout:    return "gather-timeout";
-    case FedActionKind::kCrash:      return "crash";
-  }
-  return "?";
+/// The token fed::Root puts on member `m`'s round of phase `phase`.
+std::uint64_t member_token(std::size_t m, std::uint64_t phase) {
+  const std::uint64_t base = m == kDonor ? txn::kDonorBase
+                                         : txn::kRecipientBase;
+  return txn::d2t_token(kTxn, base + phase);
 }
+
+}  // namespace
 
 std::string FedState::encode() const {
   std::string out;
@@ -49,8 +40,12 @@ std::string FedState::encode() const {
   put((commit ? 1 : 0) | (fenced ? 2 : 0));
   put(retries);
   for (std::size_t m = 0; m < kFedMembers; ++m) {
-    put((crashed[m] ? 1 : 0) | (voted[m] ? 2 : 0) | (voted_yes[m] ? 4 : 0) |
-        (applied[m] ? 8 : 0) | (answered[m] ? 16 : 0));
+    // A member's guard only ever holds this trade's tokens, so whether a
+    // vote and a decision are recorded is all the key needs of them.
+    const txn::D2tMemberGuard& g = guard[m];
+    put((crashed[m] ? 1 : 0) | (g.voted_token != 0 ? 2 : 0) |
+        (g.voted_yes ? 4 : 0) | (g.decided_token != 0 ? 8 : 0) |
+        (answered[m] ? 16 : 0));
     for (std::size_t r = 0; r < kFedRounds; ++r) {
       put(req_in[m][r]);
       put(rep_in[m][r]);
@@ -70,7 +65,7 @@ FedState FedModel::initial() const {
   return s;
 }
 
-void FedModel::emit(FedStep* step, const char* type, int delta) const {
+void FedModel::emit(Step* step, const char* type, int delta) const {
   if (step == nullptr) return;
   core::ControlTraceEvent ev;
   ev.container = kTradeId;
@@ -80,12 +75,11 @@ void FedModel::emit(FedStep* step, const char* type, int delta) const {
   step->events.push_back(std::move(ev));
 }
 
-void FedModel::enabled(const FedState& s,
-                       std::vector<FedAction>* out) const {
+void FedModel::enabled(const FedState& s, std::vector<Action>* out) const {
   out->clear();
   const auto phase = static_cast<FedPhase>(s.phase);
   if (phase == FedPhase::kIdle) {
-    out->push_back({FedActionKind::kStart, 0});
+    out->push_back({ActionKind::kStartTxn, 0});
     return;
   }
   // Wire actions: every in-flight copy can be delivered, and dropped or
@@ -94,18 +88,18 @@ void FedModel::enabled(const FedState& s,
     for (std::size_t r = 0; r < kFedRounds; ++r) {
       const auto t = static_cast<std::uint8_t>(m * kFedRounds + r);
       if (s.req_in[m][r] > 0) {
-        out->push_back({FedActionKind::kDeliverReq, t});
+        out->push_back({ActionKind::kDeliverTreq, t});
         if (s.drops < scenario_.faults.drops)
-          out->push_back({FedActionKind::kDropReq, t});
+          out->push_back({ActionKind::kDropTreq, t});
         if (s.dups < scenario_.faults.dups && s.req_in[m][r] < 2)
-          out->push_back({FedActionKind::kDupReq, t});
+          out->push_back({ActionKind::kDupTreq, t});
       }
       if (s.rep_in[m][r] > 0) {
-        out->push_back({FedActionKind::kDeliverRep, t});
+        out->push_back({ActionKind::kDeliverTrep, t});
         if (s.drops < scenario_.faults.drops)
-          out->push_back({FedActionKind::kDropRep, t});
+          out->push_back({ActionKind::kDropTrep, t});
         if (s.dups < scenario_.faults.dups && s.rep_in[m][r] < 2)
-          out->push_back({FedActionKind::kDupRep, t});
+          out->push_back({ActionKind::kDupTrep, t});
       }
     }
   }
@@ -117,40 +111,48 @@ void FedModel::enabled(const FedState& s,
         phase == FedPhase::kVote ? kVoteRound : kDecideRound;
     for (std::size_t m = 0; m < kFedMembers; ++m) {
       if (!s.answered[m] && s.req_in[m][r] == 0 && s.rep_in[m][r] == 0) {
-        out->push_back({FedActionKind::kTimeout, 0});
+        out->push_back({ActionKind::kTxnTimeout, 0});
         break;
       }
     }
     for (std::size_t m = 0; m < kFedMembers; ++m) {
       if (!s.crashed[m] && s.crashes < scenario_.faults.crashes)
-        out->push_back({FedActionKind::kCrash, static_cast<std::uint8_t>(m)});
+        out->push_back({ActionKind::kCrash, static_cast<std::uint8_t>(m)});
     }
   }
 }
 
-void FedModel::settle(FedState& st, FedStep* step) const {
+bool FedModel::apply_decision(FedState& st, std::size_t m) const {
+  // fed::Shard::apply_decision: the guard's settled() check makes a
+  // duplicate (or a decision the recovery pass already applied) a no-op.
+  txn::D2tMemberGuard& g = st.guard[m];
+  if (g.settled(kTxn)) return false;
+  const int count = scenario_.count;
+  if (st.commit && m != kDonor) {
+    st.escrow = static_cast<std::int8_t>(st.escrow - count);
+    st.recipient_spares =
+        static_cast<std::int8_t>(st.recipient_spares + count);
+  } else if (!st.commit && m == kDonor && g.voted_yes) {
+    st.escrow = static_cast<std::int8_t>(st.escrow - count);
+    st.donor_spares = static_cast<std::int8_t>(st.donor_spares + count);
+  }
+  g.settle(kTxn);
+  return true;
+}
+
+void FedModel::settle(FedState& st, Step* step) const {
   // The root's in-process recovery pass (fed::Root::run_trade): repair the
   // ledger side of every member that never applied the decision, mark both
   // settled so late deliveries are recognized as duplicates, and emit the
   // trade's terminal marker. Under the leak_escrow mutation a fenced trade
   // skips the donor-side repair and the marker — the seeded IOC106 bug.
   const bool leak = scenario_.leak_escrow && st.fenced;
-  const int count = scenario_.count;
   for (std::size_t m = 0; m < kFedMembers; ++m) {
-    if (!st.applied[m]) {
-      const bool skip = leak && m == 0;
-      if (!skip) {
-        if (st.commit && m == 1) {
-          st.escrow = static_cast<std::int8_t>(st.escrow - count);
-          st.recipient_spares =
-              static_cast<std::int8_t>(st.recipient_spares + count);
-        } else if (!st.commit && m == 0 && st.voted_yes[0]) {
-          st.escrow = static_cast<std::int8_t>(st.escrow - count);
-          st.donor_spares = static_cast<std::int8_t>(st.donor_spares + count);
-        }
-      }
+    if (leak && m == kDonor) {
+      st.guard[m].settle(kTxn);
+    } else {
+      apply_decision(st, m);
     }
-    st.applied[m] = true;
   }
   if (!leak) {
     emit(step,
@@ -162,8 +164,8 @@ void FedModel::settle(FedState& st, FedStep* step) const {
   st.phase = static_cast<std::uint8_t>(FedPhase::kDone);
 }
 
-FedState FedModel::apply(const FedState& s, const FedAction& a,
-                         FedStep* step) const {
+FedState FedModel::apply(const FedState& s, const Action& a,
+                         Step* step) const {
   FedState st = s;
   const std::size_t m = a.target / kFedRounds;
   const std::size_t r = a.target % kFedRounds;
@@ -171,7 +173,7 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
   std::ostringstream label;
 
   switch (a.kind) {
-    case FedActionKind::kStart: {
+    case ActionKind::kStartTxn: {
       st.phase = static_cast<std::uint8_t>(FedPhase::kVote);
       st.retries = static_cast<std::int8_t>(scenario_.retries);
       for (std::size_t i = 0; i < kFedMembers; ++i)
@@ -180,60 +182,55 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
       label << "root opens the trade, vote requests to both shards";
       break;
     }
-    case FedActionKind::kDeliverReq:
-    case FedActionKind::kDupReq: {
-      if (a.kind == FedActionKind::kDeliverReq) {
+    case ActionKind::kDeliverTreq:
+    case ActionKind::kDupTreq: {
+      if (a.kind == ActionKind::kDeliverTreq) {
         --st.req_in[m][r];
       } else {
         ++st.dups;  // delivers one copy, leaves the original in flight
       }
       label << "deliver " << round_name(r) << " request to "
             << member_name(m);
-      if (a.kind == FedActionKind::kDupReq) label << " (duplicate)";
+      if (a.kind == ActionKind::kDupTreq) label << " (duplicate)";
       if (st.crashed[m]) {
         label << " [lost: crashed]";
         break;
       }
       if (r == kVoteRound) {
-        if (st.applied[m]) {
-          // Decision already recorded for this txn: the member guard
-          // refuses the stale vote (classify_vote kStaleNo) — NO reply,
-          // and crucially no new escrow.
-          ++st.rep_in[m][kVoteRound];
-          label << " -> stale NO";
-        } else if (st.voted[m]) {
-          ++st.rep_in[m][kVoteRound];  // replay the cached reply
-          label << " -> replayed vote";
-        } else {
-          st.voted[m] = true;
-          if (m == 0) {
-            if (st.donor_spares >= count) {
-              st.donor_spares =
-                  static_cast<std::int8_t>(st.donor_spares - count);
-              st.escrow = static_cast<std::int8_t>(st.escrow + count);
-              st.voted_yes[0] = true;
-              label << " -> YES, " << count << " node(s) escrowed";
+        // fed::Shard::participant_loop's vote branch, on the same guard.
+        txn::D2tMemberGuard& g = st.guard[m];
+        const std::uint64_t token = member_token(m, txn::kPhaseVote);
+        switch (g.classify_vote(token)) {
+          case txn::D2tMemberGuard::VoteAction::kStaleNo:
+            // The trade already settled here: NO, and crucially no new
+            // escrow.
+            label << " -> stale NO";
+            break;
+          case txn::D2tMemberGuard::VoteAction::kReplay:
+            label << " -> replayed vote";  // the recorded answer again
+            break;
+          case txn::D2tMemberGuard::VoteAction::kFresh: {
+            bool yes = true;
+            if (m == kDonor) {
+              yes = st.donor_spares >= count;
+              if (yes) {
+                st.donor_spares =
+                    static_cast<std::int8_t>(st.donor_spares - count);
+                st.escrow = static_cast<std::int8_t>(st.escrow + count);
+                label << " -> YES, " << count << " node(s) escrowed";
+              } else {
+                label << " -> NO (pool dry)";
+              }
             } else {
-              label << " -> NO (pool dry)";
+              label << " -> YES";
             }
-          } else {
-            st.voted_yes[1] = true;
-            label << " -> YES";
+            g.record_vote(token, yes);
+            break;
           }
-          ++st.rep_in[m][kVoteRound];
         }
+        ++st.rep_in[m][kVoteRound];
       } else {
-        if (!st.applied[m]) {
-          st.applied[m] = true;
-          if (st.commit && m == 1) {
-            st.escrow = static_cast<std::int8_t>(st.escrow - count);
-            st.recipient_spares =
-                static_cast<std::int8_t>(st.recipient_spares + count);
-          } else if (!st.commit && m == 0 && st.voted_yes[0]) {
-            st.escrow = static_cast<std::int8_t>(st.escrow - count);
-            st.donor_spares =
-                static_cast<std::int8_t>(st.donor_spares + count);
-          }
+        if (apply_decision(st, m)) {
           label << " -> applied " << (st.commit ? "COMMIT" : "ABORT");
         } else {
           label << " -> duplicate decision, ack only";
@@ -242,22 +239,22 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
       }
       break;
     }
-    case FedActionKind::kDropReq: {
+    case ActionKind::kDropTreq: {
       --st.req_in[m][r];
       ++st.drops;
       label << "drop " << round_name(r) << " request to " << member_name(m);
       break;
     }
-    case FedActionKind::kDeliverRep:
-    case FedActionKind::kDupRep: {
-      if (a.kind == FedActionKind::kDeliverRep) {
+    case ActionKind::kDeliverTrep:
+    case ActionKind::kDupTrep: {
+      if (a.kind == ActionKind::kDeliverTrep) {
         --st.rep_in[m][r];
       } else {
         ++st.dups;
       }
       label << "deliver " << round_name(r) << " reply from "
             << member_name(m);
-      if (a.kind == FedActionKind::kDupRep) label << " (duplicate)";
+      if (a.kind == ActionKind::kDupTrep) label << " (duplicate)";
       const auto phase = static_cast<FedPhase>(st.phase);
       const std::size_t gather_round =
           phase == FedPhase::kVote ? kVoteRound : kDecideRound;
@@ -270,7 +267,7 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
       st.answered[m] = true;
       if (st.answered[0] && st.answered[1]) {
         if (phase == FedPhase::kVote) {
-          st.commit = st.voted_yes[0] && st.voted_yes[1];
+          st.commit = st.guard[0].voted_yes && st.guard[1].voted_yes;
           st.phase = static_cast<std::uint8_t>(FedPhase::kDecide);
           st.retries = static_cast<std::int8_t>(scenario_.retries);
           st.answered[0] = st.answered[1] = false;
@@ -286,18 +283,18 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
       }
       break;
     }
-    case FedActionKind::kDropRep: {
+    case ActionKind::kDropTrep: {
       --st.rep_in[m][r];
       ++st.drops;
       label << "drop " << round_name(r) << " reply from " << member_name(m);
       break;
     }
-    case FedActionKind::kTimeout: {
+    case ActionKind::kTxnTimeout: {
       const auto phase = static_cast<FedPhase>(st.phase);
       const std::size_t gr =
           phase == FedPhase::kVote ? kVoteRound : kDecideRound;
       emit(step, core::kMarkTimeout, 0);
-      if (st.retries > 0) {
+      if (ladder_resends(scenario_.retries, st.retries)) {
         --st.retries;
         emit(step, core::kMarkRetry, 0);
         label << round_name(gr) << " gather timeout, resend to unanswered";
@@ -316,18 +313,17 @@ FedState FedModel::apply(const FedState& s, const FedAction& a,
       }
       break;
     }
-    case FedActionKind::kCrash: {
+    case ActionKind::kCrash: {
       st.crashed[a.target] = true;
       ++st.crashes;
       label << "crash " << member_name(a.target) << " shard";
       break;
     }
+    default:
+      break;  // control-plane kinds: not part of this model
   }
 
-  if (step != nullptr) {
-    step->action = a;
-    step->label = label.str();
-  }
+  if (step != nullptr) step->label = label.str();
   return st;
 }
 
@@ -359,93 +355,6 @@ std::optional<Violation> FedModel::stuck(const FedState& s) const {
     return Violation{Property::kOrphanEscrow, msg.str()};
   }
   return std::nullopt;
-}
-
-FedCheckReport run_fed_check(const FedModel& model, std::size_t max_states) {
-  const auto t0 = std::chrono::steady_clock::now();
-  FedCheckReport rep;
-
-  std::unordered_map<std::string, std::uint32_t> visited;
-  std::vector<std::pair<std::uint32_t, FedAction>> parent;
-  std::deque<std::pair<FedState, std::size_t>> frontier;  // state, depth
-
-  const FedState init = model.initial();
-  visited.emplace(init.encode(), 0);
-  parent.push_back({0, FedAction{}});
-  frontier.push_back({init, 0});
-  rep.states = 1;
-
-  std::vector<FedAction> acts;
-  std::uint32_t id_of_front = 0;
-  std::optional<std::uint32_t> bad_id;
-  // BFS: ids are assigned in discovery order, and the frontier pops in the
-  // same order, so the front's id is a running counter.
-  while (!frontier.empty()) {
-    const auto [s, depth] = frontier.front();
-    frontier.pop_front();
-    const std::uint32_t sid = id_of_front++;
-    rep.depth = std::max(rep.depth, depth);
-
-    if (auto v = model.check(s)) {
-      rep.violation = v;
-      bad_id = sid;
-      break;
-    }
-    model.enabled(s, &acts);
-    if (acts.empty()) {
-      ++rep.terminals;
-      if (auto v = model.stuck(s)) {
-        rep.violation = v;
-        bad_id = sid;
-        break;
-      }
-      continue;
-    }
-    for (const FedAction& a : acts) {
-      const FedState next = model.apply(s, a, nullptr);
-      ++rep.edges;
-      const auto [it, inserted] =
-          visited.emplace(next.encode(),
-                          static_cast<std::uint32_t>(parent.size()));
-      if (!inserted) continue;
-      parent.push_back({sid, a});
-      frontier.push_back({next, depth + 1});
-      ++rep.states;
-      if (rep.states >= max_states) {
-        rep.capped = true;
-        frontier.clear();
-        break;
-      }
-    }
-    if (rep.capped) break;
-  }
-
-  if (bad_id.has_value()) {
-    std::vector<FedAction> path;
-    std::uint32_t id = *bad_id;
-    while (id != 0) {
-      path.push_back(parent[id].second);
-      id = parent[id].first;
-    }
-    std::reverse(path.begin(), path.end());
-    FedState s = model.initial();
-    for (const FedAction& a : path) {
-      FedStep step;
-      s = model.apply(s, a, &step);
-      rep.counterexample.push_back(std::move(step));
-    }
-    for (auto& step : rep.counterexample) {
-      for (auto& ev : step.events) {
-        ev.at = static_cast<des::SimTime>(rep.trace.size() + 1);
-        rep.trace.push_back(ev);
-      }
-    }
-  }
-
-  rep.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  return rep;
 }
 
 }  // namespace ioc::verify

@@ -1,17 +1,25 @@
 // The federation verification model: a finite abstraction of one
 // cross-shard resource trade — two shards (member 0 the donor, member 1
 // the recipient) and the thin root coordinator of src/fed/root.cpp —
-// explored exhaustively by its own small BFS (fed_check).
+// explored exhaustively by verify::run_check, the same explorer as the
+// control-plane model (without partial-order reduction).
 //
 // The model follows the runtime's recovery contract exactly:
 //
+//   * each member runs a real txn::D2tMemberGuard on the per-member round
+//     tokens fed::Root sends (txn::kDonorBase / kRecipientBase): the guard
+//     classifies every vote request as fresh, replayed or stale, and its
+//     settled() check — the one fed::Shard::apply_decision uses — keeps a
+//     decision from being applied twice;
 //   * the donor's VOTE_YES moves `count` nodes from its spare pool into
 //     escrow; only a decision moves them onward (recipient pool on commit,
 //     back to the donor on abort);
-//   * vote and decide are gather rounds with bounded retries; a round that
-//     exhausts its ladder fences the trade, and the root then settles both
-//     members in-process — repairing the ledger side of any member that
-//     never applied the decision — before emitting the terminal marker;
+//   * vote and decide are gather rounds with bounded retries, decided by
+//     the runtime's ladder step (ladder_resends, verify/model.h); a round
+//     that exhausts its ladder fences the trade, and the root then settles
+//     both members in-process — repairing the ledger side of any member
+//     that never applied the decision — before emitting the terminal
+//     marker;
 //   * the adversary may drop and duplicate in-flight messages and crash
 //     members, up to a budget per class (asynchrony is interleaving, as in
 //     verify/model.h).
@@ -34,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "txn/d2t_model.h"
 #include "verify/model.h"
 
 namespace ioc::verify {
@@ -77,12 +86,12 @@ struct FedState {
   std::uint8_t phase = 0;  ///< FedPhase
   bool commit = false;     ///< decision, valid in kDecide+
   bool fenced = false;     ///< a gather exhausted its ladder
-  std::int8_t retries = 0;
+  std::int8_t retries = 0;  ///< resends left in the current gather
   // Per member.
   bool crashed[kFedMembers] = {};
-  bool voted[kFedMembers] = {};      ///< member answered the vote round
-  bool voted_yes[kFedMembers] = {};
-  bool applied[kFedMembers] = {};    ///< member applied the decision
+  /// The member's at-most-once state: which vote it recorded and whether
+  /// the trade is settled at it.
+  txn::D2tMemberGuard guard[kFedMembers] = {};
   bool answered[kFedMembers] = {};   ///< gather got this member's reply
   /// In-flight copies per member and round (root->member, member->root).
   std::uint8_t req_in[kFedMembers][kFedRounds] = {};
@@ -95,35 +104,6 @@ struct FedState {
   std::string encode() const;
 };
 
-enum class FedActionKind : std::uint8_t {
-  kStart,       ///< root opens the trade: TRADE_BEGIN, vote reqs out
-  kDeliverReq,  ///< deliver one root->member copy (target = m*rounds+r)
-  kDropReq,     ///< adversary drops one copy (budget)
-  kDupReq,      ///< deliver a copy, keep one in flight (budget)
-  kDeliverRep,  ///< deliver one member->root copy
-  kDropRep,
-  kDupRep,
-  kTimeout,     ///< gather deadline: RETRY resend, or fence + settle
-  kCrash,       ///< adversary crashes member m (budget)
-};
-
-const char* fed_action_name(FedActionKind k);
-
-struct FedAction {
-  FedActionKind kind{};
-  /// Member index for kCrash; member * kFedRounds + round for the wire
-  /// actions; unused otherwise.
-  std::uint8_t target = 0;
-};
-
-/// One applied action, for counterexample display (same Step vocabulary as
-/// verify/model.h so ioc_verify shares its printing and lint replay).
-struct FedStep {
-  FedAction action;
-  std::string label;
-  std::vector<core::ControlTraceEvent> events;
-};
-
 class FedModel {
  public:
   explicit FedModel(FedScenario s) : scenario_(s) {}
@@ -131,37 +111,22 @@ class FedModel {
   const FedScenario& scenario() const { return scenario_; }
 
   FedState initial() const;
-  void enabled(const FedState& s, std::vector<FedAction>* out) const;
-  FedState apply(const FedState& s, const FedAction& a, FedStep* step) const;
+  /// Every enabled action: the trade-channel kinds of verify::Action
+  /// (target = member * kFedRounds + round for the wire actions, the
+  /// member for kCrash).
+  void enabled(const FedState& s, std::vector<Action>* out) const;
+  FedState apply(const FedState& s, const Action& a, Step* step) const;
   /// Safety check on every state; nullopt when the invariants hold.
   std::optional<Violation> check(const FedState& s) const;
   /// Quiescence check for states with no enabled action.
   std::optional<Violation> stuck(const FedState& s) const;
 
  private:
-  void settle(FedState& st, FedStep* step) const;
-  void emit(FedStep* step, const char* type, int delta) const;
+  bool apply_decision(FedState& st, std::size_t m) const;
+  void settle(FedState& st, Step* step) const;
+  void emit(Step* step, const char* type, int delta) const;
 
   FedScenario scenario_;
 };
-
-struct FedCheckReport {
-  std::size_t states = 0;
-  std::size_t edges = 0;
-  std::size_t terminals = 0;
-  std::size_t depth = 0;
-  double seconds = 0;
-  bool capped = false;
-  std::optional<Violation> violation;
-  std::vector<FedStep> counterexample;  ///< shortest path (BFS)
-  /// Counterexample control-trace, `at` = 1-based event index — ready for
-  /// lint::check_trace (the IOC106 replay).
-  std::vector<core::ControlTraceEvent> trace;
-
-  bool ok() const { return !violation.has_value() && !capped; }
-};
-
-FedCheckReport run_fed_check(const FedModel& model,
-                             std::size_t max_states = 20u * 1000 * 1000);
 
 }  // namespace ioc::verify

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ev/bus_if.h"
 #include "txn/d2t_model.h"
 
 namespace ioc::verify {
@@ -35,6 +36,13 @@ void append(std::string* out, const void* p, std::size_t n) {
 }
 
 }  // namespace
+
+bool ladder_resends(int retries, int left) {
+  ev::RoundOptions ladder;
+  ladder.retries = retries;
+  return ev::ladder_step(ladder, retries - left, /*peer_gone=*/false)
+      .has_value();
+}
 
 int Scenario::total_nodes() const {
   int demand = 0;
@@ -476,7 +484,6 @@ void Model::enabled(const State& s, std::vector<Action>* out) const {
 State Model::apply(const State& s, const Action& a, Step* step) const {
   State st = s;
   if (step != nullptr) {
-    step->action = a;
     step->label = action_name(a.kind);
     step->events.clear();
   }
@@ -536,7 +543,7 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
       break;
     case ActionKind::kCmTimeout:
       emit_event(c, core::kMarkTimeout, true, 0, step);
-      if (st.conv_retries[c] > 0) {
+      if (ladder_resends(scenario_.cm_retries, st.conv_retries[c])) {
         --st.conv_retries[c];
         ++st.req_in[c];
         emit_event(c, core::kMarkRetry, true, 0, step);
@@ -589,7 +596,7 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
       const std::size_t round =
           static_cast<std::size_t>(st.txn_phase) -
           static_cast<std::size_t>(TxnPhase::kBegin);
-      if (st.round_retries > 0) {
+      if (ladder_resends(scenario_.txn_retries, st.round_retries)) {
         --st.round_retries;
         for (std::size_t i = 0; i < kMembers; ++i) {
           if (!st.answered[i]) ++st.treq_in[i][round];
@@ -727,8 +734,10 @@ bool Model::action_safe(const State& s, const Action& a) const {
     case ActionKind::kStaleTimeout:
       return false;  // visible: it creates the violation being checked
     case ActionKind::kCmTimeout:
-      // Retry is component-local; a fence is not.
-      return s.conv_retries[a.target] > 0 && !member_trade_live(a.target);
+      // Retry is component-local; a fence is not. Ask the ladder exactly as
+      // apply() does, or the reduction would prune a reachable fence.
+      return ladder_resends(scenario_.cm_retries, s.conv_retries[a.target]) &&
+             !member_trade_live(a.target);
     case ActionKind::kDeliverTreq:
       // Begin is a pure ack; vote/decide move the shared ledger.
       return a.target % kTxnRounds == kBegin;
@@ -740,7 +749,7 @@ bool Model::action_safe(const State& s, const Action& a) const {
                  static_cast<std::size_t>(s.txn_phase) -
                      static_cast<std::size_t>(TxnPhase::kBegin);
     case ActionKind::kTxnTimeout:
-      return s.round_retries > 0;
+      return ladder_resends(scenario_.txn_retries, s.round_retries);
     default:
       return false;  // drops/dups/crashes spend the adversary budget
   }

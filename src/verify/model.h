@@ -5,8 +5,10 @@
 //   * one Fig. 3 ProtocolFsm per container (the exact table of
 //     core/protocol_fsm.h — the model advances real ProtocolFsm instances,
 //     so a table edit changes the model and the runtime checker together),
-//   * the GM-side conversation machinery of PR 4 (per-round retries with
-//     TIMEOUT / RETRY / ESCALATE markers, fencing on exhaustion),
+//   * the GM-side conversation machinery (per-round retries with
+//     TIMEOUT / RETRY / ESCALATE markers, fencing on exhaustion), whose
+//     "retry or escalate" is the runtime's own ev::ladder_step
+//     (ladder_resends below),
 //   * the D2T round/token machinery of txn/d2t_model.h (begin / vote /
 //     decide gathers with per-member at-most-once guards, bounded retries,
 //     escalation to abort, sub-coordinator recovery), driving a one-node
@@ -201,19 +203,28 @@ enum class ActionKind : std::uint8_t {
 
 const char* action_name(ActionKind k);
 
+/// One transition. verify::FedModel uses the trade-channel kinds
+/// (kStartTxn, kDeliverTreq .. kDupTrep, kTxnTimeout, kCrash).
 struct Action {
   ActionKind kind{};
-  /// Container index for control-plane actions; member*kTxnRounds+round for
-  /// the txn channel actions (kDeliverTreq .. kDupTrep).
+  /// Container (or member) index for control-plane actions and kCrash;
+  /// member * rounds + round for the txn channel actions (kDeliverTreq ..
+  /// kDupTrep), with kTxnRounds rounds here and kFedRounds in FedModel.
   std::uint8_t target = 0;
 };
 
 /// What one applied action did, for counterexample display.
 struct Step {
-  Action action;
   std::string label;
   std::vector<core::ControlTraceEvent> events;
 };
+
+/// The retry ladder's verdict after a round's deadline fired with `left`
+/// of its `retries` resends remaining: true to resend, false to escalate.
+/// It is the runtime's own step, ev::ladder_step, asked with the model's
+/// inputs: the attempt number is the resends already spent, and a crashed
+/// peer is not "gone" to the model (docs/VERIFICATION.md lists the gap).
+bool ladder_resends(int retries, int left);
 
 /// Violation classes, mapped to the diagnostics the trace replayer raises
 /// when the counterexample is replayed through lint::check_trace.

@@ -26,7 +26,7 @@
 #include "lint/trace.h"
 #include "trace/metrics.h"
 #include "util/hash.h"
-#include "verify/fed_model.h"
+#include "verify/checker.h"
 
 namespace {
 
@@ -364,7 +364,7 @@ TEST(Fleet, PublishMetricsExposesShardAndFaultCounters) {
 
 TEST(FedVerify, CleanTradeModelHasNoOrphanEscrow) {
   ioc::verify::FedScenario sc;  // 1 drop + 1 dup + 1 crash budget
-  const auto rep = ioc::verify::run_fed_check(ioc::verify::FedModel(sc));
+  const auto rep = ioc::verify::run_check(ioc::verify::FedModel(sc));
   EXPECT_TRUE(rep.ok()) << (rep.violation ? rep.violation->message : "cap");
   EXPECT_EQ(rep.states, 2216u);
   EXPECT_EQ(rep.edges, 6629u);
@@ -380,7 +380,7 @@ TEST(FedVerify, LeakEscrowCounterexampleReplaysAsIOC106) {
   // enforce one contract.
   ioc::verify::FedScenario sc;
   sc.leak_escrow = true;
-  const auto rep = ioc::verify::run_fed_check(ioc::verify::FedModel(sc));
+  const auto rep = ioc::verify::run_check(ioc::verify::FedModel(sc));
   ASSERT_TRUE(rep.violation.has_value());
   EXPECT_EQ(rep.violation->property, ioc::verify::Property::kOrphanEscrow);
   EXPECT_EQ(rep.states, 1274u);

@@ -23,7 +23,7 @@
 #include "fed/wire.h"
 #include "lint/trace.h"
 #include "txn/d2t_model.h"
-#include "verify/fed_model.h"
+#include "verify/checker.h"
 
 namespace {
 
@@ -130,7 +130,7 @@ TEST(Intern, FedTraceLintsByteIdenticallyAfterRoundTrip) {
   // whether the type strings are the originals or intern-table copies.
   ioc::verify::FedScenario sc;
   sc.leak_escrow = true;
-  const auto rep = ioc::verify::run_fed_check(ioc::verify::FedModel(sc));
+  const auto rep = ioc::verify::run_check(ioc::verify::FedModel(sc));
   ASSERT_TRUE(rep.violation.has_value());
   ASSERT_FALSE(rep.trace.empty());
 

@@ -48,8 +48,6 @@
 #include "util/intern.h"
 #include "util/config.h"
 #include "verify/checker.h"
-#include "verify/fed_model.h"
-#include "verify/model.h"
 
 namespace {
 
@@ -86,10 +84,7 @@ ioc::core::PipelineSpec replay_spec(const Scenario& sc) {
   return spec;
 }
 
-// Works for both CheckReport and FedCheckReport — each counterexample step
-// carries the same label + ControlTraceEvent list.
-template <typename Report>
-bool write_chrome_trace(const std::string& path, const Report& rep) {
+bool write_chrome_trace(const std::string& path, const CheckReport& rep) {
   std::vector<ioc::trace::SpanRecord> spans;
   std::size_t at = 0;
   for (const auto& step : rep.counterexample) {
@@ -116,6 +111,69 @@ bool write_chrome_trace(const std::string& path, const Report& rep) {
   return out.good();
 }
 
+struct ReportFlags {
+  std::string trace_out;
+  bool expect_violation = false;
+  bool quiet = false;
+};
+
+/// Print a run's result, the same way for both models: the counts, the
+/// verdict (`properties` names what a clean run verified), the shortest
+/// counterexample with its replay through the lint trace checker against
+/// `spec` (so a failure maps onto the IOC1xx diagnostics), and the
+/// --trace-out file. Returns the exit code.
+int report(const CheckReport& rep, const ioc::core::PipelineSpec& spec,
+           const char* properties, const ReportFlags& f) {
+  std::printf("explored %zu states, %zu transitions, %zu terminal states, "
+              "depth %zu, %.2fs%s\n",
+              rep.states, rep.edges, rep.terminals, rep.depth, rep.seconds,
+              rep.capped ? " [CAPPED: inconclusive]" : "");
+  if (rep.capped) return 2;
+
+  if (!rep.violation.has_value()) {
+    std::printf("verified: no violation of %s\n", properties);
+    return f.expect_violation ? 1 : 0;
+  }
+
+  std::printf("VIOLATION [%s]: %s\n",
+              ioc::verify::property_name(rep.violation->property),
+              rep.violation->message.c_str());
+  if (!f.quiet) {
+    std::printf("counterexample (%zu steps, shortest):\n",
+                rep.counterexample.size());
+    for (std::size_t i = 0; i < rep.counterexample.size(); ++i) {
+      const auto& step = rep.counterexample[i];
+      std::printf("  %3zu. %s\n", i + 1, step.label.c_str());
+      for (const auto& ev : step.events) {
+        std::printf("       %s %s %s delta=%d\n",
+                    ev.to_cm ? "->" : "<-", ev.container.c_str(),
+                    ev.type.c_str(), ev.delta);
+      }
+    }
+    const auto lint = ioc::lint::check_trace(spec, rep.trace);
+    if (!lint.diagnostics.empty()) {
+      std::printf("lint replay of the counterexample trace:\n");
+      std::fputs(ioc::lint::to_text(lint).c_str(), stdout);
+    } else {
+      std::printf("lint replay of the counterexample trace: clean (the "
+                  "violation is internal to the ledger)\n");
+    }
+  }
+  if (!f.trace_out.empty()) {
+    if (!write_chrome_trace(f.trace_out, rep)) {
+      std::fprintf(stderr, "ioc_verify: cannot write '%s'\n",
+                   f.trace_out.c_str());
+      return 2;
+    }
+    if (!f.quiet) {
+      std::printf("counterexample trace written to %s (ioc_trace can "
+                  "summarize it)\n",
+                  f.trace_out.c_str());
+    }
+  }
+  return f.expect_violation ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,9 +181,7 @@ int main(int argc, char** argv) {
   Scenario sc = Scenario::two_container();
   bool have_spec = false;
   std::string spec_path;
-  std::string trace_out;
-  bool expect_violation = false;
-  bool quiet = false;
+  ReportFlags flags;
   CheckOptions opts;
 
   int drops = -1, dups = -1, crashes = -1;
@@ -167,11 +223,11 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--bug=", 6) == 0) {
       bug = arg + 6;
     } else if (std::strcmp(arg, "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
+      flags.trace_out = argv[++i];
     } else if (std::strcmp(arg, "--expect-violation") == 0) {
-      expect_violation = true;
+      flags.expect_violation = true;
     } else if (std::strcmp(arg, "--quiet") == 0) {
-      quiet = true;
+      flags.quiet = true;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage();
       return 0;
@@ -191,9 +247,8 @@ int main(int argc, char** argv) {
   }
 
   if (fed) {
-    // Federation model: one cross-shard trade, its own small exhaustive
-    // BFS (verify/fed_model.h). Shares the fault-budget and retry flags;
-    // the container/spec flags do not apply.
+    // Federation model: one cross-shard trade. Shares the fault-budget and
+    // retry flags; the container/spec flags do not apply.
     ioc::verify::FedScenario fsc;
     if (drops >= 0) fsc.faults.drops = static_cast<std::uint8_t>(drops);
     if (dups >= 0) fsc.faults.dups = static_cast<std::uint8_t>(dups);
@@ -206,8 +261,7 @@ int main(int argc, char** argv) {
                            "--bug=leak-escrow, not '%s'\n", bug.c_str());
       return usage();
     }
-    const ioc::verify::FedModel fmodel(fsc);
-    if (!quiet) {
+    if (!flags.quiet) {
       std::printf("fed scenario: donor %d spares, recipient %d spares, "
                   "trade %d node(s), faults drop=%d dup=%d crash=%d, "
                   "retries %d%s\n",
@@ -215,54 +269,14 @@ int main(int argc, char** argv) {
                   fsc.faults.drops, fsc.faults.dups, fsc.faults.crashes,
                   fsc.retries, fsc.leak_escrow ? ", BUG leak-escrow" : "");
     }
-    const auto rep = ioc::verify::run_fed_check(fmodel, opts.max_states);
-    std::printf("explored %zu states, %zu transitions, %zu terminal states, "
-                "depth %zu, %.2fs%s\n",
-                rep.states, rep.edges, rep.terminals, rep.depth, rep.seconds,
-                rep.capped ? " [CAPPED: inconclusive]" : "");
-    if (rep.capped) return 2;
-    if (!rep.violation.has_value()) {
-      std::printf("verified: no violation of conservation, orphaned-escrow, "
-                  "or trade termination\n");
-      return expect_violation ? 1 : 0;
-    }
-    std::printf("VIOLATION [%s]: %s\n",
-                ioc::verify::property_name(rep.violation->property),
-                rep.violation->message.c_str());
-    if (!quiet) {
-      std::printf("counterexample (%zu steps, shortest):\n",
-                  rep.counterexample.size());
-      for (std::size_t i = 0; i < rep.counterexample.size(); ++i) {
-        const auto& step = rep.counterexample[i];
-        std::printf("  %3zu. %s\n", i + 1, step.label.c_str());
-        for (const auto& ev : step.events) {
-          std::printf("       %s %s delta=%d\n", ev.container.c_str(),
-                      ev.type.c_str(), ev.delta);
-        }
-      }
-      // Replay the counterexample's TRADE_* markers through the trade
-      // bracket rule: a leaked escrow shows up as IOC106.
-      ioc::core::PipelineSpec spec;
-      spec.staging_nodes =
-          static_cast<std::size_t>(fsc.total_nodes());
-      const auto lint = ioc::lint::check_trace(spec, rep.trace);
-      if (!lint.diagnostics.empty()) {
-        std::printf("lint replay of the counterexample trace:\n");
-        std::fputs(ioc::lint::to_text(lint).c_str(), stdout);
-      } else {
-        std::printf("lint replay of the counterexample trace: clean (the "
-                    "violation is internal to the ledger)\n");
-      }
-    }
-    if (!trace_out.empty()) {
-      if (!write_chrome_trace(trace_out, rep)) {
-        std::fprintf(stderr, "ioc_verify: cannot write %s\n",
-                     trace_out.c_str());
-      } else if (!quiet) {
-        std::printf("counterexample trace written to %s\n", trace_out.c_str());
-      }
-    }
-    return expect_violation ? 0 : 1;
+    // The lint replay audits the TRADE_* brackets (a leaked escrow shows up
+    // as IOC106) against the shards' staging allocation.
+    ioc::core::PipelineSpec spec;
+    spec.staging_nodes = static_cast<std::size_t>(fsc.total_nodes());
+    return report(ioc::verify::run_check(ioc::verify::FedModel(fsc), opts),
+                  spec,
+                  "conservation, orphaned-escrow, or trade termination",
+                  flags);
   }
 
   if (have_spec) {
@@ -298,7 +312,7 @@ int main(int argc, char** argv) {
   }
 
   const Model model(sc);
-  if (!quiet) {
+  if (!flags.quiet) {
     std::printf("scenario: %zu containers (", sc.containers.size());
     for (std::size_t i = 0; i < sc.containers.size(); ++i) {
       std::printf("%s%s:%d", i ? ", " : "", sc.containers[i].name.c_str(),
@@ -312,58 +326,8 @@ int main(int argc, char** argv) {
                 sc.bugs.stale_timeout ? ", BUG stale-timeout" : "",
                 sc.bugs.shared_token ? ", BUG shared-token" : "");
   }
-
-  const CheckReport rep = ioc::verify::run_check(model, opts);
-  std::printf("explored %zu states, %zu transitions, %zu terminal states, "
-              "depth %zu, %.2fs%s\n",
-              rep.states, rep.edges, rep.terminals, rep.depth, rep.seconds,
-              rep.capped ? " [CAPPED: inconclusive]" : "");
-  if (rep.capped) return 2;
-
-  if (!rep.violation.has_value()) {
-    std::printf("verified: no violation of conservation, at-most-once, "
-                "fencing, timeout-recovery, or termination\n");
-    return expect_violation ? 1 : 0;
-  }
-
-  std::printf("VIOLATION [%s]: %s\n",
-              ioc::verify::property_name(rep.violation->property),
-              rep.violation->message.c_str());
-  if (!quiet) {
-    std::printf("counterexample (%zu steps, shortest):\n",
-                rep.counterexample.size());
-    for (std::size_t i = 0; i < rep.counterexample.size(); ++i) {
-      const auto& step = rep.counterexample[i];
-      std::printf("  %3zu. %s\n", i + 1, step.label.c_str());
-      for (const auto& ev : step.events) {
-        std::printf("       %s %s %s delta=%d\n",
-                    ev.to_cm ? "->" : "<-", ev.container.c_str(),
-                    ev.type.c_str(), ev.delta);
-      }
-    }
-    // Map the counterexample onto the offline diagnostics: replaying the
-    // emitted control trace through lint::check_trace shows which IOC1xx
-    // rules the run would have tripped.
-    const auto lint = ioc::lint::check_trace(replay_spec(sc), rep.trace);
-    if (!lint.diagnostics.empty()) {
-      std::printf("lint replay of the counterexample trace:\n");
-      std::fputs(ioc::lint::to_text(lint).c_str(), stdout);
-    } else {
-      std::printf("lint replay of the counterexample trace: clean (the "
-                  "violation is internal to the ledger)\n");
-    }
-  }
-  if (!trace_out.empty()) {
-    if (!write_chrome_trace(trace_out, rep)) {
-      std::fprintf(stderr, "ioc_verify: cannot write '%s'\n",
-                   trace_out.c_str());
-      return 2;
-    }
-    if (!quiet) {
-      std::printf("counterexample trace written to %s (ioc_trace can "
-                  "summarize it)\n",
-                  trace_out.c_str());
-    }
-  }
-  return expect_violation ? 0 : 1;
+  return report(ioc::verify::run_check(model, opts), replay_spec(sc),
+                "conservation, at-most-once, fencing, timeout-recovery, or "
+                "termination",
+                flags);
 }
