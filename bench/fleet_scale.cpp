@@ -31,47 +31,17 @@
 // rate is what lands in events_per_wall_sec (see run_point), so scheduler
 // preemption on a shared box cannot drag the reading down arbitrarily.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "des/time.h"
 #include "fed/fleet.h"
-
-// --- allocation counter ----------------------------------------------------
-// Counts every global operator new in the process. Single-threaded bench, but
-// relaxed atomics keep the hook correct if a library spins up a thread.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Counts every global operator new in the process, aligned forms included.
+#include "util/alloc_count.h"
 
 namespace {
 
@@ -169,7 +139,7 @@ FleetRow run_point(const Tier& tier) {
   fleet.start_soak();
   fleet.advance_to(horizon / 5);
   const std::uint64_t events0 = fleet.sim().events_processed();
-  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = ioc::util::alloc_count();
   // The simulator is single-threaded, so the thread CPU clock measures
   // exactly the work under test; the steady clock would also charge us for
   // whatever else the machine was running during the window, which on a
@@ -197,7 +167,7 @@ FleetRow run_point(const Tier& tier) {
     prev_wall = now_wall;
     prev_events = now_events;
   }
-  const std::uint64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = ioc::util::alloc_count();
   const std::uint64_t events1 = fleet.sim().events_processed();
   fleet.advance_to(horizon + settle);
   const auto tput = fleet.snapshot();

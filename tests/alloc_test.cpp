@@ -12,13 +12,11 @@
 // percolations like interner growth; this one tolerates nothing inside the
 // measured loop).
 //
-// The counter hooks the replaceable global operator new, so everything —
-// std::function nodes, vector growth, coroutine frames that escaped the
-// pool — is visible to it.
-#include <atomic>
+// The counter (util/alloc_count.h) hooks every form of the replaceable
+// global operator new, aligned ones included, so everything — std::function
+// nodes, vector growth, mailbox ring growth, coroutine frames that escaped
+// the pool — is visible to it.
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
@@ -29,19 +27,8 @@
 #include "net/cluster.h"
 #include "net/network.h"
 #include "trace/sink.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "util/alloc_count.h"
+#include "util/ring_deque.h"
 
 namespace ioc {
 namespace {
@@ -99,10 +86,10 @@ TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
   // Steady-state leg: every allocation between these two reads is a
   // regression — the publish path (message + inline payload + network
   // protocol + mailbox handoff) must run entirely pool- and stack-side.
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = util::alloc_count();
   spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 256, &sent));
   sim.run();
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = util::alloc_count();
   EXPECT_EQ(sent, 32 + 256);
   EXPECT_EQ(got, 32 + 256);
   EXPECT_EQ(after - before, 0u)
@@ -110,6 +97,18 @@ TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
 
   bus.close(b.id());  // end-of-stream for the drain loop
   sim.run();
+}
+
+TEST(AllocFree, CounterSeesMailboxRingGrowth) {
+  // The counter must see every allocation the steady-state cases could
+  // hide. util::RingDeque backs every des::Queue, so every endpoint mailbox,
+  // and grows through the aligned operator new; a hook that counts only the
+  // plain form would pass the bus case above with the mailbox growing.
+  util::RingDeque<ev::Message> ring;
+  const std::uint64_t before = util::alloc_count();
+  for (int i = 0; i < 9; ++i) ring.push_back(ev::Message{});  // 0 -> 8 -> 16
+  const std::uint64_t after = util::alloc_count();
+  EXPECT_EQ(after - before, 2u) << "ring growth went uncounted";
 }
 
 TEST(AllocFree, SteadyStateSpanCaptureAllocatesNothing) {
@@ -123,14 +122,14 @@ TEST(AllocFree, SteadyStateSpanCaptureAllocatesNothing) {
               {{"width", 4.0}, {"backlog", 1.0}}, "steady");
   }
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = util::alloc_count();
   for (int i = 0; i < 512; ++i) {
     sink.span("alloc.span", "alloc-test", "cm0",
               static_cast<std::uint64_t>(8 + i), i * des::kMillisecond,
               i * des::kMillisecond + 10,
               {{"width", 5.0}, {"backlog", 2.0}}, "steady");
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = util::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across 512 span captures";
   EXPECT_EQ(sink.size(), 8u + 512u);

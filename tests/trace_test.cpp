@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -10,26 +7,9 @@
 #include "trace/json.h"
 #include "trace/metrics.h"
 #include "trace/sink.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter for the overhead guard. Counts every operator
-// new in the binary; tests snapshot it around the region under test.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n != 0 ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The global allocation counter for the overhead guard; tests snapshot it
+// around the region under test.
+#include "util/alloc_count.h"
 
 namespace ioc::trace {
 namespace {
@@ -351,7 +331,7 @@ TEST(Overhead, DisabledHotPathAllocatesNothing) {
   TraceSink off(16);
   off.set_enabled(false);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = util::alloc_count();
   for (int i = 0; i < 10000; ++i) {
     if (active(no_sink)) {
       no_sink->span("step", "container", "bonds", 0, 0, 1,
@@ -361,7 +341,7 @@ TEST(Overhead, DisabledHotPathAllocatesNothing) {
       off.span("step", "container", "bonds", 0, 0, 1, {{"queue_depth", 1}});
     }
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = util::alloc_count();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(off.size(), 0u);
 }
@@ -374,12 +354,12 @@ TEST(Overhead, EnabledSteadyStateIsAllocationFreeForShortNames) {
     sink.span("step", "container", "bonds", 0, i, i + 1,
               {{"queue_depth", 1}, {"bytes", 2}});
   }
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = util::alloc_count();
   for (int i = 0; i < 10000; ++i) {
     sink.span("step", "container", "bonds", 0, i, i + 1,
               {{"queue_depth", 1}, {"bytes", 2}});
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = util::alloc_count();
   EXPECT_EQ(after - before, 0u);
 }
 
