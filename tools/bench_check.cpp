@@ -9,21 +9,21 @@
 //     The gated metric is ns_per_atom (wall-clock: baseline comparisons are
 //     a manual/CI-perf step, not a default ctest entry).
 //
-//   ioc.bench.fleet/v1, /v2 (bench/fleet_scale -> BENCH_fleet.json):
+//   ioc.bench.fleet/v2 (bench/fleet_scale -> BENCH_fleet.json):
 //     positive shard/pipeline counts, monotone coverage (a 1-shard and a
-//     >1-shard point must both exist), non-negative resize_p99_ms. v2 rows
-//     must additionally carry a positive events_per_wall_sec and a
-//     non-negative allocs_per_event. Gated metrics: resize_p99_ms (v1 and
-//     v2), which is *simulated* time under a fixed seed — it reproduces
-//     bit-for-bit on any machine, so the fresh-vs-committed comparison runs
-//     as a default ctest entry — plus, for v2, events_per_wall_sec in the
-//     downward direction: a fresh value more than --max-regression percent
-//     *below* the committed one is a throughput regression. That number is
-//     wall-clock (best sustained chunk rate over a large steady-state
-//     window, see bench/fleet_scale.cpp), so the default ctest entry passes
-//     --sim-only, which restricts the gate to the simulated-time metrics;
-//     the full comparison including throughput is the manual/CI-perf step,
-//     where it exists to catch reintroduced per-message costs.
+//     >1-shard point must both exist), non-negative resize_p99_ms, a
+//     positive events_per_wall_sec and a non-negative allocs_per_event.
+//     Gated metrics: resize_p99_ms, which is *simulated* time under a
+//     fixed seed — it reproduces bit-for-bit on any machine, so the
+//     fresh-vs-committed comparison runs as a default ctest entry — plus
+//     events_per_wall_sec in the downward direction: a fresh value more
+//     than --max-regression percent *below* the committed one is a
+//     throughput regression. That number is wall-clock (best sustained
+//     chunk rate over a large steady-state window, see
+//     bench/fleet_scale.cpp), so the default ctest entry passes --sim-only,
+//     which restricts the gate to the simulated-time metrics; the full
+//     comparison including throughput is the manual/CI-perf step, where it
+//     exists to catch reintroduced per-message costs.
 //
 //   ioc.bench.des/v1 (bench/des_queue_bench -> BENCH_des.json): known
 //     implementations (binary_heap, ladder) and workloads (hold,
@@ -152,10 +152,9 @@ void check_kernels_schema(const ioc::trace::json::Value& root,
   }
 }
 
-/// Fleet-artifact validation. v1 rows carry only the deterministic columns;
-/// v2 (the current fleet_scale output) additionally reports the wall-clock
+/// Fleet-artifact validation: the deterministic columns plus the wall-clock
 /// throughput and allocation-rate columns, which must be present and sane.
-void check_fleet_schema(const ioc::trace::json::Value& root, bool v2,
+void check_fleet_schema(const ioc::trace::json::Value& root,
                         const std::string& label,
                         std::vector<std::string>* findings) {
   auto fail = [&](std::string msg) {
@@ -190,14 +189,12 @@ void check_fleet_schema(const ioc::trace::json::Value& root, bool v2,
       fail(at + " resize_p99_ms must be >= 0");
     }
     if (r.num_or("events") <= 0) fail(at + " events must be > 0");
-    if (v2) {
-      if (r.num_or("events_per_wall_sec") <= 0) {
-        fail(at + " events_per_wall_sec must be > 0");
-      }
-      if (r.find("allocs_per_event") == nullptr ||
-          r.num_or("allocs_per_event") < 0) {
-        fail(at + " allocs_per_event must be present and >= 0");
-      }
+    if (r.num_or("events_per_wall_sec") <= 0) {
+      fail(at + " events_per_wall_sec must be > 0");
+    }
+    if (r.find("allocs_per_event") == nullptr ||
+        r.num_or("allocs_per_event") < 0) {
+      fail(at + " allocs_per_event must be present and >= 0");
     }
     shard_points.insert(static_cast<long>(shards));
   }
@@ -339,10 +336,8 @@ void check_schema(const ioc::trace::json::Value& root, const std::string& label,
   }
   if (schema == "ioc.bench.kernels/v1") {
     check_kernels_schema(root, label, findings);
-  } else if (schema == "ioc.bench.fleet/v1") {
-    check_fleet_schema(root, false, label, findings);
   } else if (schema == "ioc.bench.fleet/v2") {
-    check_fleet_schema(root, true, label, findings);
+    check_fleet_schema(root, label, findings);
   } else if (schema == "ioc.bench.des/v1") {
     check_des_schema(root, label, findings);
   } else if (schema == "ioc.bench.svc/v1") {
@@ -374,9 +369,6 @@ struct GatedMetric {
 /// the control plane faster by doing less of its job" as well as plain
 /// slowdowns.
 std::vector<GatedMetric> gated_metrics(const std::string& schema) {
-  if (schema == "ioc.bench.fleet/v1") {
-    return {{"resize_p99_ms", true, false, 1.0}};
-  }
   if (schema == "ioc.bench.fleet/v2") {
     return {{"resize_p99_ms", true, false, 1.0},
             {"events_per_wall_sec", false, true, 0}};

@@ -9,9 +9,8 @@
 
 namespace ioc::benchschema {
 
-inline constexpr std::array<std::string_view, 5> kKnownSchemas = {
+inline constexpr std::array<std::string_view, 4> kKnownSchemas = {
     "ioc.bench.kernels/v1",  // bench/kernel_microbench -> BENCH_kernels.json
-    "ioc.bench.fleet/v1",    // legacy fleet_scale artifacts (pre-throughput)
     "ioc.bench.fleet/v2",    // bench/fleet_scale       -> BENCH_fleet.json
     "ioc.bench.des/v1",      // bench/des_queue_bench   -> BENCH_des.json
     "ioc.bench.svc/v1",      // tools/ioc_loadgen       -> BENCH_svc.json
