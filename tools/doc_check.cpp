@@ -13,10 +13,12 @@
 //
 // usage: doc_check <repo-root> [extra.md ...]
 // exit 0 clean, 1 findings, 2 usage.
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -43,6 +45,72 @@ int line_of(const std::string& text, std::size_t offset) {
                  std::count(text.begin(), text.begin() + offset, '\n'));
 }
 
+// The scanners below are hand-written rather than std::regex: GCC 12
+// warns (-Wmaybe-uninitialized) inside libstdc++'s regex compiler when
+// this file is built with -fsanitize=address.
+
+bool is_alnum(char c) { return std::isalnum(static_cast<unsigned char>(c)); }
+bool is_path_char(char c) {
+  return is_alnum(c) || c == '_' || c == '.' || c == '/' || c == '-';
+}
+/// Length of the run at `i` of characters satisfying `pred`.
+template <class Pred>
+std::size_t run(const std::string& text, std::size_t i, Pred pred) {
+  std::size_t n = 0;
+  while (i + n < text.size() && pred(text[i + n])) ++n;
+  return n;
+}
+
+/// File references: paths rooted at a first-party source directory with an
+/// extension — the run of path characters from the root up to the last '.'
+/// followed by alphanumerics, and those alphanumerics. A reference starts at
+/// the beginning of the text or after a character that cannot be part of a
+/// path, so "perfbench/run.py" is never read as "bench/run.py". Returns
+/// (offset, path) pairs.
+std::vector<std::pair<std::size_t, std::string>> path_refs(
+    const std::string& text) {
+  static const char* const kRoots[] = {"src/",   "docs/",      "tools/",
+                                       "bench/", "perfbench/", "tests/",
+                                       "examples/"};
+  std::vector<std::pair<std::size_t, std::string>> out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (i > 0 && is_path_char(text[i - 1])) continue;
+    const std::size_t end = i + run(text, i, is_path_char);
+    for (const char* root : kRoots) {
+      const std::size_t body = i + std::strlen(root);
+      if (body > end || text.compare(i, body - i, root) != 0) continue;
+      std::size_t dot = std::string::npos;
+      for (std::size_t d = body; d + 1 < end; ++d) {
+        if (text[d] == '.' && is_alnum(text[d + 1])) dot = d;
+      }
+      if (dot == std::string::npos) break;  // no extension: not a reference
+      const std::size_t stop = dot + 1 + run(text, dot + 1, is_alnum);
+      out.emplace_back(i, text.substr(i, stop - i));
+      i = stop - 1;
+      break;
+    }
+  }
+  return out;
+}
+
+/// Every occurrence of `prefix` followed by a tail, whose length
+/// `tail_len(offset)` returns (0 when there is none), as (offset, token)
+/// pairs. The scan resumes after each token.
+template <class Tail>
+std::vector<std::pair<std::size_t, std::string>> tokens(
+    const std::string& text, const char* prefix, Tail tail_len) {
+  std::vector<std::pair<std::size_t, std::string>> out;
+  const std::size_t n = std::strlen(prefix);
+  for (std::size_t i = text.find(prefix); i != std::string::npos;
+       i = text.find(prefix, i + 1)) {
+    if (const std::size_t t = tail_len(i + n)) {
+      out.emplace_back(i, text.substr(i, n + t));
+      i += n + t - 1;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,17 +128,6 @@ int main(int argc, char** argv) {
   }
   for (int i = 2; i < argc; ++i) doc_files.emplace_back(argv[i]);
 
-  // File references: paths rooted at a first-party source directory with an
-  // extension. A reference starts at the beginning of the text or after a
-  // character that cannot be part of a path, so "perfbench/run.py" is never
-  // read as "bench/run.py". Globs and code-fence wildcards are skipped.
-  const std::regex path_re(
-      R"((?:^|[^A-Za-z0-9_./-])((?:src|docs|tools|bench|perfbench|tests|examples)/[A-Za-z0-9_./-]*\.[A-Za-z0-9]+))");
-  const std::regex code_re(R"(IOC[0-9]{3})");
-  // Bench artifact schema tags, e.g. "ioc.bench.kernels/v1". Every tag a doc
-  // quotes must be in the bench_schemas.h table bench_check dispatches on.
-  const std::regex schema_re(R"(ioc\.bench\.[A-Za-z0-9_]+/v[0-9]+)");
-
   int findings = 0;
   std::set<std::string> codes_seen_in_diagnostics_md;
   for (const fs::path& doc : doc_files) {
@@ -81,39 +138,46 @@ int main(int argc, char** argv) {
       ++findings;
       continue;
     }
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), path_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string ref = it->str(1);
+    for (const auto& [at, ref] : path_refs(text)) {
       if (ref.find('*') != std::string::npos) continue;
       if (!fs::exists(root / ref)) {
         std::printf("%s:%d: reference to missing file '%s'\n",
-                    doc.string().c_str(),
-                    line_of(text, static_cast<std::size_t>(it->position(1))),
-                    ref.c_str());
+                    doc.string().c_str(), line_of(text, at), ref.c_str());
         ++findings;
       }
     }
     const bool is_diagnostics_doc = doc.filename() == "DIAGNOSTICS.md";
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), code_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string code = it->str();
+    // Diagnostic codes: IOC and three digits.
+    const auto code_tail = [&text](std::size_t j) -> std::size_t {
+      return run(text, j, [](char c) { return c >= '0' && c <= '9'; }) >= 3
+                 ? 3
+                 : 0;
+    };
+    for (const auto& [at, code] : tokens(text, "IOC", code_tail)) {
       if (is_diagnostics_doc) codes_seen_in_diagnostics_md.insert(code);
       if (ioc::lint::find_rule(code) == nullptr) {
         std::printf("%s:%d: unknown diagnostic code '%s'\n",
-                    doc.string().c_str(),
-                    line_of(text, static_cast<std::size_t>(it->position())),
-                    code.c_str());
+                    doc.string().c_str(), line_of(text, at), code.c_str());
         ++findings;
       }
     }
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), schema_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string tag = it->str();
+    // Bench artifact schema tags, e.g. "ioc.bench.kernels/v1". Every tag a
+    // doc quotes must be in the bench_schemas.h table bench_check
+    // dispatches on.
+    const auto schema_tail = [&text](std::size_t j) -> std::size_t {
+      const std::size_t name = run(text, j, [](char c) {
+        return is_alnum(c) || c == '_';
+      });
+      if (name == 0 || text.compare(j + name, 2, "/v") != 0) return 0;
+      const std::size_t ver = run(text, j + name + 2, [](char c) {
+        return c >= '0' && c <= '9';
+      });
+      return ver == 0 ? 0 : name + 2 + ver;
+    };
+    for (const auto& [at, tag] : tokens(text, "ioc.bench.", schema_tail)) {
       if (!ioc::benchschema::is_known_schema(tag)) {
         std::printf("%s:%d: unknown bench schema tag '%s'\n",
-                    doc.string().c_str(),
-                    line_of(text, static_cast<std::size_t>(it->position())),
-                    tag.c_str());
+                    doc.string().c_str(), line_of(text, at), tag.c_str());
         ++findings;
       }
     }
