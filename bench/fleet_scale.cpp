@@ -41,7 +41,7 @@
 #include "des/time.h"
 #include "fed/fleet.h"
 // Counts every global operator new in the process, aligned forms included.
-#include "util/alloc_count.h"
+#include "alloc_count.h"
 
 namespace {
 
@@ -139,7 +139,7 @@ FleetRow run_point(const Tier& tier) {
   fleet.start_soak();
   fleet.advance_to(horizon / 5);
   const std::uint64_t events0 = fleet.sim().events_processed();
-  const std::uint64_t allocs0 = ioc::util::alloc_count();
+  const std::uint64_t allocs0 = ioc::alloc_count();
   // The simulator is single-threaded, so the thread CPU clock measures
   // exactly the work under test; the steady clock would also charge us for
   // whatever else the machine was running during the window, which on a
@@ -167,7 +167,7 @@ FleetRow run_point(const Tier& tier) {
     prev_wall = now_wall;
     prev_events = now_events;
   }
-  const std::uint64_t allocs1 = ioc::util::alloc_count();
+  const std::uint64_t allocs1 = ioc::alloc_count();
   const std::uint64_t events1 = fleet.sim().events_processed();
   fleet.advance_to(horizon + settle);
   const auto tput = fleet.snapshot();

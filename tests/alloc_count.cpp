@@ -1,4 +1,4 @@
-#include "util/alloc_count.h"
+#include "alloc_count.h"
 
 #include <atomic>
 #include <cstddef>
@@ -9,7 +9,7 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
-std::uint64_t ioc::util::alloc_count() {
+std::uint64_t ioc::alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 

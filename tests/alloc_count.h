@@ -11,9 +11,9 @@
 
 #include <cstdint>
 
-namespace ioc::util {
+namespace ioc {
 
 /// Global operator new calls so far in this process, in every form.
 std::uint64_t alloc_count();
 
-}  // namespace ioc::util
+}  // namespace ioc

@@ -12,7 +12,7 @@
 // percolations like interner growth; this one tolerates nothing inside the
 // measured loop).
 //
-// The counter (util/alloc_count.h) hooks every form of the replaceable
+// The counter (alloc_count.h) hooks every form of the replaceable
 // global operator new, aligned ones included, so everything — std::function
 // nodes, vector growth, mailbox ring growth, coroutine frames that escaped
 // the pool — is visible to it.
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_count.h"
 #include "des/process.h"
 #include "des/simulator.h"
 #include "des/time.h"
@@ -27,7 +28,6 @@
 #include "net/cluster.h"
 #include "net/network.h"
 #include "trace/sink.h"
-#include "util/alloc_count.h"
 #include "util/ring_deque.h"
 
 namespace ioc {
@@ -86,10 +86,10 @@ TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
   // Steady-state leg: every allocation between these two reads is a
   // regression — the publish path (message + inline payload + network
   // protocol + mailbox handoff) must run entirely pool- and stack-side.
-  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t before = alloc_count();
   spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 256, &sent));
   sim.run();
-  const std::uint64_t after = util::alloc_count();
+  const std::uint64_t after = alloc_count();
   EXPECT_EQ(sent, 32 + 256);
   EXPECT_EQ(got, 32 + 256);
   EXPECT_EQ(after - before, 0u)
@@ -105,9 +105,9 @@ TEST(AllocFree, CounterSeesMailboxRingGrowth) {
   // and grows through the aligned operator new; a hook that counts only the
   // plain form would pass the bus case above with the mailbox growing.
   util::RingDeque<ev::Message> ring;
-  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t before = alloc_count();
   for (int i = 0; i < 9; ++i) ring.push_back(ev::Message{});  // 0 -> 8 -> 16
-  const std::uint64_t after = util::alloc_count();
+  const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 2u) << "ring growth went uncounted";
 }
 
@@ -122,14 +122,14 @@ TEST(AllocFree, SteadyStateSpanCaptureAllocatesNothing) {
               {{"width", 4.0}, {"backlog", 1.0}}, "steady");
   }
 
-  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t before = alloc_count();
   for (int i = 0; i < 512; ++i) {
     sink.span("alloc.span", "alloc-test", "cm0",
               static_cast<std::uint64_t>(8 + i), i * des::kMillisecond,
               i * des::kMillisecond + 10,
               {{"width", 5.0}, {"backlog", 2.0}}, "steady");
   }
-  const std::uint64_t after = util::alloc_count();
+  const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across 512 span captures";
   EXPECT_EQ(sink.size(), 8u + 512u);

@@ -9,7 +9,7 @@
 #include "trace/sink.h"
 // The global allocation counter for the overhead guard; tests snapshot it
 // around the region under test.
-#include "util/alloc_count.h"
+#include "alloc_count.h"
 
 namespace ioc::trace {
 namespace {
@@ -331,7 +331,7 @@ TEST(Overhead, DisabledHotPathAllocatesNothing) {
   TraceSink off(16);
   off.set_enabled(false);
 
-  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t before = alloc_count();
   for (int i = 0; i < 10000; ++i) {
     if (active(no_sink)) {
       no_sink->span("step", "container", "bonds", 0, 0, 1,
@@ -341,7 +341,7 @@ TEST(Overhead, DisabledHotPathAllocatesNothing) {
       off.span("step", "container", "bonds", 0, 0, 1, {{"queue_depth", 1}});
     }
   }
-  const std::uint64_t after = util::alloc_count();
+  const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(off.size(), 0u);
 }
@@ -354,12 +354,12 @@ TEST(Overhead, EnabledSteadyStateIsAllocationFreeForShortNames) {
     sink.span("step", "container", "bonds", 0, i, i + 1,
               {{"queue_depth", 1}, {"bytes", 2}});
   }
-  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t before = alloc_count();
   for (int i = 0; i < 10000; ++i) {
     sink.span("step", "container", "bonds", 0, i, i + 1,
               {{"queue_depth", 1}, {"bytes", 2}});
   }
-  const std::uint64_t after = util::alloc_count();
+  const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u);
 }
 

@@ -45,15 +45,15 @@ int line_of(const std::string& text, std::size_t offset) {
                  std::count(text.begin(), text.begin() + offset, '\n'));
 }
 
-// The scanners below are hand-written rather than std::regex: GCC 12
-// warns (-Wmaybe-uninitialized) inside libstdc++'s regex compiler when
-// this file is built with -fsanitize=address.
-
+// Hand-written scanners, not std::regex: built with -fsanitize=address,
+// GCC 12 warns (-Wmaybe-uninitialized) inside libstdc++'s regex compiler.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
 bool is_alnum(char c) { return std::isalnum(static_cast<unsigned char>(c)); }
+bool is_word(char c) { return is_alnum(c) || c == '_'; }
 bool is_path_char(char c) {
-  return is_alnum(c) || c == '_' || c == '.' || c == '/' || c == '-';
+  return is_word(c) || c == '.' || c == '/' || c == '-';
 }
-/// Length of the run at `i` of characters satisfying `pred`.
+/// Length of the run of `pred` characters at `i`.
 template <class Pred>
 std::size_t run(const std::string& text, std::size_t i, Pred pred) {
   std::size_t n = 0;
@@ -88,24 +88,6 @@ std::vector<std::pair<std::size_t, std::string>> path_refs(
       out.emplace_back(i, text.substr(i, stop - i));
       i = stop - 1;
       break;
-    }
-  }
-  return out;
-}
-
-/// Every occurrence of `prefix` followed by a tail, whose length
-/// `tail_len(offset)` returns (0 when there is none), as (offset, token)
-/// pairs. The scan resumes after each token.
-template <class Tail>
-std::vector<std::pair<std::size_t, std::string>> tokens(
-    const std::string& text, const char* prefix, Tail tail_len) {
-  std::vector<std::pair<std::size_t, std::string>> out;
-  const std::size_t n = std::strlen(prefix);
-  for (std::size_t i = text.find(prefix); i != std::string::npos;
-       i = text.find(prefix, i + 1)) {
-    if (const std::size_t t = tail_len(i + n)) {
-      out.emplace_back(i, text.substr(i, n + t));
-      i += n + t - 1;
     }
   }
   return out;
@@ -147,39 +129,37 @@ int main(int argc, char** argv) {
       }
     }
     const bool is_diagnostics_doc = doc.filename() == "DIAGNOSTICS.md";
-    // Diagnostic codes: IOC and three digits.
-    const auto code_tail = [&text](std::size_t j) -> std::size_t {
-      return run(text, j, [](char c) { return c >= '0' && c <= '9'; }) >= 3
-                 ? 3
-                 : 0;
-    };
-    for (const auto& [at, code] : tokens(text, "IOC", code_tail)) {
+    // Diagnostic codes: "IOC" and three digits.
+    for (std::size_t i = text.find("IOC"); i != std::string::npos;
+         i = text.find("IOC", i + 1)) {
+      if (run(text, i + 3, is_digit) < 3) continue;
+      const std::string code = text.substr(i, 6);
       if (is_diagnostics_doc) codes_seen_in_diagnostics_md.insert(code);
       if (ioc::lint::find_rule(code) == nullptr) {
         std::printf("%s:%d: unknown diagnostic code '%s'\n",
-                    doc.string().c_str(), line_of(text, at), code.c_str());
+                    doc.string().c_str(), line_of(text, i), code.c_str());
         ++findings;
       }
+      i += code.size() - 1;
     }
     // Bench artifact schema tags, e.g. "ioc.bench.kernels/v1". Every tag a
     // doc quotes must be in the bench_schemas.h table bench_check
     // dispatches on.
-    const auto schema_tail = [&text](std::size_t j) -> std::size_t {
-      const std::size_t name = run(text, j, [](char c) {
-        return is_alnum(c) || c == '_';
-      });
-      if (name == 0 || text.compare(j + name, 2, "/v") != 0) return 0;
-      const std::size_t ver = run(text, j + name + 2, [](char c) {
-        return c >= '0' && c <= '9';
-      });
-      return ver == 0 ? 0 : name + 2 + ver;
-    };
-    for (const auto& [at, tag] : tokens(text, "ioc.bench.", schema_tail)) {
+    const std::string kSchema = "ioc.bench.";
+    for (std::size_t i = text.find(kSchema); i != std::string::npos;
+         i = text.find(kSchema, i + 1)) {
+      const std::size_t name = run(text, i + kSchema.size(), is_word);
+      const std::size_t v = i + kSchema.size() + name;
+      if (name == 0 || text.compare(v, 2, "/v") != 0) continue;
+      const std::size_t version = run(text, v + 2, is_digit);
+      if (version == 0) continue;
+      const std::string tag = text.substr(i, v + 2 + version - i);
       if (!ioc::benchschema::is_known_schema(tag)) {
         std::printf("%s:%d: unknown bench schema tag '%s'\n",
-                    doc.string().c_str(), line_of(text, at), tag.c_str());
+                    doc.string().c_str(), line_of(text, i), tag.c_str());
         ++findings;
       }
+      i += tag.size() - 1;
     }
   }
 
