@@ -163,7 +163,7 @@ des::Task<TxnHarness::GatherOutcome> TxnHarness::fan_gather(
     des::Timer timer = sim.timer_in(cfg_.round.timeout, [this, from, token] {
       ev::Endpoint* ep = bus_->find(from);
       if (ep != nullptr) {
-        ev::Message t;
+        ev::Message t{};  // value-initialized, as in BusIf::request's timer
         t.type_id = kMidTimeout;
         t.token = token;
         ep->mailbox().try_put(std::move(t));
