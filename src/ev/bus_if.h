@@ -81,7 +81,7 @@ struct RoundOptions {
 /// at once when the peer is gone — a vanished endpoint never comes back
 /// (a crash destroys endpoints; a restart does not resurrect them), so a
 /// resend would only burn the clock. Pure, so the model checker
-/// (src/verify) asks the same question the runtime drivers do.
+/// (src/verify) asks the same question the runtime does.
 inline std::optional<des::SimTime> ladder_step(const RoundOptions& opt,
                                                int attempt, bool peer_gone) {
   if (peer_gone || attempt >= opt.retries) return std::nullopt;
