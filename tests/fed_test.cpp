@@ -13,16 +13,25 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/protocol.h"
 #include "core/spec.h"
+#include "des/process.h"
+#include "des/simulator.h"
 #include "des/time.h"
+#include "ev/bus.h"
 #include "fault/injector.h"
 #include "fed/fleet.h"
 #include "fed/hash.h"
+#include "fed/root.h"
+#include "fed/shard.h"
+#include "fed/wire.h"
+#include "net/cluster.h"
+#include "net/network.h"
 #include "lint/trace.h"
 #include "trace/metrics.h"
 #include "util/hash.h"
@@ -242,6 +251,142 @@ TEST(Fleet, PartitionedShardIsFencedNotLeaked) {
   EXPECT_EQ(r.digest, 0x082c128975151e62ull);
 }
 
+// --- trade recovery --------------------------------------------------------
+
+/// Three shards (s0: 4 spares, s1: 1, s2: 2) and a root on a bare bus, with
+/// no pipelines. The test posts one trade request, s1 <- 2 nodes; the root
+/// picks s0, the shard with the most spares, as the donor. A watcher fails
+/// members over the moment the donor has escrowed, so the trade runs into
+/// the recovery branches a soak reaches only by chance.
+struct TradeRig {
+  static constexpr std::size_t kNodes = 7;
+
+  ioc::des::Simulator sim;
+  ioc::net::Cluster cluster{sim, 5};
+  ioc::net::Network net{cluster};
+  ioc::ev::Bus bus{net};
+  ioc::fed::Root root{bus, /*node=*/0, {}};
+  std::vector<std::unique_ptr<ioc::fed::Shard>> shards;
+  bool fired = false;
+
+  TradeRig() {
+    const std::size_t spares[] = {4, 1, 2};
+    ioc::net::NodeId next = 1000;
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::vector<ioc::net::NodeId> staging;
+      for (std::size_t j = 0; j < spares[i]; ++j) staging.push_back(next++);
+      shards.push_back(std::make_unique<ioc::fed::Shard>(
+          bus, "s" + std::to_string(i), static_cast<ioc::net::NodeId>(1 + i),
+          staging, ioc::fed::Shard::Options{}));
+      root.add_shard(shards.back().get());
+    }
+  }
+  ~TradeRig() {
+    root.shutdown();
+    for (auto& s : shards) s->fence();
+    while (sim.step()) {
+    }
+  }
+
+  ioc::fed::Shard& donor() { return *shards[0]; }
+  ioc::fed::Shard& recipient() { return *shards[1]; }
+
+  /// Start every loop, request the trade once the first heartbeats are in,
+  /// fail `victims` over (in order) once the donor escrowed, run 1 s.
+  void run(std::vector<ioc::fed::Shard*> victims) {
+    root.start();
+    for (auto& s : shards) s->start();
+    ioc::des::spawn(sim, request_trade());
+    ioc::des::spawn(sim, fail_over_once_escrowed(std::move(victims)));
+    sim.run_until(kSecond);
+  }
+
+  std::size_t open_escrow() const {
+    std::size_t n = 0;
+    for (const auto& s : shards) n += s->escrowed();
+    return n;
+  }
+  bool conserved() const {
+    std::size_t n = open_escrow();
+    for (const auto& s : shards) n += s->pool().total();
+    return n == kNodes;
+  }
+
+ private:
+  ioc::des::Process request_trade() {
+    co_await ioc::des::delay(sim, 30 * kMillisecond);
+    const ioc::ev::EndpointId client = bus.open(4, "test.client").id();
+    ioc::ev::Message m;
+    m.type_id = ioc::fed::kMidTradeReq;
+    m.payload = ioc::fed::TradeRequestWire{recipient().manager_id(), 2};
+    co_await bus.post(client, root.ctl_endpoint(), std::move(m));
+    bus.close(client);
+  }
+  ioc::des::Process fail_over_once_escrowed(
+      std::vector<ioc::fed::Shard*> victims) {
+    for (int i = 0; i < 500'000 && donor().escrowed() == 0; ++i) {
+      co_await ioc::des::delay(sim, ioc::des::kMicrosecond);
+    }
+    if (donor().escrowed() == 0) co_return;
+    fired = true;
+    for (ioc::fed::Shard* v : victims) root.failover(v);
+  }
+};
+
+TEST(TradeRecovery, DonorAbortRestoresEscrowWhenRecipientIsUnreachable) {
+  // The donor escrows 2 nodes, then the recipient is failed over before its
+  // vote: the vote round finds no endpoint, the trade aborts, and the live
+  // abort at the donor (Shard::apply_decision) puts the escrow back.
+  TradeRig rig;
+  ASSERT_EQ(rig.root.ring().successor("s1"), "s0");  // the donor is s1's heir
+  rig.run({&rig.recipient()});
+  ASSERT_TRUE(rig.fired);
+  EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
+  EXPECT_EQ(rig.root.stats().trades_committed, 0u);
+  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.open_escrow(), 0u);
+  EXPECT_EQ(rig.recipient().pool().total(), 0u);
+  // The heir holds its own 4 nodes again plus the recipient's spare.
+  EXPECT_EQ(rig.donor().pool().total(), 5u);
+  EXPECT_EQ(rig.shards[2]->pool().total(), 2u);
+}
+
+TEST(TradeRecovery, FencedDonorIsSettledByTheRootAndTheHeirGainsItsPool) {
+  // The donor is failed over while its escrow is open. Its YES is already on
+  // the wire, so the trade commits, but the decision can no longer reach
+  // the donor: Root::settle_member takes the fenced branch, drops the
+  // escrow (the recipient attached the same nodes) and marks the trade
+  // settled at the donor. The donor's remaining spares went to its heir.
+  TradeRig rig;
+  ASSERT_EQ(rig.root.ring().successor("s0"), "s2");
+  rig.run({&rig.donor()});
+  ASSERT_TRUE(rig.fired);
+  EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
+  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.open_escrow(), 0u);
+  EXPECT_EQ(rig.donor().pool().total(), 0u);
+  // s1 received the 2 traded nodes, and the heir s2 the donor's other 2.
+  EXPECT_EQ(rig.recipient().pool().total(), 3u);
+  EXPECT_EQ(rig.shards[2]->pool().total(), 4u);
+}
+
+TEST(TradeRecovery, FencedDonorAbortRepairsEscrowIntoTheLiveHeir) {
+  // Both members are failed over once the donor escrowed: the recipient's
+  // vote round fails, the trade aborts, and neither member can take the
+  // decision. The fenced donor's escrow must land in its live heir, s2,
+  // with everything else.
+  TradeRig rig;
+  rig.run({&rig.donor(), &rig.recipient()});
+  ASSERT_TRUE(rig.fired);
+  EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
+  EXPECT_EQ(rig.root.stats().trades_committed, 0u);
+  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.open_escrow(), 0u);
+  EXPECT_EQ(rig.donor().pool().total(), 0u);
+  EXPECT_EQ(rig.recipient().pool().total(), 0u);
+  EXPECT_EQ(rig.shards[2]->pool().total(), TradeRig::kNodes);
+}
+
 // --- chaos soak ------------------------------------------------------------
 
 /// Runs the chaos soak; `trace_fold`, when set, receives control_trace_fold.
@@ -369,6 +514,19 @@ TEST(FedVerify, CleanTradeModelHasNoOrphanEscrow) {
   EXPECT_EQ(rep.states, 2216u);
   EXPECT_EQ(rep.edges, 6629u);
   EXPECT_EQ(rep.terminals, 70u);
+  EXPECT_EQ(rep.depth, 13u);
+}
+
+TEST(FedVerify, DryDonorVotesNoAndTheTradeAborts) {
+  // A donor without spares escrows nothing and votes NO on every path: the
+  // trade can only abort, and nothing may stay in escrow.
+  ioc::verify::FedScenario sc;
+  sc.donor_spares = 0;
+  const auto rep = ioc::verify::run_check(ioc::verify::FedModel(sc));
+  EXPECT_TRUE(rep.ok()) << (rep.violation ? rep.violation->message : "cap");
+  EXPECT_EQ(rep.states, 2200u);
+  EXPECT_EQ(rep.edges, 6621u);
+  EXPECT_EQ(rep.terminals, 62u);
   EXPECT_EQ(rep.depth, 13u);
 }
 
