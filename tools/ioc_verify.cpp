@@ -13,10 +13,13 @@
 // counterexample and replays it through the lint trace checker so the
 // failure maps onto the IOC1xx diagnostics.
 //
-//   --fed               check the federation model instead: one cross-shard
-//                       resource trade (donor shard, recipient shard, root
-//                       coordinator) under the same bounded adversary, with
-//                       the orphaned-escrow property (IOC106) added
+//   --fed               check the federation model instead: one built-in
+//                       cross-shard resource trade (donor shard, recipient
+//                       shard, root coordinator) under the same bounded
+//                       adversary, with the orphaned-escrow property (IOC106)
+//                       added. It takes only --drops, --dups, --crashes,
+//                       --txn-retries, --bug=leak-escrow and the output
+//                       flags; a config path or a control-plane flag exits 2
 //   --containers N      containers taken from the spec (default 2, max 4)
 //   --drops N           adversary drop budget (default 1)
 //   --dups N            adversary duplicate budget (default 1)
@@ -58,15 +61,20 @@ using ioc::verify::Scenario;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: ioc_verify [--fed] [--containers N] [--drops N] "
-               "[--dups N] [--crashes N]\n"
+               "usage: ioc_verify [--containers N] [--drops N] [--dups N] "
+               "[--crashes N]\n"
                "                  [--cm-retries N] [--txn-retries N] "
                "[--no-trade] [--no-por]\n"
                "                  [--timeout-races] "
-               "[--bug=stale-timeout|shared-token|leak-escrow]\n"
+               "[--bug=stale-timeout|shared-token]\n"
                "                  [--max-states N] [--trace-out FILE] "
                "[--expect-violation]\n"
-               "                  [--quiet] [config.ini]\n");
+               "                  [--quiet] [config.ini]\n"
+               "       ioc_verify --fed [--drops N] [--dups N] [--crashes N] "
+               "[--txn-retries N]\n"
+               "                  [--bug=leak-escrow] [--max-states N] "
+               "[--trace-out FILE]\n"
+               "                  [--expect-violation] [--quiet]\n");
   return 2;
 }
 
@@ -186,6 +194,7 @@ int main(int argc, char** argv) {
 
   int drops = -1, dups = -1, crashes = -1;
   int cm_retries = -1, txn_retries = -1;
+  bool containers_given = false;
   bool no_trade = false, timeout_races = false, fed = false;
   std::string bug;
 
@@ -204,6 +213,7 @@ int main(int argc, char** argv) {
     if (int_arg("--containers", &v)) {
       if (v < 1) return usage();
       containers = static_cast<std::size_t>(v);
+      containers_given = true;
     } else if (int_arg("--drops", &drops) || int_arg("--dups", &dups) ||
                int_arg("--crashes", &crashes) ||
                int_arg("--cm-retries", &cm_retries) ||
@@ -247,8 +257,27 @@ int main(int argc, char** argv) {
   }
 
   if (fed) {
-    // Federation model: one cross-shard trade. Shares the fault-budget and
-    // retry flags; the container/spec flags do not apply.
+    // Federation model: one built-in cross-shard trade. It shares the
+    // fault-budget and retry flags; a spec has no federation keys, and the
+    // control-plane flags have nothing to act on, so naming any of them is
+    // an error rather than a verdict about something else.
+    std::string unused;
+    const auto reject = [&unused](bool given, const char* what) {
+      if (!given) return;
+      if (!unused.empty()) unused += ", ";
+      unused += what;
+    };
+    reject(have_spec, "a config path");
+    reject(containers_given, "--containers");
+    reject(cm_retries >= 0, "--cm-retries");
+    reject(no_trade, "--no-trade");
+    reject(!opts.por, "--no-por");
+    reject(timeout_races, "--timeout-races");
+    if (!unused.empty()) {
+      std::fprintf(stderr, "ioc_verify: --fed does not use %s\n",
+                   unused.c_str());
+      return usage();
+    }
     ioc::verify::FedScenario fsc;
     if (drops >= 0) fsc.faults.drops = static_cast<std::uint8_t>(drops);
     if (dups >= 0) fsc.faults.dups = static_cast<std::uint8_t>(dups);
