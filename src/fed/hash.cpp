@@ -59,13 +59,6 @@ bool HashRing::contains(const std::string& shard) const {
   return shards_.count(shard) > 0;
 }
 
-std::vector<std::string> HashRing::shards() const {
-  std::vector<std::string> out;
-  out.reserve(shards_.size());
-  for (const auto& [s, unused] : shards_) out.push_back(s);
-  return out;
-}
-
 const std::string& HashRing::owner(const std::string& key) const {
   static const std::string kEmpty;
   if (ring_.empty()) return kEmpty;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace ioc::fed {
 
@@ -33,7 +32,6 @@ class HashRing {
   bool contains(const std::string& shard) const;
   /// Distinct shards on the ring.
   std::size_t size() const { return shards_.size(); }
-  std::vector<std::string> shards() const;
 
   /// The shard owning `key`. Empty string when the ring is empty.
   const std::string& owner(const std::string& key) const;

@@ -35,11 +35,6 @@ void LintResult::add(std::string code, Severity severity,
   diagnostics.push_back(std::move(d));
 }
 
-void LintResult::merge(const LintResult& other) {
-  diagnostics.insert(diagnostics.end(), other.diagnostics.begin(),
-                     other.diagnostics.end());
-}
-
 void LintResult::sort() {
   std::stable_sort(diagnostics.begin(), diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

@@ -33,8 +33,6 @@ struct LintResult {
 
   void add(std::string code, Severity severity, std::string container,
            std::string key, int line, std::string message);
-  /// Merge another result's findings into this one.
-  void merge(const LintResult& other);
   /// Stable presentation order: line, then code, then container.
   void sort();
 };

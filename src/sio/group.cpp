@@ -13,17 +13,6 @@ std::size_t type_size(DataType t) {
   return 0;
 }
 
-const char* type_name(DataType t) {
-  switch (t) {
-    case DataType::kByte: return "byte";
-    case DataType::kInt32: return "int32";
-    case DataType::kInt64: return "int64";
-    case DataType::kFloat: return "float";
-    case DataType::kDouble: return "double";
-  }
-  return "?";
-}
-
 void Group::define_var(VarDef def) {
   for (auto& v : vars_) {
     if (v.name == def.name) {

@@ -15,7 +15,6 @@ namespace ioc::sio {
 enum class DataType { kByte, kInt32, kInt64, kFloat, kDouble };
 
 std::size_t type_size(DataType t);
-const char* type_name(DataType t);
 
 struct VarDef {
   std::string name;

@@ -42,13 +42,6 @@ class UnionFind {
 
 }  // namespace
 
-const Fragment* FragmentSet::find(std::uint32_t id) const {
-  for (const auto& f : fragments) {
-    if (f.id == id) return &f;
-  }
-  return nullptr;
-}
-
 FragmentSet find_fragments(const md::AtomData& atoms, const Adjacency& bonds,
                            unsigned threads, trace::TraceSink* sink) {
   const std::size_t n = atoms.size();

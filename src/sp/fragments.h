@@ -32,7 +32,6 @@ struct FragmentSet {
   const Fragment* largest() const {
     return fragments.empty() ? nullptr : &fragments.front();
   }
-  const Fragment* find(std::uint32_t id) const;
 };
 
 /// Decompose the bond graph into fragments (connected components via

@@ -21,7 +21,6 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {

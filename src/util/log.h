@@ -11,7 +11,6 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 /// Global log threshold; messages below it are discarded.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
