@@ -81,6 +81,12 @@ void Shard::apply_decision(std::uint64_t txn, bool commit, bool as_donor,
   // The root serializes trades and settles each one (live or via recovery)
   // before starting the next; a late duplicate must not attach nodes twice.
   if (guard_.settled(txn)) return;
+  guard_.settle(txn);
+  move_decided(txn, commit, as_donor, nodes);
+}
+
+void Shard::move_decided(std::uint64_t txn, bool commit, bool as_donor,
+                         const std::vector<net::NodeId>& nodes) {
   if (as_donor) {
     auto esc = take_escrow(txn);
     if (!esc.empty()) {
@@ -94,7 +100,6 @@ void Shard::apply_decision(std::uint64_t txn, bool commit, bool as_donor,
     pool_.attach("", nodes);
     stats_.nodes_received += nodes.size();
   }
-  guard_.settle(txn);
   IOC_CHECK(pool_.conserved()) << "pool corrupted settling trade " << txn
                                << " at shard " << id_;
 }
@@ -249,67 +254,48 @@ des::Process Shard::participant_loop() {
     auto msg = co_await self->mailbox().get();
     if (!msg.has_value()) break;
     if (fenced_) continue;
+    const auto* wire = msg->as<TradeWire>();
+    if (wire == nullptr) continue;  // every trade round carries a TradeWire
+    const bool as_donor = wire->donor == id_;
 
-    if (msg->type_id == txn::kMidBegin) {
-      // Begin changes no state; a retried begin just elicits another ack.
-      ev::Message reply;
-      reply.type_id = txn::kMidBegun;
-      reply.token = msg->token;
-      co_await bus_->post(trade_ep_, msg->from, std::move(reply));
-    } else if (msg->type_id == txn::kMidVote) {
-      const auto* wire = msg->as<TradeWire>();
-      if (wire == nullptr) continue;
-      const auto va = guard_.classify_vote(msg->token);
-      ev::Message reply;
-      reply.token = msg->token;
-      if (va == txn::D2tMemberGuard::VoteAction::kStaleNo) {
-        // Vote request for a trade that already decided: voting yes now
-        // could escrow nodes nobody will ever settle.
-        reply.type_id = txn::kMidVoteNo;
-      } else if (va == txn::D2tMemberGuard::VoteAction::kReplay) {
-        // Retried/duplicated vote: replay the recorded answer — crucially
-        // including the escrowed node list, so the root can never see two
-        // different escrows for one transaction.
-        reply = last_vote_reply_;
-      } else {
-        bool yes = false;
-        if (wire->donor == id_) {
+    ev::Message reply;
+    reply.token = msg->token;
+    bool prepared = false;
+    // The shared participant step (txn/d2t_model.h); prepare runs at most
+    // once per trade.
+    const txn::D2tStep step =
+        txn::d2t_step(guard_, msg->type_id, msg->token, [&] {
+          prepared = true;
+          // The recipient reserves nothing: attaching nodes always
+          // succeeds, so it can always vote yes.
+          if (!as_donor) return true;
           // Donor prepare = escrow: the nodes leave our pool entirely until
           // the decision lands, so a crash between vote and decide can
-          // never double-count them.
-          auto esc = pool_.detach_spares(wire->count);
-          if (!esc.empty()) {
-            TradeWire out = *wire;
-            out.count = static_cast<std::uint32_t>(esc.size());
-            out.nodes = esc;
-            escrow_[wire->txn] = std::move(esc);
-            reply.type_id = txn::kMidVoteYes;
-            reply.payload = std::move(out);
-            yes = true;
-          } else {
-            reply.type_id = txn::kMidVoteNo;
-          }
-        } else {
-          // Recipient prepare reserves nothing: attaching nodes always
-          // succeeds, so the recipient can always vote yes.
-          reply.type_id = txn::kMidVoteYes;
-          yes = true;
-        }
-        guard_.record_vote(msg->token, yes);
-        last_vote_reply_ = reply;
-      }
-      co_await bus_->post(trade_ep_, msg->from, std::move(reply));
-    } else if (txn::d2t_is_decision(msg->type_id)) {
-      const auto* wire = msg->as<TradeWire>();
-      if (wire != nullptr) {
-        apply_decision(wire->txn, msg->type_id == txn::kMidCommit,
-                       wire->donor == id_, wire->nodes);
-      }
-      ev::Message reply;
-      reply.type_id = txn::kMidFinal;
-      reply.token = msg->token;
-      co_await bus_->post(trade_ep_, msg->from, std::move(reply));
+          // never double-count them. The YES carries them to the root.
+          return txn::d2t_donor_prepare(
+              wire->count, pool_.spare_count(), [&](std::size_t n) {
+                TradeWire out = *wire;
+                out.nodes = pool_.detach_spares(n);
+                out.count = static_cast<std::uint32_t>(out.nodes.size());
+                escrow_[wire->txn] = out.nodes;
+                reply.payload = std::move(out);
+              });
+        });
+    if (step.reply == ev::kNoMessageId) continue;
+    if (step.replay) {
+      // Replay the recorded answer — crucially including the escrowed
+      // node list, so the root can never see two different escrows for
+      // one transaction.
+      reply = last_vote_reply_;
+    } else {
+      reply.type_id = step.reply;
+      if (prepared) last_vote_reply_ = reply;
     }
+    if (step.apply) {
+      move_decided(wire->txn, msg->type_id == txn::kMidCommit, as_donor,
+                   wire->nodes);
+    }
+    co_await bus_->post(trade_ep_, msg->from, std::move(reply));
   }
 }
 

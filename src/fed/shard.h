@@ -131,6 +131,11 @@ class Shard {
   des::Process participant_loop();
   des::Task<void> resize(FedPipeline* p, int delta);
   void escalate_fence_pipeline(FedPipeline* p);
+  /// The ledger move of a trade decision (see apply_decision), run once per
+  /// trade: by the participant step's first copy of the decision, or by the
+  /// root's recovery settle.
+  void move_decided(std::uint64_t txn, bool commit, bool as_donor,
+                    const std::vector<net::NodeId>& nodes);
 
   ev::BusIf* bus_;
   std::string id_;

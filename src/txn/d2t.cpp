@@ -63,73 +63,35 @@ des::Process TxnHarness::member_loop(std::size_t index) {
     if (!msg.has_value()) break;
     Member& me = members_[index];
 
-    if (msg->type_id == kMidBegin) {
-      if (me.dies_at <= Phase::kBegin) me.dead = true;
-      if (me.dead) continue;
-      // Begin changes no state, so a retried/duplicated begin just elicits
-      // another (idempotent) ack.
-      ev::Message reply;
-      reply.type_id = kMidBegun;
-      reply.token = msg->token;
-      co_await bus_->post(my_ep, msg->from, std::move(reply));
-    } else if (msg->type_id == kMidVote) {
-      if (me.dies_at <= Phase::kVote) me.dead = true;
-      if (me.dead) continue;
-      const auto va = me.guard.classify_vote(msg->token);
-      if (va == D2tMemberGuard::VoteAction::kStaleNo) {
-        // A delayed vote request for a transaction that already decided
-        // (tokens encode txn*10 + phase): preparing now would reserve state
-        // nobody will ever commit or roll back. Vote no without preparing.
-        ev::Message reply;
-        reply.type_id = kMidVoteNo;
-        reply.token = msg->token;
-        co_await bus_->post(my_ep, msg->from, std::move(reply));
-        continue;
-      }
-      bool yes;
-      if (va == D2tMemberGuard::VoteAction::kReplay) {
-        // Duplicate/retried vote request: replay the recorded vote instead
-        // of running prepare() a second time (at-most-once).
-        yes = me.guard.voted_yes;
-      } else {
-        yes = true;
-        if (me.op != nullptr) {
-          yes = me.op->prepare();
-          me.prepared = yes;
+    // An injected failure silences the member from its phase on.
+    const Phase phase = msg->type_id == kMidBegin  ? Phase::kBegin
+                        : msg->type_id == kMidVote ? Phase::kVote
+                        : d2t_is_decision(msg->type_id) ? Phase::kDecide
+                                                        : Phase::kNever;
+    if (phase == Phase::kNever) continue;
+    if (me.dies_at <= phase) me.dead = true;
+    if (me.dead) continue;
+    // The shared participant step prepares at most once per transaction
+    // and says when to apply the decision (d2t_model.h).
+    const D2tStep step = d2t_step(me.guard, msg->type_id, msg->token, [&me] {
+      if (me.op == nullptr) return true;
+      me.prepared = me.op->prepare();
+      return me.prepared;
+    });
+    if (step.apply) {
+      if (me.op != nullptr) {
+        if (msg->type_id == kMidCommit) {
+          me.op->commit();
+        } else if (me.prepared) {
+          me.op->abort();
         }
-        me.guard.record_vote(msg->token, yes);
       }
-      ev::Message reply;
-      reply.type_id = yes ? kMidVoteYes : kMidVoteNo;
-      reply.token = msg->token;
-      co_await bus_->post(my_ep, msg->from, std::move(reply));
-    } else if (d2t_is_decision(msg->type_id)) {
-      if (me.dies_at <= Phase::kDecide) me.dead = true;
-      if (me.dead) continue;
-      // The guard folds both rejection cases (decision for a transaction
-      // this member never voted in — applying it would commit/abort the
-      // WRONG trade's reservation — and a duplicate of an applied decision)
-      // into kAckOnly: ack without touching state; the coordinator's
-      // recovery pass applies the logged decision where actually needed.
-      if (me.guard.classify_decision(msg->token) ==
-          D2tMemberGuard::DecideAction::kApply) {
-        // First sight of this decision: apply it. Duplicates only re-ack.
-        if (me.op != nullptr) {
-          if (msg->type_id == kMidCommit) {
-            me.op->commit();
-          } else if (me.prepared) {
-            me.op->abort();
-          }
-        }
-        me.prepared = false;
-        me.finished = true;
-        me.guard.record_decision(msg->token);
-      }
-      ev::Message reply;
-      reply.type_id = kMidFinal;
-      reply.token = msg->token;
-      co_await bus_->post(my_ep, msg->from, std::move(reply));
+      me.prepared = false;
     }
+    ev::Message reply;
+    reply.type_id = step.reply;
+    reply.token = msg->token;
+    co_await bus_->post(my_ep, msg->from, std::move(reply));
   }
 }
 
@@ -235,7 +197,8 @@ des::Task<TxnResult> TxnHarness::run() {
       bus_->stats(ev::TrafficClass::kControl).messages;
   // Each round draws its own token from a per-transaction block, so a late
   // reply (or a stale timeout) from one round can never satisfy the next.
-  const std::uint64_t token_base = d2t_token(++txn_counter_, 0);
+  const std::uint64_t txn = ++txn_counter_;
+  const std::uint64_t token_base = d2t_token(txn, 0);
 
   TxnResult result;
   ev::Endpoint* coord_ep = bus_->find(coord_);
@@ -279,7 +242,7 @@ des::Task<TxnResult> TxnHarness::run() {
       cfg_.trace->span("escalate", "txn", phase, token_base, sim.now(),
                        sim.now());
     }
-    IOC_WARN << "txn " << txn_counter_ << ": " << phase
+    IOC_WARN << "txn " << txn << ": " << phase
              << " round exhausted retries; aborting";
   };
 
@@ -322,24 +285,19 @@ des::Task<TxnResult> TxnHarness::run() {
   // Sub-coordinator recovery: apply the logged decision on behalf of every
   // member that did not apply it itself — injected deaths, members whose
   // endpoint a crash destroyed, and members whose decision delivery was
-  // lost past the retries. Recording decided_token makes any late delivery
-  // of the real decision a recognized duplicate (re-ack, no second apply).
+  // lost past the retries. Settling the guard makes any late delivery of
+  // the real decision a recognized duplicate (re-ack, no second apply).
   for (auto& m : members_) {
-    if (!m.finished) {
-      if (m.op != nullptr) {
-        if (commit) {
-          m.op->commit();
-        } else if (m.prepared) {
-          m.op->abort();
-        }
+    if (m.guard.settled(txn)) continue;
+    if (m.op != nullptr) {
+      if (commit) {
+        m.op->commit();
+      } else if (m.prepared) {
+        m.op->abort();
       }
-      m.prepared = false;
-      m.finished = true;
-      // Monotone by construction (token_base grows every transaction); the
-      // guard keeps the forward-only discipline — a decided_token that
-      // regressed would re-open an older transaction's at-most-once window.
-      m.guard.record_decision(token_base + 2);
     }
+    m.prepared = false;
+    m.guard.settle(txn);
   }
 
   result.outcome = commit ? Outcome::kCommitted : Outcome::kAborted;
@@ -350,8 +308,6 @@ des::Task<TxnResult> TxnHarness::run() {
   result.messages = bus_->stats(ev::TrafficClass::kControl).messages -
                     msg_base +
                     4ull * static_cast<std::uint64_t>(result.rounds);
-  // Reset per-transaction member state for reuse.
-  for (auto& m : members_) m.finished = false;
   co_return result;
 }
 

@@ -112,10 +112,10 @@ class TxnHarness {
     Phase dies_at = Phase::kNever;
     bool dead = false;
     bool prepared = false;
-    bool finished = false;  ///< applied commit/abort itself
-    /// At-most-once guards (shared with every other D2T participant role,
-    /// see d2t_model.h): a retried or duplicated round message must not
-    /// re-run prepare/commit/abort; the member just re-sends its reply.
+    /// At-most-once state of the shared participant step (d2t_model.h): a
+    /// retried or duplicated round message must not re-run prepare, commit
+    /// or abort; the member just re-sends its reply. Settled once the
+    /// member, or the recovery pass on its behalf, applied the decision.
     D2tMemberGuard guard;
   };
   struct SubCoord {

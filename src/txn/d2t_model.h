@@ -17,6 +17,8 @@
 // duplicate or stale, so the guards never need to grow with history.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "ev/intern.h"
@@ -105,48 +107,94 @@ inline std::uint64_t d2t_txn_of(std::uint64_t token) {
   return (token - kTokenFloor) / kTokensPerTxn;
 }
 
-/// One participant's at-most-once state, extracted from the TxnHarness
-/// member loop so every D2T participant role — a trade member inside the
-/// harness, a federation shard answering the root's cross-shard trade
-/// rounds — classifies retried, duplicated, and stale round traffic
-/// identically. The guards are O(1) scalars, not per-txn maps: token
-/// monotonicity (above) means the latest voted/decided token subsumes all
-/// history, so a soak of millions of transactions keeps participant state
-/// constant-size.
+/// One participant's at-most-once state, shared by every D2T participant
+/// role — a trade member inside the harness, a federation shard answering
+/// the root's cross-shard trade rounds, and both verification models. The
+/// guards are O(1) scalars, not per-txn maps: token monotonicity (above)
+/// means the latest voted/decided token subsumes all history, so a soak of
+/// millions of transactions keeps participant state constant-size. Only
+/// d2t_step (below) and a coordinator's recovery settle touch it.
 struct D2tMemberGuard {
   std::uint64_t voted_token = 0;
   bool voted_yes = false;
   std::uint64_t decided_token = 0;
 
-  enum class VoteAction {
-    kStaleNo,  ///< vote for a txn that already decided: NO, do not prepare
-    kReplay,   ///< retried/duplicated vote: replay the recorded answer
-    kFresh,    ///< first sight: run prepare, then record_vote()
-  };
-  VoteAction classify_vote(std::uint64_t token) const;
-  void record_vote(std::uint64_t token, bool yes);
-
-  enum class DecideAction {
-    kAckOnly,  ///< wrong txn (never voted in it) or duplicate: re-ack only
-    kApply,    ///< first sight of this decision: apply, then record
-  };
-  DecideAction classify_decision(std::uint64_t token) const;
-  /// Forward-only: also used by coordinator recovery when it applies a
-  /// logged decision on a silent participant's behalf.
-  void record_decision(std::uint64_t token);
-
-  /// True iff transaction `txn` is settled here. A coordinator that
-  /// serializes its transactions and settles each one — live, or by its
-  /// recovery pass — before starting the next (fed::Root) leaves every
+  /// True iff transaction `txn` is settled here — the one decision rule. A
+  /// coordinator that serializes its transactions and settles each one —
+  /// live, or by its recovery pass — before starting the next leaves every
   /// transaction at or below the recorded decision settled, so applying a
-  /// late duplicate would move nodes a second time.
+  /// late duplicate would move nodes a second time, and preparing for a
+  /// late vote request would reserve state nobody commits or rolls back.
   bool settled(std::uint64_t txn) const {
     return txn <= d2t_txn_of(decided_token);
   }
-  /// Record `txn` as settled (forward-only, like record_decision).
+  /// Record `txn` as settled. Forward-only: a decided_token that regressed
+  /// would re-open an older transaction's at-most-once window.
   void settle(std::uint64_t txn) {
-    record_decision(d2t_token(txn, kPhaseDecide));
+    decided_token = std::max(decided_token, d2t_token(txn, kPhaseDecide));
   }
 };
+
+/// What a participant does with one round request, as d2t_step decides it.
+/// The caller keeps its payloads and ledger moves: it answers with a reply
+/// of type `reply` (or re-sends its recorded vote reply when `replay` is
+/// set) and applies the decision when `apply` is set.
+struct D2tStep {
+  /// TXN_BEGUN, TXN_VOTE_YES / TXN_VOTE_NO or TXN_FINAL; kNoMessageId for
+  /// a message that is no round request (nothing to answer).
+  ev::MessageId reply = ev::kNoMessageId;
+  /// A retried or duplicated vote request: `reply` is the recorded vote.
+  bool replay = false;
+  /// The first copy of the decision of a transaction not yet settled here:
+  /// apply it now. The guard already records the transaction as settled.
+  bool apply = false;
+};
+
+/// The participant step, written once for TxnHarness's trade members,
+/// fed::Shard and the verification models:
+///  * begin changes no state: every copy is acked;
+///  * a vote request for a settled transaction gets NO without preparing;
+///    a retry of the recorded vote replays it; a first request runs
+///    `prepare()`, which returns the vote, and records it;
+///  * a decision is applied once, by the first copy that finds its
+///    transaction unsettled; every copy is acked.
+template <class Prepare>
+D2tStep d2t_step(D2tMemberGuard& guard, ev::MessageId type,
+                 std::uint64_t token, Prepare&& prepare) {
+  D2tStep step;
+  if (type == kMidBegin) {
+    step.reply = kMidBegun;
+  } else if (type == kMidVote) {
+    bool yes = false;
+    if (!guard.settled(d2t_txn_of(token))) {
+      step.replay = guard.voted_token == token;
+      if (!step.replay) {
+        guard.voted_yes = prepare();
+        guard.voted_token = token;
+      }
+      yes = guard.voted_yes;
+    }
+    step.reply = yes ? kMidVoteYes : kMidVoteNo;
+  } else if (d2t_is_decision(type)) {
+    const std::uint64_t txn = d2t_txn_of(token);
+    step.apply = !guard.settled(txn);
+    guard.settle(txn);
+    step.reply = kMidFinal;
+  }
+  return step;
+}
+
+/// A resource-trade donor's prepare, shared by fed::Shard and
+/// verify::FedModel: escrow min(count, spares) nodes and vote YES iff that
+/// is nonzero (a partial trade still serves part of the recipient's
+/// demand). `escrow(n)` moves n spares into the trade's escrow.
+template <class Escrow>
+bool d2t_donor_prepare(std::size_t count, std::size_t spares,
+                       Escrow&& escrow) {
+  const std::size_t n = std::min(count, spares);
+  if (n == 0) return false;
+  escrow(n);
+  return true;
+}
 
 }  // namespace ioc::txn

@@ -122,22 +122,14 @@ void FedModel::enabled(const FedState& s, std::vector<Action>* out) const {
   }
 }
 
-bool FedModel::apply_decision(FedState& st, std::size_t m) const {
-  // fed::Shard::apply_decision: the guard's settled() check makes a
-  // duplicate (or a decision the recovery pass already applied) a no-op.
-  txn::D2tMemberGuard& g = st.guard[m];
-  if (g.settled(kTxn)) return false;
-  const int count = scenario_.count;
-  if (st.commit && m != kDonor) {
-    st.escrow = static_cast<std::int8_t>(st.escrow - count);
-    st.recipient_spares =
-        static_cast<std::int8_t>(st.recipient_spares + count);
-  } else if (!st.commit && m == kDonor && g.voted_yes) {
-    st.escrow = static_cast<std::int8_t>(st.escrow - count);
-    st.donor_spares = static_cast<std::int8_t>(st.donor_spares + count);
-  }
-  g.settle(kTxn);
-  return true;
+void FedModel::move_decided(FedState& st, std::size_t m) const {
+  // fed::Shard::move_decided: on commit the recipient attaches the escrowed
+  // nodes (the donor just drops its escrow entry); on abort the donor takes
+  // them back. Either way the amount is what the donor escrowed.
+  if (st.commit == (m == kDonor)) return;
+  std::int8_t& pool = m == kDonor ? st.donor_spares : st.recipient_spares;
+  pool = static_cast<std::int8_t>(pool + st.escrow);
+  st.escrow = 0;
 }
 
 void FedModel::settle(FedState& st, Step* step) const {
@@ -148,18 +140,19 @@ void FedModel::settle(FedState& st, Step* step) const {
   // skips the donor-side repair and the marker — the seeded IOC106 bug.
   const bool leak = scenario_.leak_escrow && st.fenced;
   for (std::size_t m = 0; m < kFedMembers; ++m) {
-    if (leak && m == kDonor) {
-      st.guard[m].settle(kTxn);
-    } else {
-      apply_decision(st, m);
-    }
+    txn::D2tMemberGuard& g = st.guard[m];
+    if (g.settled(kTxn)) continue;
+    g.settle(kTxn);
+    if (!(leak && m == kDonor)) move_decided(st, m);
   }
   if (!leak) {
+    // A committed trade moved the donor's escrow into the recipient's pool.
+    const int moved = st.recipient_spares - scenario_.recipient_spares;
     emit(step,
          st.fenced ? core::kMarkTradeFence
                    : (st.commit ? core::kMarkTradeCommit
                                 : core::kMarkTradeAbort),
-         st.commit && !st.fenced ? scenario_.count : 0);
+         st.commit && !st.fenced ? moved : 0);
   }
   st.phase = static_cast<std::uint8_t>(FedPhase::kDone);
 }
@@ -196,47 +189,50 @@ FedState FedModel::apply(const FedState& s, const Action& a,
         label << " [lost: crashed]";
         break;
       }
+      // fed::Shard::participant_loop on the same step and guard, with the
+      // same donor prepare.
+      const ev::MessageId type =
+          r == kVoteRound ? txn::kMidVote
+                          : (st.commit ? txn::kMidCommit : txn::kMidAbort);
+      const std::uint64_t phase =
+          r == kVoteRound ? txn::kPhaseVote : txn::kPhaseDecide;
+      bool prepared = false;
+      const txn::D2tStep ds = txn::d2t_step(
+          st.guard[m], type, member_token(m, phase), [&] {
+            prepared = true;
+            if (m != kDonor) return true;
+            return txn::d2t_donor_prepare(
+                static_cast<std::size_t>(count),
+                static_cast<std::size_t>(st.donor_spares),
+                [&st](std::size_t n) {
+                  // Shard::escrow_[txn] = the detached nodes: the trade's
+                  // escrow entry is set, not added to.
+                  st.donor_spares = static_cast<std::int8_t>(
+                      st.donor_spares - static_cast<int>(n));
+                  st.escrow = static_cast<std::int8_t>(n);
+                });
+          });
       if (r == kVoteRound) {
-        // fed::Shard::participant_loop's vote branch, on the same guard.
-        txn::D2tMemberGuard& g = st.guard[m];
-        const std::uint64_t token = member_token(m, txn::kPhaseVote);
-        switch (g.classify_vote(token)) {
-          case txn::D2tMemberGuard::VoteAction::kStaleNo:
-            // The trade already settled here: NO, and crucially no new
-            // escrow.
-            label << " -> stale NO";
-            break;
-          case txn::D2tMemberGuard::VoteAction::kReplay:
-            label << " -> replayed vote";  // the recorded answer again
-            break;
-          case txn::D2tMemberGuard::VoteAction::kFresh: {
-            bool yes = true;
-            if (m == kDonor) {
-              yes = st.donor_spares >= count;
-              if (yes) {
-                st.donor_spares =
-                    static_cast<std::int8_t>(st.donor_spares - count);
-                st.escrow = static_cast<std::int8_t>(st.escrow + count);
-                label << " -> YES, " << count << " node(s) escrowed";
-              } else {
-                label << " -> NO (pool dry)";
-              }
-            } else {
-              label << " -> YES";
-            }
-            g.record_vote(token, yes);
-            break;
-          }
-        }
-        ++st.rep_in[m][kVoteRound];
-      } else {
-        if (apply_decision(st, m)) {
-          label << " -> applied " << (st.commit ? "COMMIT" : "ABORT");
+        if (ds.replay) {
+          label << " -> replayed vote";  // the recorded answer again
+        } else if (!prepared) {
+          // The trade already settled here: NO, and crucially no new
+          // escrow.
+          label << " -> stale NO";
+        } else if (ds.reply == txn::kMidVoteNo) {
+          label << " -> NO (pool dry)";
+        } else if (m == kDonor) {
+          label << " -> YES, " << int(st.escrow) << " node(s) escrowed";
         } else {
-          label << " -> duplicate decision, ack only";
+          label << " -> YES";
         }
-        ++st.rep_in[m][kDecideRound];
+      } else if (ds.apply) {
+        move_decided(st, m);
+        label << " -> applied " << (st.commit ? "COMMIT" : "ABORT");
+      } else {
+        label << " -> duplicate decision, ack only";
       }
+      ++st.rep_in[m][r];
       break;
     }
     case ActionKind::kDropTreq: {

@@ -122,7 +122,7 @@ class FedModel {
   std::optional<Violation> stuck(const FedState& s) const;
 
  private:
-  bool apply_decision(FedState& st, std::size_t m) const;
+  void move_decided(FedState& st, std::size_t m) const;
   void settle(FedState& st, Step* step) const;
   void emit(Step* step, const char* type, int delta) const;
 

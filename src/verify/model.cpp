@@ -17,19 +17,21 @@ constexpr std::size_t kBegin = 0;
 constexpr std::size_t kVote = 1;
 constexpr std::size_t kDecide = 2;
 
-const char* round_request(const State& s, std::size_t round) {
-  switch (round) {
-    case kBegin:
-      return txn::kBeginMsg;
-    case kVote:
-      return txn::kVoteMsg;
-    default:
-      return s.commit ? txn::kCommitMsg : txn::kAbortMsg;
-  }
-}
-
 constexpr std::size_t kDonor = 0;
 constexpr std::size_t kRecipient = 1;
+/// The one trade the model runs is transaction 1 of the harness's counter.
+constexpr std::uint64_t kTxn = 1;
+
+ev::MessageId round_request(const State& s, std::size_t round) {
+  switch (round) {
+    case kBegin:
+      return txn::kMidBegin;
+    case kVote:
+      return txn::kMidVote;
+    default:
+      return s.commit ? txn::kMidCommit : txn::kMidAbort;
+  }
+}
 
 void append(std::string* out, const void* p, std::size_t n) {
   out->append(static_cast<const char*>(p), n);
@@ -150,21 +152,21 @@ std::string State::encode(std::size_t n) const {
   }
   append(&out, &txn_phase, 1);
   append(&out, &round_retries, 1);
+  // A member's guard only ever holds this trade's tokens, so whether a vote
+  // and a decision are recorded is all the key needs of it.
   std::uint8_t tflags = static_cast<std::uint8_t>((escalated << 0) |
                                                   (commit << 1));
+  std::uint8_t tflags2 = 0;
   for (std::size_t m = 0; m < kMembers; ++m) {
-    tflags = static_cast<std::uint8_t>(
-        tflags | (answered[m] << (2 + m)) | (voted[m] << (4 + m)));
+    const txn::D2tMemberGuard& g = guard[m];
+    tflags = static_cast<std::uint8_t>(tflags | (answered[m] << (2 + m)) |
+                                       ((g.voted_token != 0) << (4 + m)));
+    tflags2 = static_cast<std::uint8_t>(tflags2 | (g.voted_yes << m) |
+                                        ((g.decided_token != 0) << (2 + m)));
     append(&out, treq_in[m], kTxnRounds);
     append(&out, trep_in[m], kTxnRounds);
   }
   append(&out, &tflags, 1);
-  std::uint8_t tflags2 = 0;
-  for (std::size_t m = 0; m < kMembers; ++m) {
-    tflags2 = static_cast<std::uint8_t>(
-        tflags2 | (voted_yes[m] << m) | (decided[m] << (2 + m)) |
-        (prepared[m] << (4 + m)) | (finished[m] << (6 + m)));
-  }
   append(&out, &tflags2, 1);
   append(&out, &pending, 1);
   append(&out, &yes_count, 1);
@@ -264,7 +266,8 @@ void Model::start_round(State& st, TxnPhase phase, Step* step) const {
     ++st.treq_in[m][round];
   }
   if (step != nullptr) {
-    step->label += std::string(" -> round ") + round_request(st, round);
+    step->label += std::string(" -> round ") +
+                   std::string(ev::type_name(round_request(st, round)));
   }
 }
 
@@ -285,9 +288,8 @@ void Model::apply_decision(State& st, std::size_t m, Step* step) const {
     }
     // Donor commit: the escrowed node is gone for good; nothing to move.
   } else {
-    if (m == kDonor && st.prepared[kDonor]) {
+    if (m == kDonor && st.guard[kDonor].voted_yes) {
       // Escrow -> donor restore (DonorTradeOp::abort).
-      st.prepared[kDonor] = false;
       if (st.escrow > 0) --st.escrow;
       if (st.fenced[kDonor]) {
         ++st.spares;  // restoring to a fenced donor repairs the pool instead
@@ -300,65 +302,48 @@ void Model::apply_decision(State& st, std::size_t m, Step* step) const {
 }
 
 void Model::finish_txn(State& st, Step* step) const {
-  // Sub-coordinator recovery (d2t.cpp recover pass): the decision is pushed
-  // through for every member that never applied it, and the member-side
-  // guards are advanced so stale round traffic is refused from now on.
+  // Sub-coordinator recovery (TxnHarness::run's recovery pass): the
+  // decision is pushed through for every member that never applied it, and
+  // settling the guards makes stale round traffic get refused from now on.
   for (std::size_t m = 0; m < kMembers; ++m) {
-    if (!st.finished[m]) {
-      st.finished[m] = true;
-      ++st.apply_count[m];
-      apply_decision(st, m, step);
-    }
-    st.decided[m] = true;
+    if (st.guard[m].settled(kTxn)) continue;
+    st.guard[m].settle(kTxn);
+    ++st.apply_count[m];
+    apply_decision(st, m, step);
   }
   st.txn_phase = static_cast<std::uint8_t>(TxnPhase::kDone);
   st.pending = 0;
+}
+
+bool Model::prepare(State& st, std::size_t m, Step* step) const {
+  if (m != kDonor) {
+    ++st.prepare_count[kRecipient];  // recipient prepare is a no-op
+    return true;
+  }
+  if (st.width[kDonor] <= 0) return false;
+  // DonorTradeOp::prepare — donor -> escrow.
+  ++st.prepare_count[kDonor];
+  emit_pair(st, kDonor, core::kMsgDecrease, -1, step);
+  --st.width[kDonor];
+  ++st.escrow;
+  return true;
 }
 
 void Model::deliver_member(State& st, std::size_t m, std::size_t round,
                            Step* step) const {
   --st.treq_in[m][round];
   if (st.crashed[m] || st.fenced[m]) return;  // endpoint gone: message lost
-  switch (round) {
-    case kBegin:
-      ++st.trep_in[m][kBegin];  // idempotent ack
-      break;
-    case kVote:
-      if (st.decided[m]) return;  // guard: decision token already newer
-      if (!st.voted[m]) {
-        st.voted[m] = true;
-        if (m == kDonor) {
-          if (st.width[kDonor] > 0) {
-            // DonorTradeOp::prepare — donor -> escrow, exactly once.
-            st.prepared[kDonor] = true;
-            ++st.prepare_count[kDonor];
-            emit_pair(st, kDonor, core::kMsgDecrease, -1, step);
-            --st.width[kDonor];
-            ++st.escrow;
-            st.voted_yes[kDonor] = true;
-          } else {
-            st.voted_yes[kDonor] = false;
-          }
-        } else {
-          ++st.prepare_count[kRecipient];  // recipient prepare is a no-op
-          st.voted_yes[kRecipient] = true;
-        }
-      }
-      // A duplicate vote request re-sends the recorded vote; the voted_token
-      // guard keeps it from re-preparing.
-      ++st.trep_in[m][kVote];
-      break;
-    default:
-      if (!st.decided[m]) {
-        st.decided[m] = true;
-        st.finished[m] = true;
-        ++st.apply_count[m];
-        apply_decision(st, m, step);
-      }
-      // Duplicates re-ack from the decided_token guard without re-applying.
-      ++st.trep_in[m][kDecide];
-      break;
+  // The runtime's participant step on TxnHarness's token of this round
+  // (the round tag is the phase offset): begin acks, a vote prepares at
+  // most once (a stale one gets NO), a decision applies at most once.
+  const txn::D2tStep s = txn::d2t_step(
+      st.guard[m], round_request(st, round),
+      txn::d2t_token(kTxn, round), [&] { return prepare(st, m, step); });
+  if (s.apply) {
+    ++st.apply_count[m];
+    apply_decision(st, m, step);
   }
+  ++st.trep_in[m][round];
 }
 
 void Model::gather(State& st, std::size_t m, std::size_t round,
@@ -378,12 +363,12 @@ void Model::gather(State& st, std::size_t m, std::size_t round,
     // in the vote round, double-counts a YES).
     if (st.pending > 0) --st.pending;
     st.answered[m] = true;
-    if (round == kVote && st.voted_yes[m]) ++st.yes_count;
+    if (round == kVote && st.guard[m].voted_yes) ++st.yes_count;
   } else {
     if (st.answered[m]) return;  // per-member dedupe: duplicate ignored
     st.answered[m] = true;
     --st.pending;
-    if (round == kVote && st.voted_yes[m]) ++st.yes_count;
+    if (round == kVote && st.guard[m].voted_yes) ++st.yes_count;
   }
   if (st.pending != 0) return;
   switch (round) {
@@ -623,7 +608,7 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
                   (container_scoped
                        ? scenario_.containers[c].name
                        : scenario_.containers[m].name + "/" +
-                             round_request(st, r));
+                             std::string(ev::type_name(round_request(st, r))));
   }
   return st;
 }
@@ -722,7 +707,7 @@ bool Model::action_safe(const State& s, const Action& a) const {
   const auto member_trade_live = [&](std::size_t c) {
     return scenario_.trade && c < kMembers &&
            s.txn_phase != static_cast<std::uint8_t>(TxnPhase::kNever) &&
-           !s.decided[c];
+           s.guard[c].decided_token == 0;
   };
   switch (a.kind) {
     case ActionKind::kStartConv:

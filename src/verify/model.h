@@ -39,6 +39,7 @@
 #include "core/protocol.h"
 #include "core/protocol_fsm.h"
 #include "core/spec.h"
+#include "txn/d2t_model.h"
 
 namespace ioc::verify {
 
@@ -158,11 +159,9 @@ struct State {
   bool answered[kMembers] = {};
   std::uint8_t pending = 0;                     ///< unanswered members
   std::uint8_t yes_count = 0;                   ///< vote round tally
-  bool voted[kMembers] = {};
-  bool voted_yes[kMembers] = {};
-  bool decided[kMembers] = {};
-  bool prepared[kMembers] = {};
-  bool finished[kMembers] = {};
+  /// Each member's at-most-once state: the real guard, driven by the real
+  /// participant step on TxnHarness's round tokens.
+  txn::D2tMemberGuard guard[kMembers] = {};
   std::uint8_t prepare_count[kMembers] = {};    ///< at-most-once audit
   std::uint8_t apply_count[kMembers] = {};
 
@@ -282,6 +281,7 @@ class Model {
   void finish_txn(State& st, Step* step) const;
   void deliver_member(State& st, std::size_t m, std::size_t round,
                       Step* step) const;
+  bool prepare(State& st, std::size_t m, Step* step) const;
   void gather(State& st, std::size_t m, std::size_t round, Step* step) const;
   void apply_decision(State& st, std::size_t m, Step* step) const;
   bool action_safe(const State& s, const Action& a) const;

@@ -530,6 +530,20 @@ TEST(FedVerify, DryDonorVotesNoAndTheTradeAborts) {
   EXPECT_EQ(rep.depth, 13u);
 }
 
+TEST(FedVerify, ShortDonorEscrowsWhatItHasAndTheTradeMovesIt) {
+  // A donor with fewer spares than the trade asks for escrows all it has
+  // and votes YES (fed::Shard's prepare): the decision moves exactly that.
+  ioc::verify::FedScenario sc;
+  sc.donor_spares = 1;
+  sc.count = 2;
+  const auto rep = ioc::verify::run_check(ioc::verify::FedModel(sc));
+  EXPECT_TRUE(rep.ok()) << (rep.violation ? rep.violation->message : "cap");
+  EXPECT_EQ(rep.states, 2216u);
+  EXPECT_EQ(rep.edges, 6629u);
+  EXPECT_EQ(rep.terminals, 70u);
+  EXPECT_EQ(rep.depth, 13u);
+}
+
 TEST(FedVerify, LeakEscrowCounterexampleReplaysAsIOC106) {
   // Seed the historical bug (fenced trade skips the donor settle and its
   // terminal marker): the checker must find the orphaned escrow, and the

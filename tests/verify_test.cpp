@@ -53,10 +53,10 @@ TEST(VerifyModel, CleanTwoContainerScenarioVerifiesExhaustively) {
   EXPECT_FALSE(rep.capped);
   // Exact counts: a refactor of the model or the explorer that changes the
   // explored graph, however slightly, shows up here.
-  EXPECT_EQ(rep.states, 1503968u);
-  EXPECT_EQ(rep.edges, 5363374u);
+  EXPECT_EQ(rep.states, 1765058u);
+  EXPECT_EQ(rep.edges, 6296711u);
   EXPECT_EQ(rep.terminals, 308u);
-  EXPECT_EQ(rep.depth, 33u);
+  EXPECT_EQ(rep.depth, 34u);
 }
 
 TEST(VerifyModel, SharedTokenBugYieldsConservationCounterexample) {
