@@ -11,12 +11,15 @@
 //  * as a coordinator, a shard that loses its own endpoints mid-round stops
 //    (crashed_) without fencing healthy pipelines — the root's heartbeat
 //    sweep fences the shard and fails its pipelines over to survivors;
-//  * as a trade participant, escrow is explicit: a donor's VOTE_YES detaches
-//    the traded nodes from its pool into escrow_ keyed by transaction, and
-//    only a decision (live delivery or the root's recovery pass) moves them
-//    onward — to the recipient's pool on commit, back to the donor's on
-//    abort. The fleet-level conservation invariant is therefore
-//    sum(pool.total()) + sum(escrowed()) == constant at quiesce.
+//  * as a trade participant, it answers the root's rounds through the D2T
+//    participant step of txn/d2t_model.h (the one TxnHarness and the
+//    verification models run), and escrow is explicit: the donor's prepare
+//    (txn::d2t_donor_prepare) detaches min(count, spares) nodes from its
+//    pool into escrow_ keyed by transaction and votes YES iff that is
+//    nonzero, and only a decision (live delivery or the root's recovery
+//    pass) moves them onward — to the recipient's pool on commit, back to
+//    the donor's on abort. The fleet-level conservation invariant is
+//    therefore sum(pool.total()) + sum(escrowed()) == constant at quiesce.
 #pragma once
 
 #include <cstdint>
@@ -109,11 +112,12 @@ class Shard {
   bool has_escrow(std::uint64_t txn) const { return escrow_.count(txn) > 0; }
   /// Remove and return the escrow of `txn` (empty if none).
   std::vector<net::NodeId> take_escrow(std::uint64_t txn);
-  /// Apply a trade decision exactly once (duplicates and already-settled
-  /// transactions are no-ops): donor commit drops the escrow (the recipient
-  /// attaches it), donor abort re-attaches it as spares, recipient commit
-  /// attaches `nodes`. Used by the live decision delivery and by the root's
-  /// recovery pass alike.
+  /// The root's recovery settle: apply a trade decision unless the trade is
+  /// already settled here (a duplicate, or the live delivery got there
+  /// first): donor commit drops the escrow (the recipient attaches it),
+  /// donor abort re-attaches it as spares, recipient commit attaches
+  /// `nodes`. The live delivery makes the same move through the
+  /// participant step.
   void apply_decision(std::uint64_t txn, bool commit, bool as_donor,
                       const std::vector<net::NodeId>& nodes);
   /// Record a transaction as settled without touching the pool — the root's

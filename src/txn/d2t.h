@@ -20,7 +20,11 @@
 // give up", the same step the control rounds and the model checker use).
 // A round that stays incomplete after the retries are exhausted escalates:
 // the transaction aborts cleanly (prepared operations roll back,
-// sub-coordinator recovery still applies a logged decision).
+// sub-coordinator recovery still applies a logged decision). Each member
+// answers through the participant step of d2t_model.h, the one fed::Shard
+// and both verification models run: a retried or duplicated vote replays
+// the recorded answer, a vote request for a settled transaction gets NO
+// without preparing, and a decision is applied at most once.
 #pragma once
 
 #include <cstdint>

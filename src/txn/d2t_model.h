@@ -1,9 +1,12 @@
 // The D2T round structure as an explicit transition model, shared between
-// the runtime harness (txn/d2t.cpp) and the model checker (src/verify) the
-// same way core/protocol_fsm.h is shared between the GlobalManager and the
-// lint trace replayer: one table describes which request message each round
+// both trade engines (the harness in txn/d2t.cpp, the federation shard in
+// fed/shard.cpp) and the model checker (src/verify) the same way
+// core/protocol_fsm.h is shared between the GlobalManager and the lint
+// trace replayer: one table describes which request message each round
 // sends, which reply types answer it, and how the round's token is derived,
-// so the implementation and the verifier can never drift apart silently.
+// and one participant step (d2t_step) answers every round request, with
+// one member guard and one donor prepare, so the implementation and the
+// verifier can never drift apart silently.
 //
 // Token scheme (the at-most-once machinery hangs off it): every transaction
 // draws a base token `kTokenFloor + kTokensPerTxn * txn_counter`, and round

@@ -6,14 +6,16 @@
 //
 // The model follows the runtime's recovery contract exactly:
 //
-//   * each member runs a real txn::D2tMemberGuard on the per-member round
-//     tokens fed::Root sends (txn::kDonorBase / kRecipientBase): the guard
-//     classifies every vote request as fresh, replayed or stale, and its
-//     settled() check — the one fed::Shard::apply_decision uses — keeps a
-//     decision from being applied twice;
-//   * the donor's VOTE_YES moves `count` nodes from its spare pool into
-//     escrow; only a decision moves them onward (recipient pool on commit,
-//     back to the donor on abort);
+//   * each member answers through the participant step fed::Shard runs
+//     (txn::d2t_step) on a real txn::D2tMemberGuard and the per-member
+//     round tokens fed::Root sends (txn::kDonorBase / kRecipientBase): a
+//     vote request is fresh, replayed or stale, and a decision is applied
+//     only by the first copy that finds the trade unsettled — the settled()
+//     check the root's recovery settle also asks;
+//   * the donor's prepare is the shard's (txn::d2t_donor_prepare): it
+//     escrows min(count, spares) nodes and votes YES iff that is nonzero;
+//     only a decision moves the escrowed nodes onward (recipient pool on
+//     commit, back to the donor on abort);
 //   * vote and decide are gather rounds with bounded retries, decided by
 //     the runtime's ladder step (ladder_resends, verify/model.h); a round
 //     that exhausts its ladder fences the trade, and the root then settles

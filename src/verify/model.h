@@ -10,10 +10,11 @@
 //     "retry or escalate" is the runtime's own ev::ladder_step
 //     (ladder_resends below),
 //   * the D2T round/token machinery of txn/d2t_model.h (begin / vote /
-//     decide gathers with per-member at-most-once guards, bounded retries,
-//     escalation to abort, sub-coordinator recovery), driving a one-node
-//     resource trade donor -> recipient through the escrow semantics of
-//     core/trade.cpp,
+//     decide gathers, bounded retries, escalation to abort, sub-coordinator
+//     recovery), driving a one-node resource trade donor -> recipient
+//     through the escrow semantics of core/trade.cpp; each member answers
+//     through the runtime's participant step (txn::d2t_step) on a real
+//     txn::D2tMemberGuard, the step TxnHarness's members run,
 //   * a bounded adversarial network mirroring fault::Injector's classes:
 //     each in-flight message can be dropped or duplicated and each
 //     container crashed, up to a configurable budget per class.
