@@ -478,5 +478,72 @@ TEST(D2t, DurationGrowsModeratelyWithWriters) {
   EXPECT_LT(t2048 / t128, 32.0);
 }
 
+TEST(D2tStep, EveryKindOfRoundRequestOnOneGuard) {
+  // The participant step every trade member runs (d2t_model.h), driven row
+  // by row through one guard. `settle` first plays a coordinator's
+  // recovery settle of that transaction; `vote` is what prepare() returns
+  // if the step runs it.
+  struct Row {
+    const char* what;
+    std::uint64_t settle;
+    ev::MessageId type;
+    std::uint64_t token;
+    bool vote;
+    ev::MessageId reply;
+    bool replay;
+    bool apply;
+    bool prepared;
+  };
+  const Row rows[] = {
+      {"begin", 0, kMidBegin, d2t_token(1, kPhaseBegin), true, kMidBegun,
+       false, false, false},
+      {"fresh vote", 0, kMidVote, d2t_token(1, kPhaseVote), true,
+       kMidVoteYes, false, false, true},
+      {"replayed vote keeps the recorded YES", 0, kMidVote,
+       d2t_token(1, kPhaseVote), false, kMidVoteYes, true, false, false},
+      {"first decision", 0, kMidCommit, d2t_token(1, kPhaseDecide), true,
+       kMidFinal, false, true, false},
+      {"duplicate decision", 0, kMidCommit, d2t_token(1, kPhaseDecide),
+       true, kMidFinal, false, false, false},
+      {"stale vote of the decided transaction", 0, kMidVote,
+       d2t_token(1, kPhaseVote), true, kMidVoteNo, false, false, false},
+      {"fresh NO vote of the next transaction", 0, kMidVote,
+       d2t_token(2, kPhaseVote), false, kMidVoteNo, false, false, true},
+      {"an older transaction's decision", 0, kMidAbort,
+       d2t_token(1, kPhaseDecide), true, kMidFinal, false, false, false},
+      {"decision after a recovery settle", 2, kMidAbort,
+       d2t_token(2, kPhaseDecide), true, kMidFinal, false, false, false},
+      // A federation recipient votes and decides on its own tokens
+      // (kRecipientBase + phase); fed::Root's recovery settle records
+      // kPhaseDecide. The late decision is still settled, not re-applied.
+      {"recipient vote", 0, kMidVote, d2t_token(3, kRecipientBase + kPhaseVote),
+       true, kMidVoteYes, false, false, true},
+      {"recipient decision after a recovery settle", 3, kMidCommit,
+       d2t_token(3, kRecipientBase + kPhaseDecide), true, kMidFinal, false,
+       false, false},
+      // Nothing was prepared, so applying it moves nothing, and a late vote
+      // request for the transaction is stale from here on.
+      {"decision of a transaction this member never voted in", 0, kMidAbort,
+       d2t_token(4, kPhaseDecide), true, kMidFinal, false, true, false},
+      {"a reply is no round request", 0, kMidFinal,
+       d2t_token(5, kPhaseDecide), true, ev::kNoMessageId, false, false,
+       false},
+  };
+  D2tMemberGuard guard;
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.what);
+    if (r.settle != 0) guard.settle(r.settle);
+    bool prepared = false;
+    const D2tStep step = d2t_step(guard, r.type, r.token, [&] {
+      prepared = true;
+      return r.vote;
+    });
+    EXPECT_EQ(step.reply, r.reply);
+    EXPECT_EQ(step.replay, r.replay);
+    EXPECT_EQ(step.apply, r.apply);
+    EXPECT_EQ(prepared, r.prepared);
+  }
+}
+
 }  // namespace
 }  // namespace ioc::txn
