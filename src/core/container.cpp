@@ -496,7 +496,6 @@ des::Task<DonePayload> Container::do_offline() {
       << "container " << name() << " still holds replicas after offline";
   output_->close();
   done_.set();
-  IOC_INFO << "container " << name() << " taken offline";
   co_return done;
 }
 
@@ -506,9 +505,6 @@ des::Task<void> Container::do_switch_to_disk(const SwitchToDiskPayload& p) {
   pending_ = p.pending;
   is_sink_ = true;
   output_->close();  // downstream is gone; end its readers cleanly
-  IOC_INFO << "container " << name()
-           << " switched output to disk; provenance=" << p.provenance
-           << " pending=" << p.pending;
   co_return;
 }
 
@@ -605,8 +601,6 @@ des::Process Container::manager_loop() {
     } else if (msg->type_id == kMidEnableHashes) {
       const auto* p = msg->as<EnableHashesPayload>();
       hashing_enabled_ = p == nullptr || p->enabled;
-      IOC_INFO << "container " << name() << ": soft-error hashes "
-               << (hashing_enabled_ ? "enabled" : "disabled");
     } else if (msg->type_id == kMidEndpointUpdate ||
                msg->type_id == kMidReplicaConfig ||
                msg->type_id == kMidReplicaHello) {

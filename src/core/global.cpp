@@ -187,8 +187,6 @@ void GlobalManager::log_event(const std::string& action,
   ev.reason = reason;
   ev.delta = delta;
   ev.report = std::move(report);
-  IOC_INFO << "GM " << action << " " << container << " (" << delta
-           << " nodes): " << reason;
   events_.push_back(std::move(ev));
 }
 

@@ -1,7 +1,6 @@
 #include "dt/stream.h"
 
 #include "util/hash.h"
-#include "util/log.h"
 
 namespace ioc::dt {
 
@@ -34,8 +33,6 @@ des::Task<bool> Stream::admit(StepData s,
     if (!blocked) {
       blocked = true;
       ++write_blocked_;
-      IOC_DEBUG << "dt: writer buffer full (" << buffered_bytes_
-                << " B), write of step " << s.step << " blocking";
     }
     co_await writable_.wait();
   }

@@ -77,7 +77,6 @@ void Injector::schedule_crash(net::NodeId node, des::SimTime at,
     timers_.push_back(sim.timer_at(restart_at, [this, node] {
       if (down_.erase(node) == 0) return;
       ++stats_.restarts;
-      IOC_INFO << "fault: node " << node << " restarted";
       mark("fault.restart", "node");
       if (crash_handler_) crash_handler_(node, /*up=*/true);
     }));

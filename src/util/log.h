@@ -1,5 +1,6 @@
-// Minimal leveled logger. The library runs single-threaded (the DES owns the
-// only thread of control), so no locking is required.
+// Minimal leveled logger: warnings and errors, always written to stderr.
+// The library runs single-threaded (the DES owns the only thread of
+// control), so no locking is required.
 #pragma once
 
 #include <sstream>
@@ -7,10 +8,7 @@
 
 namespace ioc::util {
 
-enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
-
-/// Global log threshold; messages below it are discarded.
-LogLevel log_level();
+enum class LogLevel { kWarn, kError };
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
@@ -36,12 +34,7 @@ class LogLine {
 
 }  // namespace ioc::util
 
-#define IOC_LOG(level)                                   \
-  if (::ioc::util::log_level() <= ::ioc::util::level)    \
-  ::ioc::util::LogLine(::ioc::util::level)
+#define IOC_LOG(level) ::ioc::util::LogLine(::ioc::util::level)
 
-#define IOC_TRACE IOC_LOG(LogLevel::kTrace)
-#define IOC_DEBUG IOC_LOG(LogLevel::kDebug)
-#define IOC_INFO IOC_LOG(LogLevel::kInfo)
 #define IOC_WARN IOC_LOG(LogLevel::kWarn)
 #define IOC_ERROR IOC_LOG(LogLevel::kError)
