@@ -60,8 +60,6 @@ int main() {
     core::ResourcePool pool({0, 1, 2, 3, 4, 5, 6, 7});
     (void)pool.grant("viz", 4);
     (void)pool.grant("analytics", 4);
-    auto donated = pool.nodes_of("viz");
-    donated.resize(2);
 
     txn::TxnConfig cfg;
     cfg.writers = 4;
@@ -69,8 +67,8 @@ int main() {
     cfg.round.timeout = des::kSecond;
     cfg.failure = sc.failure;
     txn::TxnHarness h(bus, cfg);
-    core::DonorTradeOp donor(pool, "viz", donated);
-    core::RecipientTradeOp recipient(pool, "analytics", donated);
+    core::DonorTradeOp donor(pool, /*txn=*/1, "viz", 2);
+    core::RecipientTradeOp recipient(pool, /*txn=*/1, "analytics", 2);
     h.set_operation(1, &donor);       // a writer-side participant
     h.set_operation(4, &recipient);   // a reader-side participant
 
@@ -79,8 +77,7 @@ int main() {
     sim.run_until(60 * des::kSecond);
 
     const bool conserved =
-        pool.conserved() &&
-        pool.owned_by(core::DonorTradeOp::kEscrow) == 0 &&
+        pool.conserved() && pool.escrowed() == 0 &&
         pool.owned_by("viz") + pool.owned_by("analytics") == 8;
     all_conserved = all_conserved && conserved;
     t.add_row({sc.label, phase_name(sc.failure.at),

@@ -129,15 +129,33 @@ std::vector<net::NodeId> ResourcePool::detach_all(const std::string& owner) {
   return out;
 }
 
-std::vector<net::NodeId> ResourcePool::detach_spares(std::size_t n) {
+std::vector<net::NodeId> ResourcePool::escrow(std::uint64_t txn,
+                                              const std::string& owner,
+                                              std::size_t n) {
   std::vector<net::NodeId> out;
   for (const auto& [node, o] : owner_) {
     if (out.size() == n) break;
-    if (o.empty()) out.push_back(node);
+    if (o == owner) out.push_back(node);
   }
   for (net::NodeId node : out) owner_.erase(node);
-  spares_ -= out.size();
+  if (owner.empty()) spares_ -= out.size();
+  auto& held = escrow_[txn];
+  held.insert(held.end(), out.begin(), out.end());
   return out;
+}
+
+std::vector<net::NodeId> ResourcePool::take_escrow(std::uint64_t txn) {
+  auto it = escrow_.find(txn);
+  if (it == escrow_.end()) return {};
+  auto nodes = std::move(it->second);
+  escrow_.erase(it);
+  return nodes;
+}
+
+std::size_t ResourcePool::escrowed() const {
+  std::size_t n = 0;
+  for (const auto& [txn, nodes] : escrow_) n += nodes.size();
+  return n;
 }
 
 void ResourcePool::transfer(const std::string& from, const std::string& to,

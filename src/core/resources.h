@@ -2,6 +2,9 @@
 // owns a fixed set of staging nodes for its whole run; containers carve it
 // up, and every grant/reclaim goes through this ledger so conservation can
 // be asserted at any time (the property the control transactions protect).
+// The ledger also holds the trades' escrow, keyed by transaction: the one
+// place a node removed from one owner waits until the trade's decision
+// gives it to another or restores it.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +22,7 @@ class ResourcePool {
   /// `nodes`: the staging nodes the job was allocated.
   explicit ResourcePool(const std::vector<net::NodeId>& nodes);
 
+  /// Nodes on the ledger; escrowed nodes are off it until a decision.
   std::size_t total() const { return owner_.size(); }
   /// O(1): maintained incrementally by every mutation below. The shard
   /// heartbeat and policy loops read this every tick, and the former
@@ -62,9 +66,10 @@ class ResourcePool {
   // --- cross-pool moves (the federation layer) ------------------------------
   // A fleet runs one ResourcePool per GM shard; failover and cross-shard
   // trades move nodes between pools. The moving node leaves the source pool
-  // entirely (detach) and enters the destination pool as a new entry
-  // (attach), so each pool's conservation invariant keeps holding locally
-  // while the fleet-level invariant is the sum over pools plus escrow.
+  // entirely (detach, or a trade's escrow) and enters the destination pool
+  // as a new entry (attach), so each pool's conservation invariant keeps
+  // holding locally while the fleet-level invariant is the sum over pools
+  // of total() plus escrowed().
 
   /// Add nodes this pool has never seen, owned by `owner` ("" = spare).
   /// Throws if any of them is already present (double ownership across the
@@ -73,12 +78,23 @@ class ResourcePool {
   /// Remove every node `owner` holds from the pool entirely (they stop
   /// counting toward total()). Returns the removed nodes.
   std::vector<net::NodeId> detach_all(const std::string& owner);
-  /// Remove up to `n` spare nodes from the pool entirely — the escrow
-  /// prepare of a cross-shard trade: the donor sets nodes aside outside any
-  /// ledger until the decision lands. Returns the removed nodes (possibly
-  /// fewer than `n`).
-  std::vector<net::NodeId> detach_spares(std::size_t n);
-  bool contains(net::NodeId n) const { return owner_.count(n) > 0; }
+
+  // --- trade escrow ----------------------------------------------------------
+  // A D2T trade's donor prepare sets nodes aside under the transaction's key;
+  // the decision then takes them out again, and the caller attach()es them
+  // where the decision sends them: to the recipient on commit, back to the
+  // donor on abort, into a live pool when the donor's own is fenced.
+
+  /// Set aside up to `n` of `owner`'s nodes ("" = spares), lowest ids first,
+  /// under transaction `txn`: they leave the ledger (total() stops counting
+  /// them) and join whatever `txn` already holds. Returns the nodes set
+  /// aside now (possibly fewer than `n`).
+  std::vector<net::NodeId> escrow(std::uint64_t txn, const std::string& owner,
+                                  std::size_t n);
+  /// Remove and return everything escrowed under `txn` (empty if nothing).
+  std::vector<net::NodeId> take_escrow(std::uint64_t txn);
+  /// Nodes held in escrow across all open transactions.
+  std::size_t escrowed() const;
 
   /// True iff every node has exactly one owner entry (the map structure
   /// enforces this) and the per-owner counts add up to the pool size.
@@ -87,6 +103,7 @@ class ResourcePool {
  private:
   std::map<net::NodeId, std::string> owner_;  // "" = spare
   std::size_t spares_ = 0;  // count of "" entries, kept in lockstep
+  std::map<std::uint64_t, std::vector<net::NodeId>> escrow_;  // txn -> nodes
 };
 
 }  // namespace ioc::core

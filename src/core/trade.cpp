@@ -5,36 +5,25 @@
 namespace ioc::core {
 
 bool DonorTradeOp::prepare() {
-  for (const net::NodeId n : nodes_) {
-    if (pool_->owner_of(n) != donor_) return false;
-  }
-  pool_->transfer(donor_, kEscrow, nodes_);
-  reserved_ = true;
+  if (pool_->owned_by(donor_) < count_) return false;
+  pool_->escrow(txn_, donor_, count_);
   IOC_CHECK(pool_->conserved()) << "escrow reservation corrupted the pool";
   return true;
 }
 
-void DonorTradeOp::commit() { reserved_ = false; }
-
 void DonorTradeOp::abort() {
-  if (reserved_) pool_->transfer(kEscrow, donor_, nodes_);
-  reserved_ = false;
+  pool_->attach(donor_, pool_->take_escrow(txn_));
   IOC_CHECK(pool_->conserved()) << "trade abort corrupted the pool";
 }
 
-bool RecipientTradeOp::prepare() {
-  // The recipient can always accept; real validation (enough memory on the
-  // nodes, etc.) would go here.
-  return true;
-}
-
 void RecipientTradeOp::commit() {
-  pool_->transfer(DonorTradeOp::kEscrow, recipient_, nodes_);
+  const auto nodes = pool_->take_escrow(txn_);
+  pool_->attach(recipient_, nodes);
   // Commit is the point where escrowed nodes must land with the recipient;
   // audited on every trade in debug builds.
-  IOC_CHECK(pool_->conserved()) << "trade commit corrupted the pool";
+  IOC_CHECK(nodes.size() == count_ && pool_->conserved())
+      << "trade commit claimed " << nodes.size() << " of " << count_
+      << " escrowed nodes";
 }
-
-void RecipientTradeOp::abort() {}
 
 }  // namespace ioc::core

@@ -131,6 +131,8 @@ void Fleet::start_soak() {
 void Fleet::advance_to(des::SimTime t) { sim_.run_until(t); }
 
 Fleet::Result Fleet::snapshot() {
+  root_->rethrow_if_failed();
+  for (const auto& s : shards_) s->rethrow_if_failed();
   Result r;
   r.end = sim_.now();
   r.conserved = conserved();
@@ -167,7 +169,7 @@ bool Fleet::conserved() const {
 
 std::size_t Fleet::open_escrow() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) n += s->escrowed();
+  for (const auto& s : shards_) n += s->pool().escrowed();
   return n;
 }
 
@@ -176,7 +178,7 @@ std::uint64_t Fleet::digest() const {
   for (const auto& s : shards_) {
     h = mix(h, s->pool().total());
     h = mix(h, s->pool().spare_count());
-    h = mix(h, s->escrowed());
+    h = mix(h, s->pool().escrowed());
     h = mix(h, s->failed() ? 1 : 0);
     h = mix(h, s->stats().resizes);
     h = mix(h, s->stats().escalations);
@@ -228,7 +230,7 @@ void Fleet::publish_metrics(trace::MetricsRegistry& reg) const {
         .set(static_cast<double>(s->pool().spare_count()));
     reg.gauge("ioc_fed_shard_escrow_nodes", label,
               "Nodes held in cross-shard trade escrow by the shard")
-        .set(static_cast<double>(s->escrowed()));
+        .set(static_cast<double>(s->pool().escrowed()));
     reg.gauge("ioc_fed_shard_pipelines", label,
               "Pipelines currently owned by the shard")
         .set(static_cast<double>(s->pipelines().size()));

@@ -7,7 +7,7 @@
 //
 // The fleet-level conservation invariant this exists to check:
 //
-//     sum over shards of pool().total()  +  sum of escrowed()
+//     sum over shards of pool().total()  +  pool().escrowed()
 //         == shards * staging_per_shard          (at quiesce)
 //
 // It is asserted at quiesce, not continuously: between the donor-side
@@ -99,6 +99,8 @@ class Fleet {
   /// settle point. run() composes exactly these three.
   void start_soak();
   void advance_to(des::SimTime t);
+  /// Throws what ended a root or shard loop, if one died: a dead loop
+  /// must fail the run, not silently stop trades or failovers.
   Result snapshot();
 
   des::Simulator& sim() { return sim_; }

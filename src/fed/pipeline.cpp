@@ -51,6 +51,19 @@ void FedPipeline::fence() {
   }
 }
 
+bool FedPipeline::drop_if_stale(const ev::Message& m) {
+  if (m.from == owner_ep_) return false;
+  // A resize from a manager that no longer owns this pipeline (it was fenced
+  // and the pipeline failed over, possibly while the resize was being
+  // applied). Dropping it — not rejecting it with a reply — matches a real
+  // CM that tore down the dead GM's session: the stale coordinator gets
+  // silence, never a state change.
+  ++stale_owner_drops_;
+  IOC_WARN << "pipeline " << name_ << ": dropping stale " << m.type()
+           << " from non-owner endpoint " << m.from;
+  return true;
+}
+
 des::Process FedPipeline::service_loop() {
   auto& sim = bus_->sim();
   while (true) {
@@ -61,16 +74,7 @@ des::Process FedPipeline::service_loop() {
     auto msg = co_await self->mailbox().get();
     if (!msg.has_value()) break;
     if (fenced_) continue;
-    if (msg->from != owner_ep_) {
-      // A resize from a manager that no longer owns this pipeline (it was
-      // fenced and the pipeline failed over). Dropping it — not rejecting it
-      // with a reply — matches a real CM that tore down the dead GM's
-      // session: the stale coordinator gets silence, never a state change.
-      ++stale_owner_drops_;
-      IOC_WARN << "pipeline " << name_ << ": dropping stale " << msg->type()
-               << " from non-owner endpoint " << msg->from;
-      continue;
-    }
+    if (drop_if_stale(*msg)) continue;
     if (const ev::Message* cached = replay_.find(*msg)) {
       // Retry/duplicate of a round already applied: replay the recorded
       // reply (the at-most-once half of the Fig. 3 robustness story).
@@ -85,6 +89,7 @@ des::Process FedPipeline::service_loop() {
       const auto* pay = msg->as<core::IncreasePayload>();
       co_await des::delay(sim, opt_.apply_delay);
       if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
+      if (drop_if_stale(*msg)) continue;  // failed over mid-apply
       std::size_t added = 0;
       if (pay != nullptr) {
         nodes_.insert(nodes_.end(), pay->nodes.begin(), pay->nodes.end());
@@ -103,6 +108,7 @@ des::Process FedPipeline::service_loop() {
       const auto* pay = msg->as<core::DecreasePayload>();
       co_await des::delay(sim, opt_.apply_delay);
       if (fenced_ || bus_->find(ep_) == nullptr) break;
+      if (drop_if_stale(*msg)) continue;
       std::size_t k = pay != nullptr ? pay->count : 0;
       k = std::min(k, nodes_.size());
       std::vector<net::NodeId> freed(nodes_.end() - static_cast<long>(k),

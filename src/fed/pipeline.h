@@ -11,11 +11,12 @@
 //    retried or duplicated round request replays the recorded answer
 //    instead of resizing twice (at-most-once);
 //  * an owner filter: only the shard currently owning this pipeline may
-//    drive it. Failover re-points the owner atomically (in sim time) with
-//    the ledger reconcile, so a resize a dead shard launched before it was
-//    fenced either lands before the handover (and reconcile sees it) or is
-//    dropped here — it can never mutate width after the new owner took a
-//    ground-truth snapshot.
+//    drive it, checked when a request arrives and again once its apply
+//    delay has passed. Failover re-points the owner atomically (in sim
+//    time) with the ledger reconcile, so a resize a dead shard launched
+//    before it was fenced either lands before the handover (and reconcile
+//    sees it) or is dropped here, even mid-apply — it can never mutate
+//    width after the new owner took a ground-truth snapshot.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +82,8 @@ class FedPipeline {
  private:
   des::Process service_loop();
   void note_converged();
+  /// True, counted in stale_owner_drops_, when `m` is not from the owner.
+  bool drop_if_stale(const ev::Message& m);
 
   ev::BusIf* bus_;
   std::string name_;

@@ -49,6 +49,10 @@ void Root::start() {
   procs_.push_back(spawn(bus_->sim(), trade_loop()));
 }
 
+void Root::rethrow_if_failed() const {
+  for (const des::Process& p : procs_) p.rethrow_if_failed();
+}
+
 void Root::shutdown() {
   stopped_ = true;
   if (ctl_ep_ != ev::kInvalidEndpoint) bus_->close(ctl_ep_);
@@ -142,7 +146,7 @@ void Root::failover(Shard* s) {
 
   // Leftover spares drain to the heir (escrowed nodes stay put: the trade
   // recovery pass owns them and routes repairs through live_heir()).
-  auto spares = s->pool().detach_spares(s->pool().total());
+  auto spares = s->pool().detach_all("");
   if (!spares.empty()) {
     Shard* h = live_heir(dead);
     if (h != nullptr) {
@@ -304,7 +308,8 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
   }
   settle_member(recipient, txn, commit, /*as_donor=*/false, nodes);
   if (!leak) {
-    IOC_CHECK(!donor->has_escrow(txn) && !recipient->has_escrow(txn))
+    IOC_CHECK(donor->pool().escrowed() == 0 &&
+              recipient->pool().escrowed() == 0)
         << "trade " << txn << " settled but escrow survived";
     const char* terminal = fenced_round ? core::kMarkTradeFence
                           : commit      ? core::kMarkTradeCommit
@@ -330,29 +335,13 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
 void Root::settle_member(Shard* s, std::uint64_t txn, bool commit,
                          bool as_donor,
                          const std::vector<net::NodeId>& nodes) {
-  if (!s->fenced()) {
-    // Live or crashed-but-unswept: the shard's own (idempotent) settle. A
-    // crashed shard's pool is still the right ledger — the coming failover
-    // sweeps whatever we attach here over to the survivors.
-    s->apply_decision(txn, commit, as_donor, nodes);
-    return;
-  }
-  // Fenced member: its pool is frozen history. Repair into a live pool.
-  if (as_donor) {
-    auto esc = s->take_escrow(txn);
-    if (!commit && !esc.empty()) {
-      Shard* h = live_heir(s->manager_id());
-      core::ResourcePool& pool = h != nullptr ? h->pool() : s->pool();
-      pool.attach("", esc);
-    }
-    // On commit the escrow is simply dropped: the recipient-side settle
-    // attaches the same nodes.
-  } else if (commit) {
-    Shard* h = live_heir(s->manager_id());
-    core::ResourcePool& pool = h != nullptr ? h->pool() : s->pool();
-    pool.attach("", nodes);
-  }
-  s->mark_settled(txn);
+  // A live or crashed-but-unswept member's pool is still the right ledger —
+  // the coming failover sweeps whatever lands there over to the survivors.
+  // A fenced member's pool is frozen history: its side lands in the live
+  // heir's (or stays put when the whole fleet is dead; conserved).
+  Shard* into = s->fenced() ? live_heir(s->manager_id()) : s;
+  if (into == nullptr) into = s;
+  s->apply_decision(txn, commit, as_donor, nodes, into->pool());
 }
 
 }  // namespace ioc::fed

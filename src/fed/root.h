@@ -8,10 +8,11 @@
 //  * brokering cross-shard trades: a shard whose pool ran dry posts a
 //    TRADE_REQ; the root picks the donor with the most reported spares and
 //    drives a D2T-style begin/vote/decide exchange against both shards. The
-//    root settles every trade in-process immediately after its rounds
-//    (idempotently — members that already applied the decision are no-ops),
-//    so an in-flight trade either completes or is fenced and reclaimed:
-//    escrow can never leak past the trade's terminal marker.
+//    root settles every trade in-process immediately after its rounds,
+//    through each member's own Shard::apply_decision (idempotently —
+//    members that already applied the decision are no-ops, fenced ones
+//    included), so an in-flight trade either completes or is fenced and
+//    reclaimed: escrow can never leak past the trade's terminal marker.
 //
 // Every trade is bracketed in the root's control trace by TRADE_BEGIN and
 // exactly one of TRADE_COMMIT / TRADE_ABORT / TRADE_FENCE (lint rule
@@ -86,6 +87,8 @@ class Root {
   void failover(Shard* s);
 
   const Stats& stats() const { return stats_; }
+  /// Re-raise the exception that ended one of the root's loops, if any.
+  void rethrow_if_failed() const;
   /// Last batched heartbeat received from shard `id` (by interned id), or
   /// nullptr before the first beat — the root-side view of per-shard load.
   const HeartbeatWire* last_load(util::NameId id) const {
@@ -102,10 +105,9 @@ class Root {
   des::Process trade_loop();
   des::Task<void> run_trade(Shard* donor, Shard* recipient,
                             std::uint32_t count);
-  /// Apply the decision of `txn` on `s`'s behalf whatever its state: live
-  /// (or crashed-but-unswept) members settle through their own
-  /// apply_decision; fenced members get their ledger side repaired from
-  /// outside, into a pool that will survive.
+  /// Apply the decision of `txn` on `s`'s behalf whatever its state,
+  /// through its own apply_decision: a live (or crashed-but-unswept)
+  /// member settles into its own pool, a fenced one into its live heir's.
   void settle_member(Shard* s, std::uint64_t txn, bool commit, bool as_donor,
                      const std::vector<net::NodeId>& nodes);
   /// The live pool that inherits a fenced shard's repairs: follow the heir

@@ -62,49 +62,37 @@ void Shard::fence() {
   trade_ep_ = ev::kInvalidEndpoint;
 }
 
-std::size_t Shard::escrowed() const {
-  std::size_t n = 0;
-  for (const auto& [txn, nodes] : escrow_) n += nodes.size();
-  return n;
-}
-
-std::vector<net::NodeId> Shard::take_escrow(std::uint64_t txn) {
-  auto it = escrow_.find(txn);
-  if (it == escrow_.end()) return {};
-  auto nodes = std::move(it->second);
-  escrow_.erase(it);
-  return nodes;
+void Shard::rethrow_if_failed() const {
+  for (const des::Process& p : procs_) p.rethrow_if_failed();
 }
 
 void Shard::apply_decision(std::uint64_t txn, bool commit, bool as_donor,
-                           const std::vector<net::NodeId>& nodes) {
+                           const std::vector<net::NodeId>& nodes,
+                           core::ResourcePool& into) {
   // The root serializes trades and settles each one (live or via recovery)
   // before starting the next; a late duplicate must not attach nodes twice.
   if (guard_.settled(txn)) return;
   guard_.settle(txn);
-  move_decided(txn, commit, as_donor, nodes);
+  move_decided(txn, commit, as_donor, nodes, into);
 }
 
 void Shard::move_decided(std::uint64_t txn, bool commit, bool as_donor,
-                         const std::vector<net::NodeId>& nodes) {
+                         const std::vector<net::NodeId>& nodes,
+                         core::ResourcePool& into) {
   if (as_donor) {
-    auto esc = take_escrow(txn);
-    if (!esc.empty()) {
-      if (commit) {
-        stats_.nodes_donated += esc.size();  // the recipient attaches them
-      } else {
-        pool_.attach("", esc);
-      }
+    auto esc = pool_.take_escrow(txn);
+    if (commit) {
+      stats_.nodes_donated += esc.size();  // the recipient attaches them
+    } else {
+      into.attach("", esc);
     }
   } else if (commit) {
-    pool_.attach("", nodes);
+    into.attach("", nodes);
     stats_.nodes_received += nodes.size();
   }
-  IOC_CHECK(pool_.conserved()) << "pool corrupted settling trade " << txn
-                               << " at shard " << id_;
+  IOC_CHECK(into.conserved()) << "pool corrupted settling trade " << txn
+                              << " at shard " << id_;
 }
-
-void Shard::mark_settled(std::uint64_t txn) { guard_.settle(txn); }
 
 std::size_t Shard::unmet_demand() const {
   std::size_t unmet = 0;
@@ -269,15 +257,14 @@ des::Process Shard::participant_loop() {
           // The recipient reserves nothing: attaching nodes always
           // succeeds, so it can always vote yes.
           if (!as_donor) return true;
-          // Donor prepare = escrow: the nodes leave our pool entirely until
-          // the decision lands, so a crash between vote and decide can
-          // never double-count them. The YES carries them to the root.
+          // Donor prepare = escrow: the nodes leave our ledger until the
+          // decision lands, so a crash between vote and decide can never
+          // double-count them. The YES carries them to the root.
           return txn::d2t_donor_prepare(
               wire->count, pool_.spare_count(), [&](std::size_t n) {
                 TradeWire out = *wire;
-                out.nodes = pool_.detach_spares(n);
+                out.nodes = pool_.escrow(wire->txn, "", n);
                 out.count = static_cast<std::uint32_t>(out.nodes.size());
-                escrow_[wire->txn] = out.nodes;
                 reply.payload = std::move(out);
               });
         });
@@ -293,7 +280,7 @@ des::Process Shard::participant_loop() {
     }
     if (step.apply) {
       move_decided(wire->txn, msg->type_id == txn::kMidCommit, as_donor,
-                   wire->nodes);
+                   wire->nodes, pool_);
     }
     co_await bus_->post(trade_ep_, msg->from, std::move(reply));
   }

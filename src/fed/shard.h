@@ -14,16 +14,18 @@
 //  * as a trade participant, it answers the root's rounds through the D2T
 //    participant step of txn/d2t_model.h (the one TxnHarness and the
 //    verification models run), and escrow is explicit: the donor's prepare
-//    (txn::d2t_donor_prepare) detaches min(count, spares) nodes from its
-//    pool into escrow_ keyed by transaction and votes YES iff that is
-//    nonzero, and only a decision (live delivery or the root's recovery
-//    pass) moves them onward — to the recipient's pool on commit, back to
-//    the donor's on abort. The fleet-level conservation invariant is
-//    therefore sum(pool.total()) + sum(escrowed()) == constant at quiesce.
+//    (txn::d2t_donor_prepare) escrows min(count, spares) nodes in its pool
+//    under the transaction (ResourcePool::escrow, off the ledger) and
+//    votes YES iff that is nonzero, and only a decision moves them onward
+//    — to the recipient's pool on commit, back to the donor's on abort.
+//    Live delivery and the root's recovery pass settle through one path,
+//    apply_decision, fenced members included (their side lands in the
+//    live heir's pool). The fleet-level conservation invariant is
+//    therefore sum(pool().total() + pool().escrowed()) == constant at
+//    quiesce.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -101,29 +103,25 @@ class Shard {
   std::vector<FedPipeline*> release_pipelines();
 
   /// Root STONITH: stop all loops, close endpoints, keep state readable
-  /// (pool, escrow, guard) for the root's ledger repair and trade recovery.
+  /// (pool with its escrow, guard) for the root's ledger repair and trade
+  /// recovery.
   void fence();
   bool fenced() const { return fenced_; }
   bool crashed() const { return crashed_; }
 
-  // --- trade-participant state, exposed for the root's recovery pass -------
-  /// Nodes currently held in escrow across all open trades.
-  std::size_t escrowed() const;
-  bool has_escrow(std::uint64_t txn) const { return escrow_.count(txn) > 0; }
-  /// Remove and return the escrow of `txn` (empty if none).
-  std::vector<net::NodeId> take_escrow(std::uint64_t txn);
   /// The root's recovery settle: apply a trade decision unless the trade is
   /// already settled here (a duplicate, or the live delivery got there
   /// first): donor commit drops the escrow (the recipient attaches it),
-  /// donor abort re-attaches it as spares, recipient commit attaches
-  /// `nodes`. The live delivery makes the same move through the
-  /// participant step.
+  /// donor abort attaches it to `into` as spares, recipient commit attaches
+  /// `nodes` to `into`. `into` is this shard's own pool while it is live
+  /// and the live heir's once it is fenced; the live delivery makes the
+  /// same move into its own pool through the participant step.
   void apply_decision(std::uint64_t txn, bool commit, bool as_donor,
-                      const std::vector<net::NodeId>& nodes);
-  /// Record a transaction as settled without touching the pool — the root's
-  /// recovery pass repaired the ledgers itself (dead member), and any late
-  /// decision delivery must be recognized as a duplicate.
-  void mark_settled(std::uint64_t txn);
+                      const std::vector<net::NodeId>& nodes,
+                      core::ResourcePool& into);
+
+  /// Re-raise the exception that ended one of the shard's loops, if any.
+  void rethrow_if_failed() const;
 
   const Stats& stats() const { return stats_; }
   /// Unmet demand across live pipelines (nodes wanted but not yet granted).
@@ -139,7 +137,8 @@ class Shard {
   /// trade: by the participant step's first copy of the decision, or by the
   /// root's recovery settle.
   void move_decided(std::uint64_t txn, bool commit, bool as_donor,
-                    const std::vector<net::NodeId>& nodes);
+                    const std::vector<net::NodeId>& nodes,
+                    core::ResourcePool& into);
 
   ev::BusIf* bus_;
   std::string id_;
@@ -157,7 +156,6 @@ class Shard {
   bool crashed_ = false;
   txn::D2tMemberGuard guard_;
   ev::Message last_vote_reply_;  // replayed on retried vote requests
-  std::map<std::uint64_t, std::vector<net::NodeId>> escrow_;  // txn -> nodes
   Stats stats_;
   std::vector<des::Process> procs_;
 };

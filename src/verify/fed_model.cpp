@@ -146,13 +146,15 @@ void FedModel::settle(FedState& st, Step* step) const {
     if (!(leak && m == kDonor)) move_decided(st, m);
   }
   if (!leak) {
-    // A committed trade moved the donor's escrow into the recipient's pool.
+    // A committed trade moved the donor's escrow into the recipient's pool;
+    // like fed::Root::run_trade, every terminal marker of a committed trade
+    // carries that amount, TRADE_FENCE included.
     const int moved = st.recipient_spares - scenario_.recipient_spares;
     emit(step,
          st.fenced ? core::kMarkTradeFence
                    : (st.commit ? core::kMarkTradeCommit
                                 : core::kMarkTradeAbort),
-         st.commit && !st.fenced ? moved : 0);
+         st.commit ? moved : 0);
   }
   st.phase = static_cast<std::uint8_t>(FedPhase::kDone);
 }
@@ -205,8 +207,9 @@ FedState FedModel::apply(const FedState& s, const Action& a,
                 static_cast<std::size_t>(count),
                 static_cast<std::size_t>(st.donor_spares),
                 [&st](std::size_t n) {
-                  // Shard::escrow_[txn] = the detached nodes: the trade's
-                  // escrow entry is set, not added to.
+                  // ResourcePool::escrow(txn, "", n) at the donor shard: the
+                  // step prepares once per trade, so the trade's escrow
+                  // entry goes from empty to the n nodes set aside.
                   st.donor_spares = static_cast<std::int8_t>(
                       st.donor_spares - static_cast<int>(n));
                   st.escrow = static_cast<std::int8_t>(n);

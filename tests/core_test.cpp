@@ -382,13 +382,12 @@ des::Process run_trade(txn::TxnHarness& h, txn::TxnResult* out) {
 
 TEST(TransactionalTrade, CommitMovesNodes) {
   TradeFixture f;
-  auto viz_nodes = f.pool.nodes_of("viz");
   txn::TxnConfig cfg;
   cfg.writers = 2;
   cfg.readers = 2;
   txn::TxnHarness h(f.bus, cfg);
-  DonorTradeOp donor(f.pool, "viz", viz_nodes);
-  RecipientTradeOp recipient(f.pool, "analytics", viz_nodes);
+  DonorTradeOp donor(f.pool, /*txn=*/1, "viz", 2);
+  RecipientTradeOp recipient(f.pool, /*txn=*/1, "analytics", 2);
   h.set_operation(0, &donor);
   h.set_operation(2, &recipient);
   txn::TxnResult r;
@@ -404,15 +403,14 @@ class TradeFailures : public ::testing::TestWithParam<txn::FailureSpec> {};
 
 TEST_P(TradeFailures, NodesNeverLostOrDuplicated) {
   TradeFixture f;
-  auto viz_nodes = f.pool.nodes_of("viz");
   txn::TxnConfig cfg;
   cfg.writers = 2;
   cfg.readers = 2;
   cfg.round.timeout = des::kSecond;
   cfg.failure = GetParam();
   txn::TxnHarness h(f.bus, cfg);
-  DonorTradeOp donor(f.pool, "viz", viz_nodes);
-  RecipientTradeOp recipient(f.pool, "analytics", viz_nodes);
+  DonorTradeOp donor(f.pool, /*txn=*/1, "viz", 2);
+  RecipientTradeOp recipient(f.pool, /*txn=*/1, "analytics", 2);
   h.set_operation(0, &donor);
   h.set_operation(2, &recipient);
   txn::TxnResult r;
@@ -426,7 +424,7 @@ TEST_P(TradeFailures, NodesNeverLostOrDuplicated) {
     EXPECT_EQ(f.pool.owned_by("analytics"), 2u);
     EXPECT_EQ(f.pool.owned_by("viz"), 2u);
   }
-  EXPECT_EQ(f.pool.owned_by(DonorTradeOp::kEscrow), 0u);  // nothing stranded
+  EXPECT_EQ(f.pool.escrowed(), 0u);  // nothing stranded
   EXPECT_TRUE(f.pool.conserved());
 }
 

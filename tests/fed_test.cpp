@@ -1,7 +1,8 @@
 // Federation-layer tests: consistent-hash placement properties, quiet and
 // chaos-battered fleet soaks (shard crashes, partitions, message faults),
-// cross-shard trade recovery, the fleet metrics snapshot, and the IOC106
-// escrow-leak replay from the federation model checker.
+// the pipeline owner filter, cross-shard trade recovery, the fleet metrics
+// snapshot, and the federation model checker (the IOC106 escrow-leak
+// replay, the terminal markers).
 //
 // The chaos soaks follow the repo's determinism idiom: every run is a pure
 // function of (Options, fault schedule), so a soak runs twice per seed and
@@ -12,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.h"
@@ -27,6 +30,7 @@
 #include "fault/injector.h"
 #include "fed/fleet.h"
 #include "fed/hash.h"
+#include "fed/pipeline.h"
 #include "fed/root.h"
 #include "fed/shard.h"
 #include "fed/wire.h"
@@ -251,13 +255,53 @@ TEST(Fleet, PartitionedShardIsFencedNotLeaked) {
   EXPECT_EQ(r.digest, 0x082c128975151e62ull);
 }
 
+/// Posts an INCREASE of one node from `from`, then hands the pipeline to
+/// `heir` 1 ms later — mid-way through the pipeline's 2 ms apply delay.
+ioc::des::Process increase_then_fail_over(ioc::ev::Bus& bus,
+                                          ioc::fed::FedPipeline& pipe,
+                                          ioc::ev::EndpointId from,
+                                          ioc::ev::EndpointId heir) {
+  ioc::ev::Message m;
+  m.type_id = ioc::core::kMidIncrease;
+  m.payload = ioc::core::IncreasePayload{{1000}};
+  co_await bus.post(from, pipe.endpoint(), std::move(m));
+  co_await ioc::des::delay(bus.sim(), kMillisecond);
+  pipe.set_owner(heir);
+}
+
+TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
+  // The new owner took its ground-truth snapshot at the handover, so a
+  // resize the old owner launched must not change the width after it, even
+  // one already inside its apply delay: it is dropped like any request
+  // from a non-owner — counted, unanswered, width untouched.
+  ioc::des::Simulator sim;
+  ioc::net::Cluster cluster{sim, 3};
+  ioc::net::Network net{cluster};
+  ioc::ev::Bus bus{net};
+  ioc::fed::FedPipeline pipe(bus, /*node=*/1, "pipe-0", {});
+  const ioc::ev::EndpointId a = bus.open(0, "test.a").id();
+  const ioc::ev::EndpointId b = bus.open(2, "test.b").id();
+  pipe.set_owner(a);
+  ioc::des::spawn(sim, increase_then_fail_over(bus, pipe, a, b));
+  sim.run_until(5 * kMillisecond);
+  EXPECT_EQ(pipe.width(), 0u);
+  EXPECT_EQ(pipe.stale_owner_drops(), 1u);
+  EXPECT_EQ(bus.find(a)->mailbox().size(), 0u);  // no DONE for A
+  pipe.fence();
+  bus.close(a);
+  bus.close(b);
+  while (sim.step()) {
+  }
+}
+
 // --- trade recovery --------------------------------------------------------
 
 /// Three shards (s0: 4 spares, s1: 1, s2: 2) and a root on a bare bus, with
 /// no pipelines. The test posts one trade request, s1 <- 2 nodes; the root
 /// picks s0, the shard with the most spares, as the donor. A watcher fails
-/// members over the moment the donor has escrowed, so the trade runs into
-/// the recovery branches a soak reaches only by chance.
+/// members over the moment the donor has escrowed (or another condition
+/// holds), so the trade runs into the recovery branches a soak reaches only
+/// by chance.
 struct TradeRig {
   static constexpr std::size_t kNodes = 7;
 
@@ -292,18 +336,21 @@ struct TradeRig {
   ioc::fed::Shard& recipient() { return *shards[1]; }
 
   /// Start every loop, request the trade once the first heartbeats are in,
-  /// fail `victims` over (in order) once the donor escrowed, run 1 s.
-  void run(std::vector<ioc::fed::Shard*> victims) {
+  /// fail `victims` over (in order) once `when` holds — by default, once
+  /// the donor escrowed — and run 1 s.
+  void run(std::vector<ioc::fed::Shard*> victims,
+           std::function<bool()> when = {}) {
+    if (!when) when = [this] { return donor().pool().escrowed() > 0; };
     root.start();
     for (auto& s : shards) s->start();
     ioc::des::spawn(sim, request_trade());
-    ioc::des::spawn(sim, fail_over_once_escrowed(std::move(victims)));
+    ioc::des::spawn(sim, fail_over_once(std::move(victims), std::move(when)));
     sim.run_until(kSecond);
   }
 
   std::size_t open_escrow() const {
     std::size_t n = 0;
-    for (const auto& s : shards) n += s->escrowed();
+    for (const auto& s : shards) n += s->pool().escrowed();
     return n;
   }
   bool conserved() const {
@@ -322,12 +369,12 @@ struct TradeRig {
     co_await bus.post(client, root.ctl_endpoint(), std::move(m));
     bus.close(client);
   }
-  ioc::des::Process fail_over_once_escrowed(
-      std::vector<ioc::fed::Shard*> victims) {
-    for (int i = 0; i < 500'000 && donor().escrowed() == 0; ++i) {
+  ioc::des::Process fail_over_once(std::vector<ioc::fed::Shard*> victims,
+                                   std::function<bool()> when) {
+    for (int i = 0; i < 500'000 && !when(); ++i) {
       co_await ioc::des::delay(sim, ioc::des::kMicrosecond);
     }
-    if (donor().escrowed() == 0) co_return;
+    if (!when()) co_return;
     fired = true;
     for (ioc::fed::Shard* v : victims) root.failover(v);
   }
@@ -354,9 +401,10 @@ TEST(TradeRecovery, DonorAbortRestoresEscrowWhenRecipientIsUnreachable) {
 TEST(TradeRecovery, FencedDonorIsSettledByTheRootAndTheHeirGainsItsPool) {
   // The donor is failed over while its escrow is open. Its YES is already on
   // the wire, so the trade commits, but the decision can no longer reach
-  // the donor: Root::settle_member takes the fenced branch, drops the
-  // escrow (the recipient attached the same nodes) and marks the trade
-  // settled at the donor. The donor's remaining spares went to its heir.
+  // the donor: the root settles the fenced donor through its own
+  // Shard::apply_decision, which drops the escrow (the recipient attached
+  // the same nodes) and marks the trade settled at the donor. The donor's
+  // remaining spares went to its heir.
   TradeRig rig;
   ASSERT_EQ(rig.root.ring().successor("s0"), "s2");
   rig.run({&rig.donor()});
@@ -387,11 +435,39 @@ TEST(TradeRecovery, FencedDonorAbortRepairsEscrowIntoTheLiveHeir) {
   EXPECT_EQ(rig.shards[2]->pool().total(), TradeRig::kNodes);
 }
 
+TEST(TradeRecovery, RecipientFencedAfterLiveCommitSettlesOnce) {
+  // The recipient applies the COMMIT live (its pool grows 1 -> 3) and is
+  // failed over at once, its whole pool draining to its heir s0. The root's
+  // recovery settle must find the trade already settled at the fenced
+  // recipient: attaching the traded nodes to the heir a second time would
+  // own them twice, and the throw would kill the root's trade loop before
+  // the trade's terminal marker.
+  TradeRig rig;
+  ASSERT_EQ(rig.root.ring().successor("s1"), "s0");
+  rig.run({&rig.recipient()},
+          [&rig] { return rig.recipient().pool().total() == 3; });
+  ASSERT_TRUE(rig.fired);
+  EXPECT_NO_THROW(rig.root.rethrow_if_failed());
+  const auto& trace = rig.root.control_trace();
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(trace.back().container, "trade#1");
+  EXPECT_EQ(trace.back().type, ioc::core::kMarkTradeCommit);
+  EXPECT_EQ(trace.back().delta, 2);
+  EXPECT_EQ(rig.root.stats().trades_committed, 1u);
+  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.open_escrow(), 0u);
+  EXPECT_EQ(rig.donor().pool().total(), 5u);
+  EXPECT_EQ(rig.recipient().pool().total(), 0u);
+  EXPECT_EQ(rig.shards[2]->pool().total(), 2u);
+}
+
 // --- chaos soak ------------------------------------------------------------
 
 /// Runs the chaos soak; `trace_fold`, when set, receives control_trace_fold.
+/// Every message class drops `drop_rate` of its messages.
 Fleet::Result run_chaos(std::uint64_t seed,
-                        std::uint64_t* trace_fold = nullptr) {
+                        std::uint64_t* trace_fold = nullptr,
+                        double drop_rate = 0.02) {
   Fleet::Options opt;
   opt.shards = 8;
   opt.pipelines = 32;
@@ -403,7 +479,7 @@ Fleet::Result run_chaos(std::uint64_t seed,
   opt.seed = seed;
   opt.faults_enabled = true;
   ioc::fault::ClassFaults noisy;
-  noisy.drop_rate = 0.02;
+  noisy.drop_rate = drop_rate;
   noisy.duplicate_rate = 0.02;
   noisy.delay_rate = 0.10;
   noisy.delay_min = 1 * kMillisecond;
@@ -481,6 +557,27 @@ TEST_P(FedChaos, SameSeedSameFleetBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FedChaos,
                          ::testing::Values(1u, 7u, 42u, 1234u, 987654321u));
 
+TEST(FedChaosLoops, HighDropSeedsKeepEveryLoopAlive) {
+  // Seeds on which a root or shard loop once died at high drop rates:
+  // 72 and 230 on a fenced recipient settled a second time after it had
+  // applied the commit live (the attach threw "already present"), 65, 244
+  // and 1246 on a pipeline applying a resize from an owner that was failed
+  // over during its apply delay. Fleet::snapshot re-raises what ended a
+  // loop, so a dead loop fails the run instead of silently stopping trades
+  // or failovers.
+  const std::pair<std::uint64_t, double> runs[] = {
+      {72, 0.20}, {230, 0.20}, {65, 0.20}, {244, 0.20}, {1246, 0.10}};
+  for (const auto& [seed, drop] : runs) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " drop " << drop);
+    Fleet::Result r;
+    ASSERT_NO_THROW(r = run_chaos(seed, nullptr, drop));
+    EXPECT_TRUE(r.conserved);
+    EXPECT_EQ(r.open_escrow, 0u);
+    EXPECT_EQ(r.converged_pipelines, r.live_pipelines);
+    EXPECT_GE(r.failovers, 3u);
+  }
+}
+
 // --- metrics ---------------------------------------------------------------
 
 TEST(Fleet, PublishMetricsExposesShardAndFaultCounters) {
@@ -542,6 +639,50 @@ TEST(FedVerify, ShortDonorEscrowsWhatItHasAndTheTradeMovesIt) {
   EXPECT_EQ(rep.edges, 6629u);
   EXPECT_EQ(rep.terminals, 70u);
   EXPECT_EQ(rep.depth, 13u);
+}
+
+TEST(FedVerify, FencedCommitMarkerCarriesTheMovedNodes) {
+  // fed::Root::run_trade logs the committed node count on every terminal
+  // marker, TRADE_FENCE included. Here both members vote YES, the
+  // recipient's decide request is lost, and the decide gather exhausts its
+  // ladder: the recovery settle moves the escrowed node, and the marker
+  // must say so.
+  using ioc::verify::ActionKind;
+  using ioc::verify::kDecideRound;
+  using ioc::verify::kFedRounds;
+  using ioc::verify::kVoteRound;
+  ioc::verify::FedScenario sc;
+  sc.retries = 0;
+  const ioc::verify::FedModel model(sc);
+  ioc::verify::FedState s = model.initial();
+  ioc::verify::Step step;
+  const auto act = [&](ActionKind kind, std::size_t target) {
+    std::vector<ioc::verify::Action> enabled;
+    model.enabled(s, &enabled);
+    const auto t = static_cast<std::uint8_t>(target);
+    ASSERT_TRUE(std::any_of(enabled.begin(), enabled.end(), [&](auto& a) {
+      return a.kind == kind && a.target == t;
+    }));
+    step = {};
+    s = model.apply(s, {kind, t}, &step);
+  };
+  const std::size_t donor = 0;
+  const std::size_t recipient = kFedRounds;
+  act(ActionKind::kStartTxn, 0);
+  for (const std::size_t m : {donor, recipient}) {
+    act(ActionKind::kDeliverTreq, m + kVoteRound);
+    act(ActionKind::kDeliverTrep, m + kVoteRound);
+  }
+  ASSERT_TRUE(s.commit);
+  act(ActionKind::kDropTreq, recipient + kDecideRound);
+  act(ActionKind::kDeliverTreq, donor + kDecideRound);
+  act(ActionKind::kDeliverTrep, donor + kDecideRound);
+  act(ActionKind::kTxnTimeout, 0);
+  ASSERT_TRUE(s.fenced);
+  ASSERT_FALSE(step.events.empty());
+  EXPECT_EQ(step.events.back().type, ioc::core::kMarkTradeFence);
+  EXPECT_EQ(step.events.back().delta, 1);
+  EXPECT_EQ(int{s.recipient_spares}, sc.recipient_spares + 1);
 }
 
 TEST(FedVerify, LeakEscrowCounterexampleReplaysAsIOC106) {
