@@ -113,9 +113,7 @@ class Fleet {
   /// Bus node hosting shard `i` — the argument for injector crashes and
   /// partitions.
   net::NodeId shard_node(std::size_t i) const { return shards_[i]->node(); }
-  std::size_t pipeline_count() const { return pipelines_.size(); }
   FedPipeline& pipeline(std::size_t i) { return *pipelines_[i]; }
-  std::size_t initial_nodes() const { return initial_nodes_; }
 
   bool conserved() const;
   std::size_t open_escrow() const;

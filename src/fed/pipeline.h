@@ -58,7 +58,6 @@ class FedPipeline {
   /// Only control requests from this endpoint are honored. Set at placement
   /// and on every failover handover (Shard::adopt).
   void set_owner(ev::EndpointId ep) { owner_ep_ = ep; }
-  ev::EndpointId owner() const { return owner_ep_; }
 
   /// Workload demand. Restamps the resize clock when it changes the gap
   /// between demand and width; the clock stops (and a latency sample is

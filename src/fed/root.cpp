@@ -40,7 +40,7 @@ void Root::add_shard(Shard* s) {
   shards_.push_back(s);
   ring_.add(s->manager_id());
   s->set_root(ctl_ep_);
-  health_[s->manager_name()].last_hb = bus_->sim().now();
+  health_.push_back({s->manager_name(), bus_->sim().now(), 0});
 }
 
 void Root::start() {
@@ -76,10 +76,12 @@ des::Process Root::service_loop() {
     if (!msg.has_value()) break;
     if (msg->type_id == core::kMidHeartbeat) {
       if (const auto* hb = msg->as<HeartbeatWire>()) {
-        ShardHealth& h = health_[hb->shard];
-        h.last_hb = bus_->sim().now();
-        h.spares = hb->spares;
-        h.load = *hb;
+        for (ShardHealth& h : health_) {
+          if (h.id != hb->shard) continue;
+          h.last_hb = bus_->sim().now();
+          h.spares = hb->spares;
+          break;
+        }
       }
     } else if (msg->type_id == kMidTradeReq) {
       if (const auto* req = msg->as<TradeRequestWire>()) {
@@ -95,11 +97,10 @@ des::Process Root::sweep_loop() {
   while (!stopped_) {
     co_await des::delay(sim, opt_.sweep_interval);
     if (stopped_) break;
-    for (Shard* s : shards_) {
-      if (s->fenced()) continue;
-      const des::SimTime silent =
-          sim.now() - health_[s->manager_name()].last_hb;
-      if (silent > opt_.heartbeat_timeout) failover(s);
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (shards_[i]->fenced()) continue;
+      const des::SimTime silent = sim.now() - health_[i].last_hb;
+      if (silent > opt_.heartbeat_timeout) failover(shards_[i]);
     }
   }
 }
@@ -196,11 +197,11 @@ des::Process Root::trade_loop() {
     Shard* recipient = find_shard(recip_id);
     Shard* donor = nullptr;
     std::uint32_t best = 0;
-    for (Shard* s : shards_) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      Shard* s = shards_[i];
       if (s->failed() || s->manager_id() == recip_id) continue;
-      const std::uint32_t sp = health_[s->manager_name()].spares;
-      if (sp > best) {
-        best = sp;
+      if (health_[i].spares > best) {
+        best = health_[i].spares;
         donor = s;
       }
     }
@@ -302,21 +303,15 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
   // side repaired here. After this block the trade's escrow is gone:
   // dropped on the donor (commit), back in a live pool (abort), and the
   // traded nodes attached exactly once.
-  const bool leak = opt_.mutate_leak_escrow && fenced_round;
-  if (!leak) {
-    settle_member(donor, txn, commit, /*as_donor=*/true, nodes);
-  }
+  settle_member(donor, txn, commit, /*as_donor=*/true, nodes);
   settle_member(recipient, txn, commit, /*as_donor=*/false, nodes);
-  if (!leak) {
-    IOC_CHECK(donor->pool().escrowed() == 0 &&
-              recipient->pool().escrowed() == 0)
-        << "trade " << txn << " settled but escrow survived";
-    const char* terminal = fenced_round ? core::kMarkTradeFence
-                          : commit      ? core::kMarkTradeCommit
-                                        : core::kMarkTradeAbort;
-    rounds_.marker(tid, terminal,
-                   commit ? static_cast<int>(nodes.size()) : 0);
-  }
+  IOC_CHECK(donor->pool().escrowed() == 0 &&
+            recipient->pool().escrowed() == 0)
+      << "trade " << txn << " settled but escrow survived";
+  const char* terminal = fenced_round ? core::kMarkTradeFence
+                        : commit      ? core::kMarkTradeCommit
+                                      : core::kMarkTradeAbort;
+  rounds_.marker(tid, terminal, commit ? static_cast<int>(nodes.size()) : 0);
   if (fenced_round) {
     ++stats_.trades_fenced;
   } else if (commit) {

@@ -4,7 +4,10 @@
 //  * liveness: shards heartbeat to it; a shard silent past the timeout is
 //    fenced (STONITH: its endpoints close, it may never act again) and its
 //    pipelines fail over to the consistent-hash survivors, ledgers repaired
-//    via ResourcePool::reconcile across the shard boundary;
+//    via ResourcePool::reconcile across the shard boundary. A beat carries
+//    the shard's id and spare count, nothing else, and lands in a health
+//    table kept parallel to the shard list, so neither side's per-beat
+//    work grows with pipelines per shard;
 //  * brokering cross-shard trades: a shard whose pool ran dry posts a
 //    TRADE_REQ; the root picks the donor with the most reported spares and
 //    drives a D2T-style begin/vote/decide exchange against both shards. The
@@ -47,11 +50,6 @@ class Root {
                            5 * des::kMillisecond, 40 * des::kMillisecond};
     std::size_t ring_vnodes = 64;
     trace::TraceSink* trace = nullptr;
-    /// Fault-seeding knob for the IOC106 end-to-end test: a fenced trade
-    /// skips the donor-side recovery settle AND its terminal marker — the
-    /// exact escrow-leak bug the lint rule exists to catch. Never set in
-    /// production paths.
-    bool mutate_leak_escrow = false;
   };
 
   struct Stats {
@@ -89,12 +87,6 @@ class Root {
   const Stats& stats() const { return stats_; }
   /// Re-raise the exception that ended one of the root's loops, if any.
   void rethrow_if_failed() const;
-  /// Last batched heartbeat received from shard `id` (by interned id), or
-  /// nullptr before the first beat — the root-side view of per-shard load.
-  const HeartbeatWire* last_load(util::NameId id) const {
-    auto it = health_.find(id);
-    return it == health_.end() ? nullptr : &it->second.load;
-  }
   const std::vector<core::ControlTraceEvent>& control_trace() const {
     return rounds_.trace();
   }
@@ -122,15 +114,16 @@ class Root {
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   std::vector<Shard*> shards_;
   HashRing ring_;
-  /// Everything the root tracks per shard heartbeat, in one record so the
-  /// receive path pays one map lookup per beat, not three. Keyed by
-  /// interned shard id: indexing must not build a temporary std::string.
+  /// What the root tracks per shard, parallel to shards_: entry i belongs
+  /// to shards_[i], so the sweep and trade loops index it by position. A
+  /// beat finds its entry by a linear scan of the interned ids, which with
+  /// one entry per shard is cheaper than a tree lookup.
   struct ShardHealth {
+    util::NameId id = util::kEmptyName;  // the shard's manager_name()
     des::SimTime last_hb = 0;
-    std::uint32_t spares = 0;   // last reported
-    HeartbeatWire load{};       // last batched report
+    std::uint32_t spares = 0;  // last reported
   };
-  std::map<util::NameId, ShardHealth> health_;
+  std::vector<ShardHealth> health_;
   std::map<std::string, std::uint32_t> pending_req_;  // recipient -> count
   std::map<std::string, std::string> heir_;           // dead -> heir id
   std::uint64_t txn_counter_ = 0;

@@ -126,16 +126,18 @@ des::Process Shard::policy_loop() {
       if (fenced_ || crashed_) co_return;
     }
     // Demand the local pool cannot cover: ask the root to broker a trade.
-    const std::size_t unmet = unmet_demand();
-    if (unmet > 0 && pool_.spare_count() == 0 &&
-        root_ep_ != ev::kInvalidEndpoint) {
-      ev::Message m;
-      m.type_id = kMidTradeReq;
-      m.payload =
-          TradeRequestWire{id_, static_cast<std::uint32_t>(unmet)};
-      ++stats_.trade_requests;
-      co_await bus_->post(ctl_ep_, root_ep_, std::move(m));
+    // The cheap tests go first, so the walk over the pipelines runs only
+    // when a TRADE_REQ can follow.
+    if (pool_.spare_count() != 0 || root_ep_ == ev::kInvalidEndpoint) {
+      continue;
     }
+    const std::size_t unmet = unmet_demand();
+    if (unmet == 0) continue;
+    ev::Message m;
+    m.type_id = kMidTradeReq;
+    m.payload = TradeRequestWire{id_, static_cast<std::uint32_t>(unmet)};
+    ++stats_.trade_requests;
+    co_await bus_->post(ctl_ep_, root_ep_, std::move(m));
   }
 }
 
@@ -152,29 +154,9 @@ des::Process Shard::heartbeat_loop() {
     ev::Message m;
     m.type_id = core::kMidHeartbeat;
     m.size_bytes = 64;
-    // One batched heartbeat per shard per beat: the per-pipeline aggregates
-    // ride along as payload fields, so fleet-scale liveness stays one
-    // message per shard per round regardless of pipeline count.
-    HeartbeatWire hb;
-    hb.shard = id_name_;
-    hb.spares = static_cast<std::uint32_t>(pool_.spare_count());
-    // One pass over the pipelines gathers all three aggregates — this loop
-    // runs every beat on every shard, so it must not be walked twice.
-    std::uint32_t live = 0;
-    std::uint32_t attached = 0;
-    std::uint32_t unmet = 0;
-    for (const FedPipeline* p : pipelines_) {
-      if (p->fenced()) continue;
-      ++live;
-      attached += static_cast<std::uint32_t>(p->width());
-      if (p->target() > p->width()) {
-        unmet += static_cast<std::uint32_t>(p->target() - p->width());
-      }
-    }
-    hb.pipelines_live = live;
-    hb.nodes_attached = attached;
-    hb.unmet_demand = unmet;
-    m.payload = hb;
+    // One heartbeat per shard per beat, whatever its pipeline count.
+    m.payload = HeartbeatWire{id_name_,
+                              static_cast<std::uint32_t>(pool_.spare_count())};
     co_await bus_->post(ctl_ep_, root_ep_, std::move(m),
                         ev::TrafficClass::kMonitoring);
   }

@@ -71,9 +71,9 @@ class Shard {
 
   /// Stable identity in the fleet; consistent hashing keys on it.
   const std::string& manager_id() const { return id_; }
-  /// Interned form of manager_id(), cached at construction. The root's
-  /// sweep and trade loops key their heartbeat/spares maps by this id every
-  /// tick; re-interning the string there showed up in the fleet bench.
+  /// Interned form of manager_id(), cached at construction. Heartbeats
+  /// carry it, and the root matches each beat to its health entry by it;
+  /// re-interning the string per beat showed up in the fleet bench.
   util::NameId manager_name() const { return id_name_; }
   core::ResourcePool& pool() { return pool_; }
   /// True once the shard crashed or was fenced by the root.
@@ -107,7 +107,6 @@ class Shard {
   /// recovery.
   void fence();
   bool fenced() const { return fenced_; }
-  bool crashed() const { return crashed_; }
 
   /// The root's recovery settle: apply a trade decision unless the trade is
   /// already settled here (a duplicate, or the live delivery got there

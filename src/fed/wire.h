@@ -14,20 +14,16 @@
 
 namespace ioc::fed {
 
-/// Shard -> root, monitoring class, fire-and-forget liveness + load report.
-/// The type string is core::kMsgHeartbeat. One wire message per shard per
-/// beat interval: the per-pipeline state a shard would otherwise report
-/// individually is coalesced into the aggregate fields below, so the
-/// monitoring-plane message count stays O(shards), not O(pipelines), at
-/// fleet scale (16 shards x 2048 pipelines = 16 heartbeats per round).
+/// Shard -> root, monitoring class, fire-and-forget liveness report. The
+/// type string is core::kMsgHeartbeat. One wire message per shard per beat
+/// interval, carrying only what the root reads: who is alive, and the
+/// spares its trade loop picks donors by. Nothing in it walks the shard's
+/// pipelines, so both the message count (O(shards)) and the cost of a beat
+/// stay independent of pipelines per shard (16 shards x 2048 pipelines =
+/// 16 heartbeats per round).
 struct HeartbeatWire {
   util::NameId shard = util::kEmptyName;  ///< interned shard id (util/intern.h)
   std::uint32_t spares = 0;  ///< spare staging nodes in the shard's pool
-  // Batched per-pipeline aggregates (gauges at the root, not protocol
-  // inputs — adding them changed no message counts or sizes).
-  std::uint32_t pipelines_live = 0;   ///< pipelines currently served
-  std::uint32_t nodes_attached = 0;   ///< staging nodes attached across them
-  std::uint32_t unmet_demand = 0;     ///< resize requests pending for want of nodes
 };
 
 /// Shard -> root, control class, fire-and-forget: "my pool ran dry, find me

@@ -33,10 +33,11 @@
 // control-trace markers the runtime root logs, so a counterexample replays
 // through lint::check_trace and trips IOC106.
 //
-// The `leak_escrow` mutation re-introduces the bug the recovery pass
-// exists to prevent (mirroring fed::Root::Options::mutate_leak_escrow): a
-// fenced trade skips the donor-side settle and its terminal marker. The
-// checker proves it orphans escrow and the lint replayer flags the trace.
+// The `leak_escrow` mutation (FedScenario::leak_escrow, `ioc_verify --fed
+// --bug=leak-escrow`) re-introduces the bug fed::Root's recovery settle
+// exists to prevent: a fenced trade skips the donor-side settle and its
+// terminal marker. The checker proves it orphans escrow and the lint
+// replayer flags the trace.
 #pragma once
 
 #include <cstdint>

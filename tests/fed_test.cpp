@@ -255,6 +255,60 @@ TEST(Fleet, PartitionedShardIsFencedNotLeaked) {
   EXPECT_EQ(r.digest, 0x082c128975151e62ull);
 }
 
+TEST(Fleet, EveryShardDeadFencesEveryPipelineAndConserves) {
+  // s0 dies first and fails over to s1; then s1 dies with no shard left to
+  // inherit anything. Root::failover must fence every pipeline it can no
+  // longer place and strand their nodes, with every spare, in the dead
+  // pool: conserved, unusable, nothing lost.
+  Fleet::Options opt = quiet_options();
+  opt.shards = 2;
+  opt.pipelines = 8;
+  opt.faults_enabled = true;
+  Fleet fleet(opt);
+  fleet.injector()->schedule_crash(fleet.shard_node(0), 2 * kSecond);
+  fleet.injector()->schedule_crash(fleet.shard_node(1), 4 * kSecond);
+  const Fleet::Result r = fleet.run();
+  EXPECT_TRUE(r.conserved);
+  EXPECT_EQ(r.open_escrow, 0u);
+  EXPECT_EQ(r.failovers, 2u);
+  EXPECT_EQ(r.live_shards, 0u);
+  EXPECT_EQ(r.live_pipelines, 0u);
+  EXPECT_EQ(fleet.shard(0).pool().total(), 0u);
+  EXPECT_EQ(fleet.shard(1).pool().total(), 16u);
+  EXPECT_EQ(fleet.shard(1).pool().spare_count(), 16u);
+  EXPECT_EQ(r.digest, 0xd1f7fe28426ca5c4ull) << std::hex << r.digest;
+}
+
+TEST(Fleet, PipelineCutOffFromItsShardIsEscalatedAndFenced) {
+  // pipe-0's node (the fleet puts pipeline i on node 1 + shards + i) loses
+  // every shard for 5 s while the root stays reachable. Its owner's resize
+  // round exhausts the retry ladder, so the shard escalates: it fences the
+  // pipeline and reclaims its nodes. No shard goes silent, so nothing
+  // fails over.
+  Fleet::Options opt = quiet_options();
+  opt.faults_enabled = true;
+  Fleet fleet(opt);
+  std::vector<ioc::net::NodeId> shard_nodes;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    shard_nodes.push_back(fleet.shard_node(i));
+  }
+  const auto pipe0_node = static_cast<ioc::net::NodeId>(1 + opt.shards);
+  fleet.injector()->partition({pipe0_node}, shard_nodes, 1 * kSecond,
+                              6 * kSecond);
+  const Fleet::Result r = fleet.run();
+  std::uint64_t escalations = 0;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    escalations += fleet.shard(i).stats().escalations;
+  }
+  EXPECT_EQ(escalations, 1u);
+  EXPECT_TRUE(fleet.pipeline(0).fenced());
+  EXPECT_EQ(r.live_pipelines, 15u);
+  EXPECT_EQ(r.failovers, 0u);
+  EXPECT_TRUE(r.conserved);
+  EXPECT_EQ(r.open_escrow, 0u);
+  EXPECT_EQ(r.digest, 0xa88007dad2af303cull) << std::hex << r.digest;
+}
+
 /// Posts an INCREASE of one node from `from`, then hands the pipeline to
 /// `heir` 1 ms later — mid-way through the pipeline's 2 ms apply delay.
 ioc::des::Process increase_then_fail_over(ioc::ev::Bus& bus,
