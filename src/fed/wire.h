@@ -17,10 +17,10 @@ namespace ioc::fed {
 /// Shard -> root, monitoring class, fire-and-forget liveness report. The
 /// type string is core::kMsgHeartbeat. One wire message per shard per beat
 /// interval, carrying only what the root reads: who is alive, and the
-/// spares its trade loop picks donors by. Nothing in it walks the shard's
-/// pipelines, so both the message count (O(shards)) and the cost of a beat
-/// stay independent of pipelines per shard (16 shards x 2048 pipelines =
-/// 16 heartbeats per round).
+/// spares its trade loop picks donors by. Filling it reads none of the
+/// shard's pipelines, so both the message count (O(shards)) and the cost
+/// of a beat stay independent of pipelines per shard (16 shards x 2048
+/// pipelines = 16 heartbeats per round).
 struct HeartbeatWire {
   util::NameId shard = util::kEmptyName;  ///< interned shard id (util/intern.h)
   std::uint32_t spares = 0;  ///< spare staging nodes in the shard's pool
