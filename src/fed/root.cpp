@@ -37,10 +37,9 @@ Root::Root(ev::BusIf& bus, net::NodeId node, Options opt)
 Root::~Root() { shutdown(); }
 
 void Root::add_shard(Shard* s) {
-  shards_.push_back(s);
+  shards_.push_back({s, bus_->sim().now(), 0});
   ring_.add(s->manager_id());
   s->set_root(ctl_ep_);
-  health_.push_back({s->manager_name(), bus_->sim().now(), 0});
 }
 
 void Root::start() {
@@ -62,8 +61,8 @@ void Root::shutdown() {
 }
 
 Shard* Root::find_shard(const std::string& id) const {
-  for (Shard* s : shards_) {
-    if (s->manager_id() == id) return s;
+  for (const Member& m : shards_) {
+    if (m.shard->manager_id() == id) return m.shard;
   }
   return nullptr;
 }
@@ -76,10 +75,10 @@ des::Process Root::service_loop() {
     if (!msg.has_value()) break;
     if (msg->type_id == core::kMidHeartbeat) {
       if (const auto* hb = msg->as<HeartbeatWire>()) {
-        for (ShardHealth& h : health_) {
-          if (h.id != hb->shard) continue;
-          h.last_hb = bus_->sim().now();
-          h.spares = hb->spares;
+        for (Member& m : shards_) {
+          if (m.shard->manager_name() != hb->shard) continue;
+          m.last_hb = bus_->sim().now();
+          m.spares = hb->spares;
           break;
         }
       }
@@ -97,10 +96,10 @@ des::Process Root::sweep_loop() {
   while (!stopped_) {
     co_await des::delay(sim, opt_.sweep_interval);
     if (stopped_) break;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->fenced()) continue;
-      const des::SimTime silent = sim.now() - health_[i].last_hb;
-      if (silent > opt_.heartbeat_timeout) failover(shards_[i]);
+    for (const Member& m : shards_) {
+      if (m.shard->fenced()) continue;
+      const des::SimTime silent = sim.now() - m.last_hb;
+      if (silent > opt_.heartbeat_timeout) failover(m.shard);
     }
   }
 }
@@ -197,12 +196,11 @@ des::Process Root::trade_loop() {
     Shard* recipient = find_shard(recip_id);
     Shard* donor = nullptr;
     std::uint32_t best = 0;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard* s = shards_[i];
-      if (s->failed() || s->manager_id() == recip_id) continue;
-      if (health_[i].spares > best) {
-        best = health_[i].spares;
-        donor = s;
+    for (const Member& m : shards_) {
+      if (m.shard->failed() || m.shard->manager_id() == recip_id) continue;
+      if (m.spares > best) {
+        best = m.spares;
+        donor = m.shard;
       }
     }
     if (donor == nullptr || best == 0) {

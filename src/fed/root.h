@@ -5,8 +5,8 @@
 //    fenced (STONITH: its endpoints close, it may never act again) and its
 //    pipelines fail over to the consistent-hash survivors, ledgers repaired
 //    via ResourcePool::reconcile across the shard boundary. A beat carries
-//    the shard's id and spare count, nothing else, and lands in a health
-//    table kept parallel to the shard list, so neither side's per-beat
+//    the shard's id and spare count, nothing else, and lands in that
+//    shard's own entry of the root's shard list, so neither side's per-beat
 //    work grows with pipelines per shard;
 //  * brokering cross-shard trades: a shard whose pool ran dry posts a
 //    TRADE_REQ; the root picks the donor with the most reported spares and
@@ -112,18 +112,15 @@ class Root {
   Options opt_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
-  std::vector<Shard*> shards_;
-  HashRing ring_;
-  /// What the root tracks per shard, parallel to shards_: entry i belongs
-  /// to shards_[i], so the sweep and trade loops index it by position. A
-  /// beat finds its entry by a linear scan of the interned ids, which with
-  /// one entry per shard is cheaper than a tree lookup.
-  struct ShardHealth {
-    util::NameId id = util::kEmptyName;  // the shard's manager_name()
+  /// A registered shard and what its heartbeats last told the root. A beat
+  /// finds its member by a scan of the shards' interned ids.
+  struct Member {
+    Shard* shard = nullptr;
     des::SimTime last_hb = 0;
     std::uint32_t spares = 0;  // last reported
   };
-  std::vector<ShardHealth> health_;
+  std::vector<Member> shards_;
+  HashRing ring_;
   std::map<std::string, std::uint32_t> pending_req_;  // recipient -> count
   std::map<std::string, std::string> heir_;           // dead -> heir id
   std::uint64_t txn_counter_ = 0;
