@@ -72,7 +72,7 @@ class Shard {
   /// Stable identity in the fleet; consistent hashing keys on it.
   const std::string& manager_id() const { return id_; }
   /// Interned form of manager_id(), cached at construction. Heartbeats
-  /// carry it, and the root matches each beat to its health entry by it;
+  /// carry it, and the root matches each beat to its shard by it;
   /// re-interning the string per beat showed up in the fleet bench.
   util::NameId manager_name() const { return id_name_; }
   core::ResourcePool& pool() { return pool_; }
