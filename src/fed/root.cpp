@@ -61,8 +61,8 @@ void Root::shutdown() {
 }
 
 Shard* Root::find_shard(const std::string& id) const {
-  for (const Member& m : shards_) {
-    if (m.shard->manager_id() == id) return m.shard;
+  for (const ShardEntry& e : shards_) {
+    if (e.shard->manager_id() == id) return e.shard;
   }
   return nullptr;
 }
@@ -75,10 +75,10 @@ des::Process Root::service_loop() {
     if (!msg.has_value()) break;
     if (msg->type_id == core::kMidHeartbeat) {
       if (const auto* hb = msg->as<HeartbeatWire>()) {
-        for (Member& m : shards_) {
-          if (m.shard->manager_name() != hb->shard) continue;
-          m.last_hb = bus_->sim().now();
-          m.spares = hb->spares;
+        for (ShardEntry& e : shards_) {
+          if (e.shard->manager_name() != hb->shard) continue;
+          e.last_hb = bus_->sim().now();
+          e.spares = hb->spares;
           break;
         }
       }
@@ -96,10 +96,10 @@ des::Process Root::sweep_loop() {
   while (!stopped_) {
     co_await des::delay(sim, opt_.sweep_interval);
     if (stopped_) break;
-    for (const Member& m : shards_) {
-      if (m.shard->fenced()) continue;
-      const des::SimTime silent = sim.now() - m.last_hb;
-      if (silent > opt_.heartbeat_timeout) failover(m.shard);
+    for (const ShardEntry& e : shards_) {
+      if (e.shard->fenced()) continue;
+      const des::SimTime silent = sim.now() - e.last_hb;
+      if (silent > opt_.heartbeat_timeout) failover(e.shard);
     }
   }
 }
@@ -196,11 +196,11 @@ des::Process Root::trade_loop() {
     Shard* recipient = find_shard(recip_id);
     Shard* donor = nullptr;
     std::uint32_t best = 0;
-    for (const Member& m : shards_) {
-      if (m.shard->failed() || m.shard->manager_id() == recip_id) continue;
-      if (m.spares > best) {
-        best = m.spares;
-        donor = m.shard;
+    for (const ShardEntry& e : shards_) {
+      if (e.shard->failed() || e.shard->manager_id() == recip_id) continue;
+      if (e.spares > best) {
+        best = e.spares;
+        donor = e.shard;
       }
     }
     if (donor == nullptr || best == 0) {

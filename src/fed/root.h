@@ -113,13 +113,13 @@ class Root {
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   /// A registered shard and what its heartbeats last told the root. A beat
-  /// finds its member by a scan of the shards' interned ids.
-  struct Member {
+  /// finds its entry by a scan of the shards' interned ids.
+  struct ShardEntry {
     Shard* shard = nullptr;
     des::SimTime last_hb = 0;
     std::uint32_t spares = 0;  // last reported
   };
-  std::vector<Member> shards_;
+  std::vector<ShardEntry> shards_;
   HashRing ring_;
   std::map<std::string, std::uint32_t> pending_req_;  // recipient -> count
   std::map<std::string, std::string> heir_;           // dead -> heir id
