@@ -2,12 +2,13 @@
 // fan-out, terminal sinks) that monitoring data flows through. The paper's
 // monitoring layer builds dynamic overlays from exactly such pieces; here
 // the graph is in-process and the bus carries data between nodes, while
-// stones do the local processing steps.
+// stones do the local processing steps. Stones live in a vector indexed by
+// their dense ids, so a graph is built before events flow through it: a
+// handler must not add stones.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -78,11 +79,11 @@ class StoneGraph {
 
   StoneId add(Stone s) {
     StoneId id = static_cast<StoneId>(stones_.size());
-    stones_.emplace(id, std::move(s));
+    stones_.push_back(std::move(s));
     return id;
   }
 
-  std::map<StoneId, Stone> stones_;
+  std::vector<Stone> stones_;  // indexed by StoneId
 };
 
 }  // namespace ioc::ev

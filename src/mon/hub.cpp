@@ -1,5 +1,7 @@
 #include "mon/hub.h"
 
+#include <algorithm>
+
 namespace ioc::mon {
 
 const char* metric_kind_name(MetricKind k) {
@@ -15,16 +17,12 @@ const char* metric_kind_name(MetricKind k) {
 MonitoringHub::MonitoringHub(std::size_t window, bool keep_history)
     : window_(window), keep_history_(keep_history) {
   entry_ = stones_.add_split();
-  auto record = stones_.add_terminal([this](const MetricSample& s) {
-    auto [it, inserted] = containers_.try_emplace(s.source, window_);
-    it->second.last[s.kind] = s.value;
-    if (s.kind == MetricKind::kLatency) it->second.latency.add(s.value);
-    update_metrics(s);
-  });
+  auto update =
+      stones_.add_terminal([this](const MetricSample& s) { record(s); });
   auto keep = stones_.add_terminal([this](const MetricSample& s) {
     if (keep_history_) history_.push_back(s);
   });
-  stones_.link(entry_, record);
+  stones_.link(entry_, update);
   stones_.link(entry_, keep);
 }
 
@@ -33,88 +31,133 @@ void MonitoringHub::ingest(const MetricSample& s) {
   stones_.submit(entry_, s);
 }
 
+std::size_t MonitoringHub::slot(MetricKind k) {
+  return std::min(static_cast<std::size_t>(k), kKindSlots - 1);
+}
+
+std::size_t MonitoringHub::lower(const std::string& name) const {
+  return static_cast<std::size_t>(
+      std::partition_point(sources_.begin(), sources_.end(),
+                           [&](const Source& s) { return s.name < name; }) -
+      sources_.begin());
+}
+
+const MonitoringHub::Source* MonitoringHub::find(
+    const std::string& name) const {
+  const std::size_t i = lower(name);
+  return i < sources_.size() && sources_[i].name == name ? &sources_[i]
+                                                         : nullptr;
+}
+
+void MonitoringHub::record(const MetricSample& s) {
+  std::size_t i = lower(s.source);
+  if (i == sources_.size() || sources_[i].name != s.source) {
+    sources_.emplace(sources_.begin() + static_cast<std::ptrdiff_t>(i),
+                     s.source, window_);
+  }
+  Source& src = sources_[i];
+  const std::size_t k = slot(s.kind);
+  if (!src.last[k].has_value()) resolve(src, s.kind);
+  src.last[k] = s.value;
+  samples_total_[k]->inc();
+  switch (s.kind) {
+    case MetricKind::kLatency:
+      src.latency.add(s.value);
+      src.latency_seconds->observe(s.value);
+      break;
+    case MetricKind::kEndToEnd:
+      end_to_end_->observe(s.value);
+      break;
+    case MetricKind::kQueueDepth:
+      src.queue_depth->set(s.value);
+      break;
+    case MetricKind::kThroughput:
+      src.throughput->set(s.value);
+      break;
+  }
+}
+
+void MonitoringHub::resolve(Source& src, MetricKind k) {
+  trace::Counter*& total = samples_total_[slot(k)];
+  if (total == nullptr) {
+    total = &metrics_.counter(
+        "ioc_samples_total",
+        std::string("kind=\"") + metric_kind_name(k) + "\"",
+        "Monitoring samples ingested by the hub.");
+  }
+  const std::string labels = "container=\"" + src.name + "\"";
+  switch (k) {
+    case MetricKind::kLatency:
+      src.latency_seconds = &metrics_.histogram(
+          "ioc_container_latency_seconds", labels,
+          "Per-timestep entry-to-exit latency per container.");
+      break;
+    case MetricKind::kEndToEnd:
+      if (end_to_end_ == nullptr) {
+        end_to_end_ = &metrics_.histogram(
+            "ioc_end_to_end_seconds", "",
+            "Simulation-emission to pipeline-exit latency.");
+      }
+      break;
+    case MetricKind::kQueueDepth:
+      src.queue_depth = &metrics_.gauge(
+          "ioc_queue_depth", labels,
+          "Undelivered steps waiting in the container's input.");
+      break;
+    case MetricKind::kThroughput:
+      src.throughput =
+          &metrics_.gauge("ioc_throughput_steps_per_second", labels,
+                          "Steps per second completed by the container.");
+      break;
+  }
+}
+
 std::optional<double> MonitoringHub::avg_latency(
     const std::string& container) const {
-  auto it = containers_.find(container);
-  if (it == containers_.end() || it->second.latency.count() == 0) {
-    return std::nullopt;
-  }
-  return it->second.latency.mean();
+  const Source* s = find(container);
+  if (s == nullptr || s->latency.count() == 0) return std::nullopt;
+  return s->latency.mean();
 }
 
 std::size_t MonitoringHub::latency_window_count(
     const std::string& container) const {
-  auto it = containers_.find(container);
-  return it == containers_.end() ? 0 : it->second.latency.count();
+  const Source* s = find(container);
+  return s == nullptr ? 0 : s->latency.count();
 }
 
 std::optional<double> MonitoringHub::last_value(const std::string& container,
                                                 MetricKind k) const {
-  auto it = containers_.find(container);
-  if (it == containers_.end()) return std::nullopt;
-  auto lit = it->second.last.find(k);
-  if (lit == it->second.last.end()) return std::nullopt;
-  return lit->second;
-}
-
-void MonitoringHub::update_metrics(const MetricSample& s) {
-  metrics_
-      .counter("ioc_samples_total",
-               std::string("kind=\"") + metric_kind_name(s.kind) + "\"",
-               "Monitoring samples ingested by the hub.")
-      .inc();
-  switch (s.kind) {
-    case MetricKind::kLatency:
-      metrics_
-          .histogram("ioc_container_latency_seconds",
-                     "container=\"" + s.source + "\"",
-                     "Per-timestep entry-to-exit latency per container.")
-          .observe(s.value);
-      break;
-    case MetricKind::kEndToEnd:
-      metrics_
-          .histogram("ioc_end_to_end_seconds", "",
-                     "Simulation-emission to pipeline-exit latency.")
-          .observe(s.value);
-      break;
-    case MetricKind::kQueueDepth:
-      metrics_
-          .gauge("ioc_queue_depth", "container=\"" + s.source + "\"",
-                 "Undelivered steps waiting in the container's input.")
-          .set(s.value);
-      break;
-    case MetricKind::kThroughput:
-      metrics_
-          .gauge("ioc_throughput_steps_per_second",
-                 "container=\"" + s.source + "\"",
-                 "Steps per second completed by the container.")
-          .set(s.value);
-      break;
-  }
+  const Source* s = find(container);
+  if (s == nullptr) return std::nullopt;
+  return s->last[slot(k)];
 }
 
 std::optional<std::string> MonitoringHub::bottleneck(
     const std::vector<std::string>& candidates) const {
-  std::optional<std::string> best;
+  const Source* best = nullptr;
   double best_latency = -1;
-  auto consider = [&](const std::string& name) {
-    auto avg = avg_latency(name);
-    if (avg.has_value() && *avg > best_latency) {
-      best_latency = *avg;
-      best = name;
+  auto consider = [&](const Source* s) {
+    if (s == nullptr || s->latency.count() == 0) return;
+    const double avg = s->latency.mean();
+    if (avg > best_latency) {
+      best_latency = avg;
+      best = s;
     }
   };
   if (candidates.empty()) {
-    for (const auto& [name, _] : containers_) consider(name);
+    for (const Source& s : sources_) consider(&s);
   } else {
-    for (const auto& name : candidates) consider(name);
+    for (const auto& name : candidates) consider(find(name));
   }
-  return best;
+  if (best == nullptr) return std::nullopt;
+  return best->name;
 }
 
 void MonitoringHub::reset_container(const std::string& container) {
-  auto it = containers_.find(container);
-  if (it != containers_.end()) it->second.latency.reset();
+  const std::size_t i = lower(container);
+  if (i < sources_.size() && sources_[i].name == container) {
+    sources_[i].latency.reset();
+  }
 }
 
 std::vector<MetricSample> MonitoringHub::history_for(const std::string& source,

@@ -5,8 +5,8 @@
 // latency, exactly as Section III-E defines it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,24 +62,44 @@ class MonitoringHub {
   std::string prometheus() const { return metrics_.to_prometheus(); }
 
  private:
-  struct PerContainer {
+  /// One slot per MetricKind, plus one that every kind outside the enum
+  /// shares (a sample decoded off the wire may carry any kind byte).
+  static constexpr std::size_t kKindSlots = 5;
+  static std::size_t slot(MetricKind k);
+
+  /// What the hub keeps per source. Its registry series are resolved the
+  /// first time the source reports their kind, so a sample after that is
+  /// a few writes through these pointers (the registry never moves a
+  /// series).
+  struct Source {
+    std::string name;
     util::WindowedMean latency;
-    std::map<MetricKind, double> last;
-    explicit PerContainer(std::size_t window) : latency(window) {}
+    std::array<std::optional<double>, kKindSlots> last{};
+    trace::Histogram* latency_seconds = nullptr;
+    trace::Gauge* queue_depth = nullptr;
+    trace::Gauge* throughput = nullptr;
+    Source(std::string n, std::size_t window)
+        : name(std::move(n)), latency(window) {}
   };
 
-  void update_metrics(const MetricSample& s);
+  void record(const MetricSample& s);
+  void resolve(Source& src, MetricKind k);
+  /// Index of `name` in sources_, or where it would be inserted.
+  std::size_t lower(const std::string& name) const;
+  const Source* find(const std::string& name) const;
 
   std::size_t window_;
   bool keep_history_;
-  std::map<std::string, PerContainer> containers_;
+  std::vector<Source> sources_;  // sorted by name: bottleneck()'s tie-break
+  std::array<trace::Counter*, kKindSlots> samples_total_{};
+  trace::Histogram* end_to_end_ = nullptr;
   std::vector<MetricSample> history_;
   std::uint64_t samples_seen_ = 0;
   trace::MetricsRegistry metrics_;
 
-  // Stones: a filter keeps latency samples flowing into the windows, a
-  // split keeps the raw history; structured this way so custom overlays can
-  // be grafted on without touching the hub.
+  // Stones: a split feeds two terminals, one updating the per-source
+  // records and the registry, one keeping the raw history; structured this
+  // way so custom overlays can be grafted on without touching the hub.
   ev::StoneGraph<MetricSample> stones_;
   ev::StoneId entry_ = 0;
 };

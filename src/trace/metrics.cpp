@@ -1,8 +1,8 @@
 #include "trace/metrics.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 namespace ioc::trace {
 
@@ -50,18 +50,24 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return it->second;
 }
 
-namespace {
-
-// Shortest decimal that round-trips the value, so bucket bounds print as
-// "0.1", not "0.10000000000000001".
+// std::to_chars with a precision is defined as printf's "%.*g" in the C
+// locale, so this prints what a snprintf/strtod loop printed, without the
+// format-string parse and the locale on every try.
 std::string fmt(double v) {
   char buf[32];
+  char* end = buf;
   for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0;
+    const std::from_chars_result read = std::from_chars(buf, end, back);
+    if (read.ec == std::errc{} && back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
+
+namespace {
 
 void header(std::ostringstream& os, const std::string& name,
             const std::string& help, const char* type) {

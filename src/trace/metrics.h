@@ -55,6 +55,11 @@ class Histogram {
   double sum_ = 0;
 };
 
+/// The number format of the Prometheus text: the shortest `%.<p>g` text
+/// (p from 1 to 17, C locale) that reads back as `v`, so bucket bounds
+/// print as "0.1", not "0.10000000000000001".
+std::string fmt(double v);
+
 /// Named metric families, each fanned out by a preformatted label string
 /// (e.g. `container="bonds"`). Lookup creates on first use; references
 /// stay valid for the registry's lifetime.

@@ -2,9 +2,10 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <vector>
+
+#include "util/ring_deque.h"
 
 namespace ioc::util {
 
@@ -31,10 +32,14 @@ class OnlineStats {
 };
 
 /// Mean over the most recent `window` samples; the bottleneck detector uses
-/// this so old behaviour ages out after a management action.
+/// this so old behaviour ages out after a management action. The window's
+/// ring is sized on construction (add() holds one sample past the window
+/// before it evicts), so adding never allocates.
 class WindowedMean {
  public:
-  explicit WindowedMean(std::size_t window) : window_(window) {}
+  explicit WindowedMean(std::size_t window) : window_(window) {
+    buf_.reserve(window + 1);
+  }
   void add(double x);
   double mean() const;
   std::size_t count() const { return buf_.size(); }
@@ -43,7 +48,7 @@ class WindowedMean {
 
  private:
   std::size_t window_;
-  std::deque<double> buf_;
+  RingDeque<double> buf_;
   double sum_ = 0.0;
 };
 

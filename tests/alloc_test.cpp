@@ -3,11 +3,12 @@
 // ZERO in steady state: after a short warmup (intern tables populated,
 // coroutine frame pools primed, ring buffers at their high-water marks),
 //
-//   * posting a control message across the bus — payload included — and
-//   * capturing a span into a TraceSink ring
+//   * posting a control message across the bus — payload included —,
+//   * capturing a span into a TraceSink ring, and
+//   * ingesting a monitoring sample into a MonitoringHub
 //
 // must not touch the global heap at all. A single operator new anywhere in
-// either path fails this suite, which is a far sharper tripwire than the
+// any of these paths fails this suite, which is a far sharper tripwire than the
 // fleet bench's allocs_per_event < 1 gate (that one tolerates rare
 // percolations like interner growth; this one tolerates nothing inside the
 // measured loop).
@@ -16,7 +17,9 @@
 // global operator new, aligned ones included, so everything — std::function
 // nodes, vector growth, mailbox ring growth, coroutine frames that escaped
 // the pool — is visible to it.
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,8 @@
 #include "des/simulator.h"
 #include "des/time.h"
 #include "ev/bus.h"
+#include "mon/hub.h"
+#include "mon/metric.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "trace/sink.h"
@@ -133,6 +138,41 @@ TEST(AllocFree, SteadyStateSpanCaptureAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across 512 span captures";
   EXPECT_EQ(sink.size(), 8u + 512u);
+}
+
+TEST(AllocFree, SteadyStateMonitoringIngestAllocatesNothing) {
+  // The GM's monitoring endpoint feeds every sample to its hub. Once each
+  // (source, kind) pair has been seen, its series handles are resolved and
+  // the source's latency window is sized, so a further sample only writes
+  // into what exists.
+  mon::MonitoringHub hub(8, /*keep_history=*/false);
+  const char* const sources[] = {"helper", "bonds", "csym", "pipeline"};
+  const mon::MetricKind kinds[] = {
+      mon::MetricKind::kLatency, mon::MetricKind::kQueueDepth,
+      mon::MetricKind::kThroughput, mon::MetricKind::kEndToEnd};
+  std::vector<mon::MetricSample> samples;
+  for (const char* source : sources) {
+    for (mon::MetricKind kind : kinds) {
+      mon::MetricSample s;
+      s.source = source;
+      s.kind = kind;
+      samples.push_back(s);
+    }
+  }
+  for (const auto& s : samples) hub.ingest(s);  // warmup: one of each pair
+
+  const std::uint64_t before = alloc_count();
+  for (std::size_t i = 0; i < 256; ++i) {
+    mon::MetricSample& s = samples[i % samples.size()];
+    s.step = 1 + i / samples.size();
+    s.value = 0.25 * static_cast<double>(i % 7);
+    hub.ingest(s);
+  }
+  const std::uint64_t after = alloc_count();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations across 256 monitoring ingests";
+  EXPECT_EQ(hub.samples_seen(), samples.size() + 256);
+  EXPECT_EQ(hub.latency_window_count("bonds"), 8u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/container.h"
 #include "core/global.h"
 #include "core/protocol.h"
@@ -13,6 +16,7 @@
 #include "net/network.h"
 #include "txn/d2t.h"
 #include "util/config.h"
+#include "util/hash.h"
 
 namespace ioc::core {
 namespace {
@@ -183,6 +187,38 @@ TEST(StagedPipeline, DestroyedAfterStartWithoutRun) {
   StagedPipeline p(spec);
   p.start();
   EXPECT_FALSE(p.all_done());
+}
+
+TEST(StagedPipeline, CampaignMonitoringOutputIsPinned) {
+  // The managed Fig. 7 campaign (256x13, 720 steps) that perfbench's
+  // `campaign` workload runs. Its scrape text, its sample history and its
+  // event count are pinned, so a change to how the hub ingests samples
+  // must leave every series and every sample exactly as they were.
+  PipelineSpec spec = PipelineSpec::from_config(util::Config::load(
+      std::string(IOC_SOURCE_DIR) + "/examples/configs/lammps_256x13.ini"));
+  spec.steps = 720;
+  spec.validate();
+  StagedPipeline::Options opt;
+  opt.seed = 21;
+  StagedPipeline p(spec, opt);
+  p.run();
+  ASSERT_TRUE(p.all_done());
+
+  const std::string prom = p.hub().prometheus();
+  const std::uint64_t prom_fold = util::fnv1a(prom.data(), prom.size());
+  std::uint64_t history_fold = util::kFnvOffset;
+  for (const auto& s : p.hub().history()) {
+    history_fold = util::fnv1a_value(s.at, history_fold);
+    history_fold = util::fnv1a_value(s.kind, history_fold);
+    history_fold = util::fnv1a_value(s.step, history_fold);
+    history_fold = util::fnv1a_value(s.value, history_fold);
+    history_fold = util::fnv1a(s.source.data(), s.source.size(), history_fold);
+  }
+  EXPECT_EQ(p.hub().samples_seen(), 5040u);
+  EXPECT_EQ(p.hub().history().size(), 5040u);
+  EXPECT_EQ(p.sim().events_processed(), 32872u);
+  EXPECT_EQ(prom_fold, 0xbf5fca2ebdf7b1f5ull) << std::hex << prom_fold;
+  EXPECT_EQ(history_fold, 0x9a8c8e42c1902f88ull) << std::hex << history_fold;
 }
 
 TEST(StagedPipeline, SinkEmitsEndToEndSamples) {

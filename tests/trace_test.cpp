@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -320,6 +327,78 @@ TEST(Metrics, RegistryReturnsSameSeriesOnRelookup) {
   EXPECT_DOUBLE_EQ(b.value(), 1);
   Counter& other = reg.counter("c", "x=\"2\"");
   EXPECT_NE(&a, &other);
+}
+
+// The loop fmt() ran before it moved to std::to_chars: the oracle its text
+// must match byte for byte.
+std::string printf_fmt(double v) {
+  char buf[32];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(Metrics, FmtPrintsWhatThePrintfLoopPrinted) {
+  std::size_t checked = 0;
+  std::size_t differ = 0;
+  const auto check = [&](double v) {
+    ++checked;
+    const std::string got = fmt(v);
+    const std::string want = printf_fmt(v);
+    if (got != want && ++differ <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": fmt \"" << got
+                    << "\", printf loop \"" << want << "\"";
+    }
+  };
+  using limits = std::numeric_limits<double>;
+  // Signed zeros, the ends of the subnormal and normal ranges, where %g
+  // turns to exponent form, and the histogram bounds.
+  for (double v : {0.0, 1e-5, 1e-4, 1e15, 1e16, 1e17, 1e21, 1e22,
+                   limits::denorm_min(), limits::min(), limits::max(),
+                   limits::epsilon(), limits::infinity()}) {
+    check(v);
+    check(-v);
+  }
+  for (double b : Histogram::default_latency_bounds()) check(b);
+
+  std::mt19937_64 rng(20261019);
+  const auto from_bits = [](std::uint64_t u) {
+    double v;
+    std::memcpy(&v, &u, sizeof v);
+    return v;
+  };
+  // Random finite bit patterns: every exponent, mostly 17-digit texts.
+  for (int i = 0; i < 40'000; ++i) {
+    double v;
+    do {
+      v = from_bits(rng());
+    } while (!std::isfinite(v));
+    check(v);
+  }
+  // Subnormals: a zero exponent field under a random sign and mantissa.
+  for (int i = 0; i < 20'000; ++i) {
+    check(from_bits(rng() & 0x800fffffffffffffull));
+  }
+  // What a scrape holds: latencies in seconds and their running sums at
+  // full precision, then counts and millisecond-resolution latencies,
+  // which print short (the printf loop finds those in a few tries, so
+  // they make up the bulk of the million).
+  std::uniform_real_distribution<double> seconds(0, 300);
+  double sum = 0;
+  for (int i = 0; i < 40'000; ++i) {
+    const double s = seconds(rng);
+    sum += s;
+    check(s);
+    check(sum);
+  }
+  for (int i = 0; i < 460'000; ++i) {
+    check(static_cast<double>(i));
+    check(std::round(seconds(rng) * 1e3) / 1e3);
+  }
+  EXPECT_EQ(differ, 0u);
+  EXPECT_GE(checked, 1'000'000u);
 }
 
 // ------------------------------------------------------------ overhead guard
