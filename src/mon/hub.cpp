@@ -50,7 +50,7 @@ const MonitoringHub::Source* MonitoringHub::find(
 }
 
 void MonitoringHub::record(const MetricSample& s) {
-  std::size_t i = lower(s.source);
+  const std::size_t i = lower(s.source);
   if (i == sources_.size() || sources_[i].name != s.source) {
     sources_.emplace(sources_.begin() + static_cast<std::ptrdiff_t>(i),
                      s.source, window_);

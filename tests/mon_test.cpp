@@ -145,6 +145,25 @@ TEST(Hub, MetricsRegistryAggregatesWholeRun) {
             std::string::npos);
 }
 
+TEST(Hub, KindOutsideTheEnumIsCountedUnderQuestionMark) {
+  // A sample decoded off the wire may carry any kind byte: it is counted
+  // and remembered, and feeds no latency window, histogram or gauge.
+  MonitoringHub hub;
+  MetricSample odd;
+  odd.source = "bonds";
+  odd.kind = static_cast<MetricKind>(200);
+  odd.value = 9;
+  hub.ingest(odd);
+  EXPECT_EQ(hub.samples_seen(), 1u);
+  EXPECT_DOUBLE_EQ(hub.last_value("bonds", odd.kind).value(), 9);
+  EXPECT_FALSE(hub.avg_latency("bonds").has_value());
+  EXPECT_EQ(hub.prometheus(),
+            "# HELP ioc_samples_total Monitoring samples ingested by the "
+            "hub.\n"
+            "# TYPE ioc_samples_total counter\n"
+            "ioc_samples_total{kind=\"?\"} 1\n");
+}
+
 TEST(MetricKindNames, AllNamed) {
   EXPECT_STREQ(metric_kind_name(MetricKind::kLatency), "latency");
   EXPECT_STREQ(metric_kind_name(MetricKind::kQueueDepth), "queue-depth");
