@@ -51,8 +51,8 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 }
 
 // std::to_chars with a precision is defined as printf's "%.*g" in the C
-// locale, so this prints what a snprintf/strtod loop printed, without the
-// format-string parse and the locale on every try.
+// locale, so each try prints that text without parsing a format string
+// or reading the locale.
 std::string fmt(double v) {
   char buf[32];
   char* end = buf;

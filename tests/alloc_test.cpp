@@ -3,12 +3,12 @@
 // ZERO in steady state: after a short warmup (intern tables populated,
 // coroutine frame pools primed, ring buffers at their high-water marks),
 //
-//   * posting a control message across the bus — payload included —,
+//   * posting a control message across the bus, payload included,
 //   * capturing a span into a TraceSink ring, and
 //   * ingesting a monitoring sample into a MonitoringHub
 //
 // must not touch the global heap at all. A single operator new anywhere in
-// any of these paths fails this suite, which is a far sharper tripwire than the
+// these paths fails this suite, which is a far sharper tripwire than the
 // fleet bench's allocs_per_event < 1 gate (that one tolerates rare
 // percolations like interner growth; this one tolerates nothing inside the
 // measured loop).

@@ -353,8 +353,8 @@ TEST(Metrics, FmtPrintsWhatThePrintfLoopPrinted) {
     }
   };
   using limits = std::numeric_limits<double>;
-  // Signed zeros, the ends of the subnormal and normal ranges, where %g
-  // turns to exponent form, and the histogram bounds.
+  // Signed zeros, the ends of the subnormal and normal ranges, infinity,
+  // where %g turns to exponent form, and the histogram bounds.
   for (double v : {0.0, 1e-5, 1e-4, 1e15, 1e16, 1e17, 1e21, 1e22,
                    limits::denorm_min(), limits::min(), limits::max(),
                    limits::epsilon(), limits::infinity()}) {
