@@ -7,7 +7,6 @@
 // push_back); element type must be move-constructible.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <memory>
@@ -54,14 +53,14 @@ class RingDeque {
     return slot(head_ + size_ - 1);
   }
 
-  /// Size the buffer for `n` elements now, so the ring does not grow while
-  /// it holds at most that many.
+  /// Grow now until the ring holds `n` elements, so it does not grow
+  /// while it holds at most that many.
   void reserve(std::size_t n) {
-    if (n > cap_) regrow(std::bit_ceil(n));
+    while (cap_ < n) grow();
   }
 
   void push_back(T v) {
-    if (size_ == cap_) regrow(cap_ == 0 ? 8 : cap_ * 2);
+    if (size_ == cap_) grow();
     ::new (static_cast<void*>(&slot_raw(head_ + size_))) T(std::move(v));
     ++size_;
   }
@@ -92,7 +91,8 @@ class RingDeque {
         reinterpret_cast<T*>(buf_ + ((logical & (cap_ - 1)) * sizeof(T))));
   }
 
-  void regrow(std::size_t ncap) {
+  void grow() {
+    const std::size_t ncap = cap_ == 0 ? 8 : cap_ * 2;
     unsigned char* nbuf = static_cast<unsigned char*>(
         ::operator new(ncap * sizeof(T), std::align_val_t{alignof(T)}));
     for (std::size_t i = 0; i < size_; ++i) {
