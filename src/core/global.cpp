@@ -145,12 +145,11 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
   // One token for the whole round, retries included: the CM-side reply
   // cache recognizes a resend and replays its answer instead of executing
   // the request a second time.
-  const RoundHooks hooks = rounds_.open(c->name(), m);
+  rounds_.open(c->name(), m);
   const CmState from = rounds_.state(c->name());
   const std::uint64_t token = m.token;
-  ev::Message reply = co_await run_control_round(
-      *env_.bus, ctl_ep_, c->manager_endpoint(), std::move(m), opt_.round,
-      hooks);
+  ev::Message reply = co_await rounds_.run_round(
+      c->name(), ctl_ep_, c->manager_endpoint(), std::move(m), opt_.round);
   const RoundEnd end = round_end(reply);
   if (end == RoundEnd::kSelfDied) {
     // The GM itself died under this round (simulated crash). Stop quietly;

@@ -72,6 +72,20 @@ inline constexpr const char* kMarkTradeBegin = "TRADE_BEGIN";
 inline constexpr const char* kMarkTradeCommit = "TRADE_COMMIT";
 inline constexpr const char* kMarkTradeAbort = "TRADE_ABORT";
 inline constexpr const char* kMarkTradeFence = "TRADE_FENCE";
+// Their interned ids: the only form the control trace and the FSM hold.
+inline const ev::MessageId kMidMarkTimeout = ev::intern_type(kMarkTimeout);
+inline const ev::MessageId kMidMarkRetry = ev::intern_type(kMarkRetry);
+inline const ev::MessageId kMidMarkEscalate = ev::intern_type(kMarkEscalate);
+inline const ev::MessageId kMidMarkFailover = ev::intern_type(kMarkFailover);
+inline const ev::MessageId kMidMarkReassign = ev::intern_type(kMarkReassign);
+inline const ev::MessageId kMidMarkTradeBegin =
+    ev::intern_type(kMarkTradeBegin);
+inline const ev::MessageId kMidMarkTradeCommit =
+    ev::intern_type(kMarkTradeCommit);
+inline const ev::MessageId kMidMarkTradeAbort =
+    ev::intern_type(kMarkTradeAbort);
+inline const ev::MessageId kMidMarkTradeFence =
+    ev::intern_type(kMarkTradeFence);
 
 /// Synthetic reply the GM returns from a control round that ended in the
 /// container being fenced (retries exhausted / unreachable). Distinct from
@@ -132,7 +146,7 @@ struct SwitchToDiskPayload {
 struct ControlTraceEvent {
   des::SimTime at = 0;
   std::string container;
-  std::string type;   ///< message type (kMsgIncrease, kMsgDone, ...)
+  ev::MessageId type = ev::kNoMessageId;  ///< kMidIncrease, kMidDone, ...
   bool to_cm = true;  ///< true: GM -> CM request; false: CM -> GM reply
   int delta = 0;      ///< node delta carried by a DONE reply
 };

@@ -29,39 +29,39 @@ const std::vector<CmTransition>& cm_transitions() {
   // when idle (or offline, for activation), followed by exactly one
   // terminating reply.
   static const std::vector<CmTransition> kTable = {
-      {CmState::kIdle, kMsgIncrease, CmState::kResizing},
-      {CmState::kIdle, kMsgDecrease, CmState::kResizing},
-      {CmState::kResizing, kMsgDone, CmState::kIdle},
-      {CmState::kIdle, kMsgQueryNeeds, CmState::kQueried},
-      {CmState::kQueried, kMsgNeeds, CmState::kIdle},
-      {CmState::kIdle, kMsgSwitchToDisk, CmState::kSwitching},
-      {CmState::kSwitching, kMsgDone, CmState::kIdle},
-      {CmState::kIdle, kMsgOffline, CmState::kGoingOffline},
-      {CmState::kGoingOffline, kMsgDone, CmState::kOffline},
-      {CmState::kOffline, kMsgActivate, CmState::kActivating},
-      {CmState::kActivating, kMsgDone, CmState::kIdle},
+      {CmState::kIdle, kMidIncrease, CmState::kResizing},
+      {CmState::kIdle, kMidDecrease, CmState::kResizing},
+      {CmState::kResizing, kMidDone, CmState::kIdle},
+      {CmState::kIdle, kMidQueryNeeds, CmState::kQueried},
+      {CmState::kQueried, kMidNeeds, CmState::kIdle},
+      {CmState::kIdle, kMidSwitchToDisk, CmState::kSwitching},
+      {CmState::kSwitching, kMidDone, CmState::kIdle},
+      {CmState::kIdle, kMidOffline, CmState::kGoingOffline},
+      {CmState::kGoingOffline, kMidDone, CmState::kOffline},
+      {CmState::kOffline, kMidActivate, CmState::kActivating},
+      {CmState::kActivating, kMidDone, CmState::kIdle},
   };
   return kTable;
 }
 
-bool cm_message_is_stateless(const std::string& message) {
-  return message == kMsgEnableHashes || message == kMsgMetric ||
-         message == kMsgReplicaHello || message == kMsgReplicaConfig ||
-         message == kMsgEndpointUpdate;
+bool cm_message_is_stateless(ev::MessageId message) {
+  return message == kMidEnableHashes || message == kMidMetric ||
+         message == kMidReplicaHello || message == kMidReplicaConfig ||
+         message == kMidEndpointUpdate;
 }
 
-bool cm_message_is_marker(const std::string& message) {
-  return message == kMarkTimeout || message == kMarkRetry ||
-         message == kMarkEscalate || message == kMarkFailover ||
-         message == kMarkReassign || cm_message_is_trade_marker(message);
+bool cm_message_is_marker(ev::MessageId message) {
+  return message == kMidMarkTimeout || message == kMidMarkRetry ||
+         message == kMidMarkEscalate || message == kMidMarkFailover ||
+         message == kMidMarkReassign || cm_message_is_trade_marker(message);
 }
 
-bool cm_message_is_trade_marker(const std::string& message) {
-  return message == kMarkTradeBegin || message == kMarkTradeCommit ||
-         message == kMarkTradeAbort || message == kMarkTradeFence;
+bool cm_message_is_trade_marker(ev::MessageId message) {
+  return message == kMidMarkTradeBegin || message == kMidMarkTradeCommit ||
+         message == kMidMarkTradeAbort || message == kMidMarkTradeFence;
 }
 
-bool ProtocolFsm::advance(const std::string& message) {
+bool ProtocolFsm::advance(ev::MessageId message) {
   if (cm_message_is_stateless(message)) return true;
   for (const auto& t : cm_transitions()) {
     if (t.from == state_ && message == t.message) {

@@ -1,14 +1,16 @@
 // The legal GM <-> CM control exchanges of paper Fig. 3, encoded as an
 // explicit transition table over per-container-manager states. The table is
 // the single source of truth for what a well-formed management conversation
-// looks like: the global manager advances one ProtocolFsm per container in
-// debug builds (IOC_CHECK), and the lint trace checker replays recorded
-// traces through the same table offline.
+// looks like: every coordinator advances one ProtocolFsm per peer
+// (core::Coordinator::record; an illegal message fails IOC_CHECK in debug
+// builds), and the lint trace checker replays recorded traces through the
+// same table offline.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
+
+#include "ev/intern.h"
 
 namespace ioc::core {
 
@@ -27,7 +29,7 @@ const char* cm_state_name(CmState s);
 
 struct CmTransition {
   CmState from;
-  const char* message;  ///< protocol.h message type driving the edge
+  ev::MessageId message;  ///< protocol.h kMid* id driving the edge
   CmState to;
 };
 
@@ -36,18 +38,18 @@ const std::vector<CmTransition>& cm_transitions();
 
 /// Messages legal in any state (fire-and-forget control and the metadata
 /// chatter between replicas); they do not move the state machine.
-bool cm_message_is_stateless(const std::string& message);
+bool cm_message_is_stateless(ev::MessageId message);
 
-/// Robustness markers (protocol.h kMark*): trace annotations recorded by
+/// Robustness markers (protocol.h kMidMark*): trace annotations recorded by
 /// the GM's retry/escalation machinery. Not messages; never advance the
 /// FSM. The lint trace checker skips them when replaying (except that an
 /// ESCALATE resets the container to offline and settles its node count).
-bool cm_message_is_marker(const std::string& message);
+bool cm_message_is_marker(ev::MessageId message);
 
-/// The cross-shard trade markers (kMarkTradeBegin .. kMarkTradeFence).
+/// The cross-shard trade markers (kMidMarkTradeBegin .. kMidMarkTradeFence).
 /// Their container field names a trade ("trade#N"), not a container; the
 /// lint trace checker keeps a separate open-trade ledger for them (IOC106).
-bool cm_message_is_trade_marker(const std::string& message);
+bool cm_message_is_trade_marker(ev::MessageId message);
 
 /// One container manager's protocol state, advanced message by message.
 class ProtocolFsm {
@@ -64,7 +66,7 @@ class ProtocolFsm {
   /// Apply one message. Returns true and moves the state when the message
   /// is legal here (stateless messages are always legal and keep the
   /// state); returns false and stays put on a protocol violation.
-  bool advance(const std::string& message);
+  bool advance(ev::MessageId message);
 
  private:
   CmState state_;

@@ -7,16 +7,16 @@
 
 namespace ioc::core {
 
-des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
-                                         ev::EndpointId to, ev::Message m,
-                                         const ev::RoundOptions& opt,
-                                         const RoundHooks& hooks) {
+des::Task<ev::Message> Coordinator::run_round(std::string peer,
+                                              ev::EndpointId from,
+                                              ev::EndpointId to, ev::Message m,
+                                              const ev::RoundOptions& opt) {
   const std::string_view type = m.type();
   const std::uint64_t token = m.token;
-  auto& sim = bus.sim();
+  auto& sim = bus_->sim();
   ev::Message reply;
   for (int attempt = 0;; ++attempt) {
-    if (bus.find(from) == nullptr) {
+    if (bus_->find(from) == nullptr) {
       // The coordinator itself died under this round (simulated crash).
       // Stop quietly; fencing a healthy peer for our own failure would
       // throw away its nodes for nothing.
@@ -26,25 +26,23 @@ des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
       co_return reply;
     }
     ev::Message send = m;  // keep the original for a possible resend
-    reply = co_await bus.request(from, to, std::move(send),
-                                 ev::TrafficClass::kControl, opt.timeout);
+    reply = co_await bus_->request(from, to, std::move(send),
+                                   ev::TrafficClass::kControl, opt.timeout);
     if (reply.type_id == ev::kMidErrClosed) co_return reply;
     const bool timeout = reply.type_id == ev::kMidErrTimeout;
     const bool unreachable = reply.type_id == ev::kMidErrUnreachable;
     if (!timeout && !unreachable) co_return reply;  // a real reply
-    if (hooks.on_marker) hooks.on_marker(kMarkTimeout);
-    if (trace::active(hooks.trace)) {
-      hooks.trace->span("timeout", "control", hooks.peer, token, sim.now(),
-                        sim.now());
+    marker(peer, kMidMarkTimeout);
+    if (trace::active(sink_)) {
+      sink_->span("timeout", "control", peer, token, sim.now(), sim.now());
     }
     const auto backoff = ev::ladder_step(opt, attempt, unreachable);
     if (!backoff) co_return reply;
-    if (hooks.on_marker) hooks.on_marker(kMarkRetry);
-    if (trace::active(hooks.trace)) {
-      hooks.trace->span("retry", "control", hooks.peer, token, sim.now(),
-                        sim.now());
+    marker(peer, kMidMarkRetry);
+    if (trace::active(sink_)) {
+      sink_->span("retry", "control", peer, token, sim.now(), sim.now());
     }
-    IOC_WARN << hooks.peer << ": " << type << " round timed out; retry "
+    IOC_WARN << peer << ": " << type << " round timed out; retry "
              << attempt + 1 << "/" << opt.retries;
     co_await des::delay(sim, *backoff);
   }
@@ -64,7 +62,7 @@ CmState Coordinator::state(const std::string& peer) const {
   return it == fsm_.end() ? CmState::kIdle : it->second.state();
 }
 
-void Coordinator::append(const std::string& peer, std::string_view type,
+void Coordinator::append(const std::string& peer, ev::MessageId type,
                          bool to_cm, int delta) {
   ControlTraceEvent ev;
   ev.at = bus_->sim().now();
@@ -75,42 +73,33 @@ void Coordinator::append(const std::string& peer, std::string_view type,
   trace_.push_back(std::move(ev));
 }
 
-void Coordinator::record(const std::string& peer, std::string_view type,
+void Coordinator::record(const std::string& peer, ev::MessageId type,
                          bool to_cm, int delta) {
   append(peer, type, to_cm, delta);
   auto it = fsm_.find(peer);
   if (it != fsm_.end()) {
     const bool legal = it->second.advance(trace_.back().type);
-    IOC_CHECK(legal) << "protocol violation: " << type << " for " << peer
-                     << " in state " << cm_state_name(it->second.state())
-                     << " at " << owner_;
+    IOC_CHECK(legal) << "protocol violation: " << ev::type_name(type)
+                     << " for " << peer << " in state "
+                     << cm_state_name(it->second.state()) << " at " << owner_;
     (void)legal;
   }
 }
 
-void Coordinator::marker(const std::string& peer, const char* marker,
+void Coordinator::marker(const std::string& peer, ev::MessageId marker,
                          int delta) {
   append(peer, marker, /*to_cm=*/true, delta);
 }
 
-RoundHooks Coordinator::hooks(const std::string& peer) {
-  RoundHooks h;
-  h.peer = peer;
-  h.trace = sink_;
-  h.on_marker = [this, peer](const char* mk) { marker(peer, mk); };
-  return h;
-}
-
-RoundHooks Coordinator::open(const std::string& peer, ev::Message& m) {
-  record(peer, m.type(), /*to_cm=*/true, 0);
+void Coordinator::open(const std::string& peer, ev::Message& m) {
+  record(peer, m.type_id, /*to_cm=*/true, 0);
   m.token = bus_->fresh_token();
-  return hooks(peer);
 }
 
 int Coordinator::close(const std::string& peer, const ev::Message& reply) {
   int delta = 0;
   if (const auto* done = reply.as<DonePayload>()) delta = done->report.delta;
-  record(peer, reply.type(), /*to_cm=*/false, delta);
+  record(peer, reply.type_id, /*to_cm=*/false, delta);
   return delta;
 }
 
@@ -119,7 +108,7 @@ std::size_t Coordinator::fence(const std::string& peer, ResourcePool& pool) {
   // The recorded delta is the pool's view; the lint replay settles the
   // fenced peer's width to zero regardless (an in-flight grant may not have
   // reached the trace ledger yet).
-  marker(peer, kMarkEscalate, -static_cast<int>(freed));
+  marker(peer, kMidMarkEscalate, -static_cast<int>(freed));
   if (auto it = fsm_.find(peer); it != fsm_.end()) {
     it->second.reset(CmState::kOffline);
   }

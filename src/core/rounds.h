@@ -3,7 +3,7 @@
 // its pipelines, the federation root driving a cross-shard trade.
 //
 // Coordinator side:
-//   * run_control_round climbs the retry ladder (ev::RoundOptions; each
+//   * Coordinator::run_round climbs the retry ladder (ev::RoundOptions; each
 //     "retry or give up" is ev::ladder_step, the pure step the model
 //     checker also calls): one token for the whole round (the receiver's
 //     ReplyCache recognizes a resend and replays its answer), TIMEOUT/RETRY
@@ -17,7 +17,7 @@
 //
 // The driver never escalates itself: fencing a container, a pipeline, or a
 // trade means different repairs (pool reclaim, failover, escrow recovery),
-// so the caller keeps that rung. run_control_round returns:
+// so the caller keeps that rung. run_round returns:
 //   * a real reply            — the round completed;
 //   * ev::kErrClosed          — the caller's own endpoint died mid-round
 //                               (the coordinator crashed, not the peer);
@@ -30,10 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,22 +44,6 @@
 #include "trace/sink.h"
 
 namespace ioc::core {
-
-/// Caller-side observers: `on_marker` receives kMarkTimeout / kMarkRetry in
-/// ladder order (the caller appends them to its control trace); spans go to
-/// `trace` labeled with `peer`.
-struct RoundHooks {
-  std::string peer;
-  std::function<void(const char* marker)> on_marker;
-  trace::TraceSink* trace = nullptr;
-};
-
-/// Drive one control round from `from` to `to`. `m.token` must already be
-/// assigned (one token for the whole round, retries included).
-des::Task<ev::Message> run_control_round(ev::BusIf& bus, ev::EndpointId from,
-                                         ev::EndpointId to, ev::Message m,
-                                         const ev::RoundOptions& opt,
-                                         const RoundHooks& hooks);
 
 /// How a round ended, from the coordinator's point of view.
 enum class RoundEnd {
@@ -79,7 +61,7 @@ class Coordinator {
   /// `sink` receives the ladder's spans (may be null).
   Coordinator(ev::BusIf& bus, std::string owner, trace::TraceSink* sink)
       : bus_(&bus), owner_(std::move(owner)), sink_(sink) {}
-  // The hooks it hands out point back at it.
+  // The rounds it runs point back at it.
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
@@ -93,17 +75,20 @@ class Coordinator {
 
   /// Append a protocol message to the trace and advance the peer's FSM; an
   /// illegal message fails IOC_CHECK in debug builds.
-  void record(const std::string& peer, std::string_view type, bool to_cm,
+  void record(const std::string& peer, ev::MessageId type, bool to_cm,
               int delta);
   /// Append a robustness marker (TIMEOUT, ESCALATE, TRADE_*, ...). Markers
   /// never touch the FSM.
-  void marker(const std::string& peer, const char* marker, int delta = 0);
-  /// Hooks that log the ladder's markers against `peer`.
-  RoundHooks hooks(const std::string& peer);
+  void marker(const std::string& peer, ev::MessageId marker, int delta = 0);
 
-  /// Open a round to `peer`: record `m` as sent, give it a fresh token, and
-  /// return the round's hooks.
-  RoundHooks open(const std::string& peer, ev::Message& m);
+  /// Open a round to `peer`: record `m` as sent and give it a fresh token.
+  void open(const std::string& peer, ev::Message& m);
+  /// Drive one control round from `from` to `to`, logging its markers and
+  /// spans against `peer`. `m.token` must already be assigned (one token
+  /// for the whole round, retries included).
+  des::Task<ev::Message> run_round(std::string peer, ev::EndpointId from,
+                                   ev::EndpointId to, ev::Message m,
+                                   const ev::RoundOptions& opt);
   /// Record a real reply; returns the node delta its DONE carries (0 for
   /// any other reply).
   int close(const std::string& peer, const ev::Message& reply);
@@ -117,7 +102,7 @@ class Coordinator {
   const std::vector<ControlTraceEvent>& trace() const { return trace_; }
 
  private:
-  void append(const std::string& peer, std::string_view type, bool to_cm,
+  void append(const std::string& peer, ev::MessageId type, bool to_cm,
               int delta);
 
   ev::BusIf* bus_;

@@ -23,26 +23,8 @@ des::Task<bool> Bus::post(EndpointId from, EndpointId to, Message m,
   const net::NodeId dst_node = dst->node();
   FaultHook::Decision fault;
   if (fault_ != nullptr) fault = fault_->on_post(src_node, dst_node, m, cls);
-  // Network::transfer's protocol, folded inline so the message pays for one
-  // coroutine frame instead of two. The await sequence (and therefore every
-  // scheduled event's (t, seq)) is identical to calling transfer(); keep the
-  // two in lockstep.
-  auto& sim = network_->cluster().sim();
-  network_->note_transfer(m.size_bytes);
-  if (src_node == dst_node) {
-    co_await des::delay(sim, network_->config().message_overhead);
-  } else {
-    const des::SimTime requested = sim.now();
-    co_await network_->cluster().egress(src_node).acquire();
-    co_await network_->cluster().ingress(dst_node).acquire();
-    if (sim.now() != requested) {
-      network_->note_contention(des::to_seconds(sim.now() - requested));
-    }
-    co_await des::delay(sim, network_->wire_time(m.size_bytes));
-    network_->cluster().ingress(dst_node).release();
-    network_->cluster().egress(src_node).release();
-    co_await des::delay(sim, network_->wire_latency(src_node, dst_node));
-  }
+  net::Transfer transfer(*network_, src_node, dst_node, m.size_bytes);
+  while (!transfer.done()) co_await transfer;
   if (fault.drop) {
     // A lossy-transport drop: the sender already paid the send cost and
     // believes the message left; nothing arrives. Recovery is the
@@ -51,7 +33,7 @@ des::Task<bool> Bus::post(EndpointId from, EndpointId to, Message m,
     co_return true;
   }
   if (fault.extra_delay > 0) {
-    co_await des::delay(sim, fault.extra_delay);
+    co_await des::delay(sim(), fault.extra_delay);
   }
   // The destination may have closed while the message was in flight.
   Endpoint* live = find(to);

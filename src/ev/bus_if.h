@@ -64,7 +64,7 @@ inline const MessageId kMidErrTimeout = intern_type(kErrTimeout);
 
 /// The retry ladder of a request/reply round: a deadline per attempt, then
 /// a bounded number of resends with capped exponential backoff between
-/// them. core::run_control_round and txn::TxnHarness's gathers climb it.
+/// them. core::Coordinator::run_round and txn::TxnHarness's gathers climb it.
 struct RoundOptions {
   /// Deadline for one attempt. 0 waits forever (no ladder: the first reply,
   /// whenever it comes, ends the round).

@@ -25,8 +25,8 @@ struct SvEq {
 
 // The canonical control-plane vocabulary, preregistered in this fixed order
 // so every binary assigns the same ids no matter which TU interns first.
-// These literals intentionally duplicate the kMsg*/kErr*/txn constants in
-// ev/bus.h, core/protocol.h, txn/d2t_model.h and fed/wire.h — the
+// These literals intentionally duplicate the kMsg*/kErr*/kMark*/txn constants
+// in ev/bus.h, core/protocol.h, txn/d2t_model.h and fed/wire.h — the
 // intern-fidelity test (tests/intern_test.cpp) asserts each constant
 // round-trips byte-identically, so drift fails CI rather than skewing ids.
 constexpr std::string_view kCanonical[] = {
@@ -42,6 +42,9 @@ constexpr std::string_view kCanonical[] = {
     "TXN_VOTE_YES", "TXN_VOTE_NO", "TXN_FINAL", "__txn_timeout__",
     // federation wire
     "TRADE_REQ",
+    // control-trace markers
+    "TIMEOUT", "RETRY", "ESCALATE", "FAILOVER", "REASSIGN", "TRADE_BEGIN",
+    "TRADE_COMMIT", "TRADE_ABORT", "TRADE_FENCE",
 };
 
 struct Table {

@@ -113,7 +113,7 @@ void Root::failover(Shard* s) {
   s->fence();
   heir_[dead] = heir_id;
   ++stats_.failovers;
-  rounds_.marker(dead, core::kMarkFailover);
+  rounds_.marker(dead, core::kMidMarkFailover);
   IOC_WARN << "root fencing shard " << dead << " (heartbeat timeout); heir "
            << (heir_id.empty() ? "<none>" : heir_id);
 
@@ -140,7 +140,7 @@ void Root::failover(Shard* s) {
     target->pool().attach(p->name(), nodes);
     target->adopt(p);
     ++stats_.pipelines_reassigned;
-    rounds_.marker(p->name(), core::kMarkReassign,
+    rounds_.marker(p->name(), core::kMidMarkReassign,
                    static_cast<int>(nodes.size()));
   }
 
@@ -215,18 +215,16 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
                                 std::uint32_t count) {
   const std::uint64_t txn = ++txn_counter_;
   const std::string tid = "trade#" + std::to_string(txn);
-  rounds_.marker(tid, core::kMarkTradeBegin, static_cast<int>(count));
+  rounds_.marker(tid, core::kMidMarkTradeBegin, static_cast<int>(count));
 
-  const core::RoundHooks hooks = rounds_.hooks(tid);
   auto round = [&](ev::MessageId type, std::uint64_t phase, Shard* member,
                    const TradeWire& w) -> des::Task<ev::Message> {
     ev::Message m;
     m.type_id = type;
     m.token = txn::d2t_token(txn, phase);
     m.payload = w;
-    return core::run_control_round(*bus_, trade_ep_,
-                                   member->trade_endpoint(), std::move(m),
-                                   opt_.round, hooks);
+    return rounds_.run_round(tid, trade_ep_, member->trade_endpoint(),
+                             std::move(m), opt_.round);
   };
 
   TradeWire wire{txn, donor->manager_id(), recipient->manager_id(), count,
@@ -306,9 +304,9 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
   IOC_CHECK(donor->pool().escrowed() == 0 &&
             recipient->pool().escrowed() == 0)
       << "trade " << txn << " settled but escrow survived";
-  const char* terminal = fenced_round ? core::kMarkTradeFence
-                        : commit      ? core::kMarkTradeCommit
-                                      : core::kMarkTradeAbort;
+  const ev::MessageId terminal = fenced_round ? core::kMidMarkTradeFence
+                                : commit      ? core::kMidMarkTradeCommit
+                                              : core::kMidMarkTradeAbort;
   rounds_.marker(tid, terminal, commit ? static_cast<int>(nodes.size()) : 0);
   if (fenced_round) {
     ++stats_.trades_fenced;

@@ -174,9 +174,9 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
     m.type_id = core::kMidDecrease;
     m.payload = core::DecreasePayload{static_cast<std::uint32_t>(-delta)};
   }
-  const core::RoundHooks hooks = rounds_.open(p->name(), m);
-  ev::Message reply = co_await core::run_control_round(
-      *bus_, ctl_ep_, p->endpoint(), std::move(m), opt_.round, hooks);
+  rounds_.open(p->name(), m);
+  ev::Message reply = co_await rounds_.run_round(
+      p->name(), ctl_ep_, p->endpoint(), std::move(m), opt_.round);
   if (fenced_) co_return;  // the root fenced us mid-round: hands off
   const core::RoundEnd end = core::round_end(reply);
   if (end == core::RoundEnd::kSelfDied) {

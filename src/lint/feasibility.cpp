@@ -155,9 +155,9 @@ void rule_unreachable_capability(const PipelineSpec& spec,
   // the global manager send. With management disabled the GM never opens a
   // conversation, so only the CM-side replies remain — and those cannot
   // leave the initial state on their own.
-  const std::set<std::string> gm_requests = {
-      core::kMsgIncrease,     core::kMsgDecrease, core::kMsgOffline,
-      core::kMsgQueryNeeds,   core::kMsgSwitchToDisk, core::kMsgActivate};
+  const std::set<ev::MessageId> gm_requests = {
+      core::kMidIncrease,   core::kMidDecrease,     core::kMidOffline,
+      core::kMidQueryNeeds, core::kMidSwitchToDisk, core::kMidActivate};
   const auto reachable = [&](core::CmState from) {
     std::set<core::CmState> seen{from};
     bool grew = true;

@@ -46,7 +46,7 @@ LintResult check_trace(const core::PipelineSpec& spec,
       // COMMIT / ABORT / FENCE closes it (and answers any timeout the
       // trade's rounds left dangling — a fence IS the recovery).
       trade_ids.insert(ev.container);
-      if (ev.type == core::kMarkTradeBegin) {
+      if (ev.type == core::kMidMarkTradeBegin) {
         open_trades.emplace(ev.container, index);
       } else {
         open_trades.erase(ev.container);
@@ -57,14 +57,15 @@ LintResult check_trace(const core::PipelineSpec& spec,
     if (trade_ids.count(ev.container) > 0) {
       // Retry-ladder markers of a trade's rounds; same TIMEOUT discipline
       // as container rounds, settled by the trade's terminal marker.
-      if (ev.type == core::kMarkTimeout) {
+      if (ev.type == core::kMidMarkTimeout) {
         dangling_timeout.emplace(ev.container, index);
       } else {
         dangling_timeout.erase(ev.container);
       }
       continue;
     }
-    if (ev.type == core::kMarkFailover || ev.type == core::kMarkReassign) {
+    if (ev.type == core::kMidMarkFailover ||
+        ev.type == core::kMidMarkReassign) {
       // Fleet annotations: the container field names a shard or a pipeline
       // of the federation, not a spec container.
       continue;
@@ -84,11 +85,11 @@ LintResult check_trace(const core::PipelineSpec& spec,
       // messages and never advance the FSM. An ESCALATE settles the fenced
       // container: whatever it owned (including a grant still in flight,
       // which this ledger may not have seen) went back to the spare pool.
-      if (ev.type == core::kMarkTimeout) {
+      if (ev.type == core::kMidMarkTimeout) {
         dangling_timeout.emplace(ev.container, index);
       } else {
         dangling_timeout.erase(ev.container);
-        if (ev.type == core::kMarkEscalate) {
+        if (ev.type == core::kMidMarkEscalate) {
           total -= width[ev.container];
           width[ev.container] = 0;
           m.reset(CmState::kOffline);
@@ -99,7 +100,7 @@ LintResult check_trace(const core::PipelineSpec& spec,
     const CmState before = m.state();
     if (!m.advance(ev.type)) {
       std::ostringstream msg;
-      msg << "message " << ev.type << " is illegal in state "
+      msg << "message " << ev::type_name(ev.type) << " is illegal in state "
           << core::cm_state_name(before) << " (trace event #" << index << ")";
       out.add("IOC101", Severity::kError, ev.container, "",
               static_cast<int>(index), msg.str());

@@ -10,29 +10,10 @@ des::SimTime Network::wire_time(std::uint64_t bytes) const {
   return cfg_.message_overhead + des::from_seconds(secs);
 }
 
-// NOTE: Bus::post inlines this exact await sequence (see the comment there);
-// a change here must be mirrored or the two paths' event timings diverge.
 des::Task<void> Network::transfer(NodeId src, NodeId dst,
                                   std::uint64_t bytes) {
-  auto& sim = cluster_->sim();
-  ++transfer_count_;
-  bytes_moved_ += bytes;
-  if (src == dst) {
-    co_await des::delay(sim, cfg_.message_overhead);
-    co_return;
-  }
-  const des::SimTime requested = sim.now();
-  co_await cluster_->egress(src).acquire();
-  co_await cluster_->ingress(dst).acquire();
-  // Only contended transfers record a sample; the consumers (sum, max) are
-  // unaffected and the uncontended fast path skips the double conversion.
-  if (sim.now() != requested) {
-    contention_.add(des::to_seconds(sim.now() - requested));
-  }
-  co_await des::delay(sim, wire_time(bytes));
-  cluster_->ingress(dst).release();
-  cluster_->egress(src).release();
-  co_await des::delay(sim, wire_latency(src, dst));
+  Transfer x(*this, src, dst, bytes);
+  while (!x.done()) co_await x;
 }
 
 void Network::reset_stats() {

@@ -4,6 +4,7 @@
 // DataStager pull scheduling is designed to relieve.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "des/process.h"
@@ -47,17 +48,6 @@ class Network {
     return l;
   }
 
-  // Inline building blocks for callers that fold the transfer protocol into
-  // their own coroutine. Bus::post does this so each message costs one
-  // pooled frame, not two (post + transfer) — at fleet scale the second
-  // ramp/teardown per message is measurable. Any such caller must replicate
-  // transfer()'s await sequence exactly; see that function for the contract.
-  void note_transfer(std::uint64_t bytes) {
-    ++transfer_count_;
-    bytes_moved_ += bytes;
-  }
-  void note_contention(double seconds) { contention_.add(seconds); }
-
   const NetworkConfig& config() const { return cfg_; }
   Cluster& cluster() const { return *cluster_; }
 
@@ -70,11 +60,74 @@ class Network {
   void reset_stats();
 
  private:
+  friend class Transfer;
+
   Cluster* cluster_;
   NetworkConfig cfg_;
   std::uint64_t transfer_count_ = 0;
   std::uint64_t bytes_moved_ = 0;
   util::OnlineStats contention_;
+};
+
+/// One transfer's await sequence, stepped from the caller's own coroutine
+/// frame: `Transfer x(net, src, dst, bytes); while (!x.done()) co_await x;`.
+/// Network::transfer runs it in a frame of its own and Bus::post inline, so
+/// a message pays for one pooled frame, not two. Each co_await is one step:
+/// the sender NIC; the receiver NIC, then a contention sample if the clock
+/// moved; the wire time; release ingress, then egress, and wait the
+/// propagation latency. Co-located endpoints wait the message overhead alone.
+class Transfer {
+ public:
+  Transfer(Network& net, NodeId src, NodeId dst, std::uint64_t bytes)
+      : net_(&net), src_(src), dst_(dst), bytes_(bytes),
+        requested_(net.cluster().sim().now()),
+        step_(src == dst ? kLocal : kEgress) {
+    ++net.transfer_count_;
+    net.bytes_moved_ += bytes;
+  }
+  bool done() const { return step_ == kDone; }
+
+  // A free NIC is taken without suspending; every delay suspends.
+  bool await_ready() {
+    return step_ <= kIngress && nic().acquire().await_ready();
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (step_ <= kIngress) return nic().acquire().await_suspend(h);
+    Cluster& c = net_->cluster();
+    des::SimTime d = net_->config().message_overhead;  // kLocal
+    if (step_ == kWire) {
+      d = net_->wire_time(bytes_);
+    } else if (step_ == kLatency) {
+      c.ingress(dst_).release();
+      c.egress(src_).release();
+      d = net_->wire_latency(src_, dst_);
+    }
+    des::delay(c.sim(), d).await_suspend(h);
+  }
+  void await_resume() {
+    // Only a contended transfer records a sample; the consumers (sum, max)
+    // are unaffected and the uncontended path skips the double conversion.
+    if (step_ == kIngress) {
+      const des::SimTime now = net_->cluster().sim().now();
+      if (now != requested_) {
+        net_->contention_.add(des::to_seconds(now - requested_));
+      }
+    }
+    step_ = step_ >= kLatency ? kDone : static_cast<Step>(step_ + 1);
+  }
+
+ private:
+  enum Step { kEgress, kIngress, kWire, kLatency, kDone, kLocal };
+  des::Semaphore& nic() const {
+    Cluster& c = net_->cluster();
+    return step_ == kEgress ? c.egress(src_) : c.ingress(dst_);
+  }
+
+  Network* net_;
+  NodeId src_, dst_;
+  std::uint64_t bytes_;
+  des::SimTime requested_;
+  Step step_;
 };
 
 }  // namespace ioc::net

@@ -10,7 +10,7 @@
 //
 // Resize is genuinely asynchronous: the handler spawns a coroutine on the
 // pipeline's simulator that drives the real GM protocol (the same
-// run_control_round ladder as simulation mode) and completes the parked
+// Coordinator::run_round ladder as simulation mode) and completes the parked
 // HttpResponder when the DONE lands.
 #pragma once
 

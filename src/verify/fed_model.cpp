@@ -65,7 +65,7 @@ FedState FedModel::initial() const {
   return s;
 }
 
-void FedModel::emit(Step* step, const char* type, int delta) const {
+void FedModel::emit(Step* step, ev::MessageId type, int delta) const {
   if (step == nullptr) return;
   core::ControlTraceEvent ev;
   ev.container = kTradeId;
@@ -151,9 +151,9 @@ void FedModel::settle(FedState& st, Step* step) const {
     // carries that amount, TRADE_FENCE included.
     const int moved = st.recipient_spares - scenario_.recipient_spares;
     emit(step,
-         st.fenced ? core::kMarkTradeFence
-                   : (st.commit ? core::kMarkTradeCommit
-                                : core::kMarkTradeAbort),
+         st.fenced ? core::kMidMarkTradeFence
+                   : (st.commit ? core::kMidMarkTradeCommit
+                                : core::kMidMarkTradeAbort),
          st.commit ? moved : 0);
   }
   st.phase = static_cast<std::uint8_t>(FedPhase::kDone);
@@ -173,7 +173,7 @@ FedState FedModel::apply(const FedState& s, const Action& a,
       st.retries = static_cast<std::int8_t>(scenario_.retries);
       for (std::size_t i = 0; i < kFedMembers; ++i)
         st.req_in[i][kVoteRound] = 1;
-      emit(step, core::kMarkTradeBegin, count);
+      emit(step, core::kMidMarkTradeBegin, count);
       label << "root opens the trade, vote requests to both shards";
       break;
     }
@@ -292,10 +292,10 @@ FedState FedModel::apply(const FedState& s, const Action& a,
       const auto phase = static_cast<FedPhase>(st.phase);
       const std::size_t gr =
           phase == FedPhase::kVote ? kVoteRound : kDecideRound;
-      emit(step, core::kMarkTimeout, 0);
+      emit(step, core::kMidMarkTimeout, 0);
       if (ladder_resends(scenario_.retries, st.retries)) {
         --st.retries;
-        emit(step, core::kMarkRetry, 0);
+        emit(step, core::kMidMarkRetry, 0);
         label << round_name(gr) << " gather timeout, resend to unanswered";
         for (std::size_t i = 0; i < kFedMembers; ++i) {
           if (!st.answered[i] && st.req_in[i][gr] == 0 &&

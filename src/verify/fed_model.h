@@ -127,7 +127,7 @@ class FedModel {
  private:
   void move_decided(FedState& st, std::size_t m) const;
   void settle(FedState& st, Step* step) const;
-  void emit(Step* step, const char* type, int delta) const;
+  void emit(Step* step, ev::MessageId type, int delta) const;
 
   FedScenario scenario_;
 };

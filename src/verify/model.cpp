@@ -212,7 +212,7 @@ bool Model::emit_ok(const State& s, std::size_t c) const {
          !s.fenced[c] && !s.crashed[c];
 }
 
-void Model::emit_event(std::size_t c, const char* type, bool to_cm,
+void Model::emit_event(std::size_t c, ev::MessageId type, bool to_cm,
                        int delta, Step* step) const {
   if (step == nullptr) return;
   core::ControlTraceEvent ev;
@@ -223,7 +223,7 @@ void Model::emit_event(std::size_t c, const char* type, bool to_cm,
   step->events.push_back(std::move(ev));
 }
 
-void Model::emit_pair(State& st, std::size_t c, const char* req, int delta,
+void Model::emit_pair(State& st, std::size_t c, ev::MessageId req, int delta,
                       Step* step) const {
   if (!emit_ok(st, c)) return;
   core::ProtocolFsm fsm(static_cast<CmState>(st.fsm[c]));
@@ -231,8 +231,8 @@ void Model::emit_pair(State& st, std::size_t c, const char* req, int delta,
   // exchange the model diverges visibly instead of silently.
   if (!fsm.advance(req)) return;
   emit_event(c, req, true, 0, step);
-  fsm.advance(core::kMsgDone);
-  emit_event(c, core::kMsgDone, false, delta, step);
+  fsm.advance(core::kMidDone);
+  emit_event(c, core::kMidDone, false, delta, step);
   st.fsm[c] = static_cast<std::uint8_t>(fsm.state());
   if (scenario_.bugs.stale_timeout) {
     // Bug model: the round's deadline timer is never cancelled when the
@@ -243,7 +243,7 @@ void Model::emit_pair(State& st, std::size_t c, const char* req, int delta,
 }
 
 void Model::fence(State& st, std::size_t c, Step* step) const {
-  emit_event(c, core::kMarkEscalate, true, 0, step);
+  emit_event(c, core::kMidMarkEscalate, true, 0, step);
   st.spares = static_cast<std::int8_t>(st.spares + st.width[c]);
   st.width[c] = 0;
   st.fenced[c] = true;
@@ -282,7 +282,7 @@ void Model::apply_decision(State& st, std::size_t m, Step* step) const {
       if (st.fenced[kRecipient]) {
         ++st.spares;  // grant to a fenced container is reclaimed, not applied
       } else {
-        emit_pair(st, kRecipient, core::kMsgIncrease, +1, step);
+        emit_pair(st, kRecipient, core::kMidIncrease, +1, step);
         ++st.width[kRecipient];
       }
     }
@@ -294,7 +294,7 @@ void Model::apply_decision(State& st, std::size_t m, Step* step) const {
       if (st.fenced[kDonor]) {
         ++st.spares;  // restoring to a fenced donor repairs the pool instead
       } else {
-        emit_pair(st, kDonor, core::kMsgIncrease, +1, step);
+        emit_pair(st, kDonor, core::kMidIncrease, +1, step);
         ++st.width[kDonor];
       }
     }
@@ -323,7 +323,7 @@ bool Model::prepare(State& st, std::size_t m, Step* step) const {
   if (st.width[kDonor] <= 0) return false;
   // DonorTradeOp::prepare — donor -> escrow.
   ++st.prepare_count[kDonor];
-  emit_pair(st, kDonor, core::kMsgDecrease, -1, step);
+  emit_pair(st, kDonor, core::kMidDecrease, -1, step);
   --st.width[kDonor];
   ++st.escrow;
   return true;
@@ -479,10 +479,10 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
     case ActionKind::kStartConv:
       st.conv[c] = static_cast<std::uint8_t>(Conv::kAwaiting);
       ++st.req_in[c];
-      emit_event(c, core::kMsgQueryNeeds, true, 0, step);
+      emit_event(c, core::kMidQueryNeeds, true, 0, step);
       {
         core::ProtocolFsm fsm(static_cast<CmState>(st.fsm[c]));
-        fsm.advance(core::kMsgQueryNeeds);
+        fsm.advance(core::kMidQueryNeeds);
         st.fsm[c] = static_cast<std::uint8_t>(fsm.state());
       }
       break;
@@ -506,9 +506,9 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
       if (st.conv[c] == static_cast<std::uint8_t>(Conv::kAwaiting)) {
         st.conv[c] = static_cast<std::uint8_t>(Conv::kDone);
         core::ProtocolFsm fsm(static_cast<CmState>(st.fsm[c]));
-        fsm.advance(core::kMsgNeeds);
+        fsm.advance(core::kMidNeeds);
         st.fsm[c] = static_cast<std::uint8_t>(fsm.state());
-        emit_event(c, core::kMsgNeeds, false, 0, step);
+        emit_event(c, core::kMidNeeds, false, 0, step);
       }
       // A copy landing after the conversation closed is stale: ignored.
       break;
@@ -521,17 +521,17 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
       if (st.conv[c] == static_cast<std::uint8_t>(Conv::kAwaiting)) {
         st.conv[c] = static_cast<std::uint8_t>(Conv::kDone);
         core::ProtocolFsm fsm(static_cast<CmState>(st.fsm[c]));
-        fsm.advance(core::kMsgNeeds);
+        fsm.advance(core::kMidNeeds);
         st.fsm[c] = static_cast<std::uint8_t>(fsm.state());
-        emit_event(c, core::kMsgNeeds, false, 0, step);
+        emit_event(c, core::kMidNeeds, false, 0, step);
       }
       break;
     case ActionKind::kCmTimeout:
-      emit_event(c, core::kMarkTimeout, true, 0, step);
+      emit_event(c, core::kMidMarkTimeout, true, 0, step);
       if (ladder_resends(scenario_.cm_retries, st.conv_retries[c])) {
         --st.conv_retries[c];
         ++st.req_in[c];
-        emit_event(c, core::kMarkRetry, true, 0, step);
+        emit_event(c, core::kMidMarkRetry, true, 0, step);
       } else {
         fence(st, c, step);
       }
@@ -544,7 +544,7 @@ State Model::apply(const State& s, const Action& a, Step* step) const {
       st.stale_timer[c] = false;
       st.conv[c] = static_cast<std::uint8_t>(Conv::kAbandoned);
       st.timeout_pending[c] = true;
-      emit_event(c, core::kMarkTimeout, true, 0, step);
+      emit_event(c, core::kMidMarkTimeout, true, 0, step);
       break;
     case ActionKind::kCrash:
       st.crashed[c] = true;

@@ -273,9 +273,9 @@ class Model {
 
  private:
   bool emit_ok(const State& s, std::size_t c) const;
-  void emit_event(std::size_t c, const char* type, bool to_cm,
+  void emit_event(std::size_t c, ev::MessageId type, bool to_cm,
                   int delta, Step* step) const;
-  void emit_pair(State& st, std::size_t c, const char* req, int delta,
+  void emit_pair(State& st, std::size_t c, ev::MessageId req, int delta,
                  Step* step) const;
   void fence(State& st, std::size_t c, Step* step) const;
   void start_round(State& st, TxnPhase phase, Step* step) const;

@@ -354,9 +354,9 @@ TEST(Escalation, PartitionedManagerIsFencedAndNodesReclaimed) {
   // the trace replays clean (no IOC105 — every timeout was answered).
   bool saw_timeout = false, saw_retry = false, saw_escalate = false;
   for (const auto& ev : p.gm().control_trace()) {
-    saw_timeout |= ev.type == core::kMarkTimeout;
-    saw_retry |= ev.type == core::kMarkRetry;
-    saw_escalate |= ev.type == core::kMarkEscalate;
+    saw_timeout |= ev.type == core::kMidMarkTimeout;
+    saw_retry |= ev.type == core::kMidMarkRetry;
+    saw_escalate |= ev.type == core::kMidMarkEscalate;
   }
   EXPECT_TRUE(saw_timeout);
   EXPECT_TRUE(saw_retry);
@@ -366,7 +366,8 @@ TEST(Escalation, PartitionedManagerIsFencedAndNodesReclaimed) {
   std::vector<std::string> trail;
   for (const auto& ev : p.gm().control_trace()) {
     trail.push_back(std::to_string(ev.at) + " " + ev.container + "/" +
-                    ev.type + "/" + (ev.to_cm ? "req" : "reply") + "/" +
+                    std::string(ev::type_name(ev.type)) + "/" +
+                    (ev.to_cm ? "req" : "reply") + "/" +
                     std::to_string(ev.delta));
   }
   const std::vector<std::string> golden = {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,81 @@ TEST(Bus, PostDeliversAcrossNodes) {
   EXPECT_EQ(got[0].type(), "HELLO");
   EXPECT_EQ(got[0].from, a.id());
   EXPECT_GT(f.sim.now(), 0);  // delivery paid network time
+}
+
+// A fan-in into node 0 with contention at both NICs: node 1 sends twice back
+// to back (the second waits for its egress), nodes 1-3 all land on node 0's
+// ingress, and the last message is co-located.
+struct FanInMessage {
+  net::NodeId src;
+  std::uint64_t bytes;
+};
+constexpr FanInMessage kFanIn[] = {
+    {1, 400000}, {1, 4096}, {2, 250000}, {3, 1024}, {0, 512}};
+
+struct FanInRun {
+  std::vector<des::SimTime> done;  // per message, when it arrived
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;
+  std::size_t waits = 0;
+  double wait_sum = 0;
+  double wait_max = 0;
+  std::uint64_t events = 0;
+};
+
+des::Process post_one(Bus& bus, EndpointId from, EndpointId to,
+                      std::uint64_t bytes, des::SimTime* done) {
+  Message m;
+  m.size_bytes = bytes;
+  co_await bus.post(from, to, std::move(m));
+  *done = bus.sim().now();
+}
+
+des::Process transfer_one(net::Network& net, net::NodeId src,
+                          std::uint64_t bytes, des::SimTime* done) {
+  co_await net.transfer(src, 0, bytes);
+  *done = net.cluster().sim().now();
+}
+
+FanInRun run_fan_in(bool via_post) {
+  BusFixture f;
+  FanInRun r;
+  r.done.resize(std::size(kFanIn));
+  const EndpointId to = f.bus.open(0, "sink").id();
+  EndpointId from[4];
+  for (net::NodeId n = 0; n < 4; ++n) from[n] = f.bus.open(n, "src").id();
+  for (std::size_t i = 0; i < std::size(kFanIn); ++i) {
+    const FanInMessage& k = kFanIn[i];
+    if (via_post) {
+      spawn(f.sim, post_one(f.bus, from[k.src], to, k.bytes, &r.done[i]));
+    } else {
+      spawn(f.sim, transfer_one(f.net, k.src, k.bytes, &r.done[i]));
+    }
+  }
+  f.sim.run();
+  r.transfers = f.net.transfer_count();
+  r.bytes = f.net.bytes_moved();
+  r.waits = f.net.contention_wait().count();
+  r.wait_sum = f.net.contention_wait().sum();
+  r.wait_max = f.net.contention_wait().max();
+  r.events = f.sim.events_processed();
+  return r;
+}
+
+TEST(Bus, PostPaysExactlyOneTransfer) {
+  // Bus::post runs Network::transfer's await sequence inline; both paths
+  // must move every message at the same instants with the same ledger.
+  const FanInRun post = run_fan_in(true);
+  const FanInRun transfer = run_fan_in(false);
+  EXPECT_EQ(post.done, transfer.done);
+  EXPECT_EQ(post.transfers, transfer.transfers);
+  EXPECT_EQ(post.transfers, std::size(kFanIn));
+  EXPECT_EQ(post.bytes, transfer.bytes);
+  EXPECT_EQ(post.waits, transfer.waits);
+  EXPECT_GE(post.waits, 3u);  // the fan-in did contend
+  EXPECT_EQ(post.wait_sum, transfer.wait_sum);
+  EXPECT_EQ(post.wait_max, transfer.wait_max);
+  EXPECT_EQ(post.events, transfer.events);
 }
 
 TEST(Bus, PostToUnknownEndpointFails) {

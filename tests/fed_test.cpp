@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,7 +65,8 @@ std::uint64_t fold_trace(const std::vector<ioc::core::ControlTraceEvent>& t,
   for (const auto& e : t) {
     h = fnv1a_value(e.at, h);
     h = fnv1a(e.container.data(), e.container.size(), h);
-    h = fnv1a(e.type.data(), e.type.size(), h);
+    const std::string_view type = ioc::ev::type_name(e.type);
+    h = fnv1a(type.data(), type.size(), h);
     h = fnv1a_value(e.to_cm, h);
     h = fnv1a_value(e.delta, h);
   }
@@ -505,7 +507,7 @@ TEST(TradeRecovery, RecipientFencedAfterLiveCommitSettlesOnce) {
   const auto& trace = rig.root.control_trace();
   ASSERT_FALSE(trace.empty());
   EXPECT_EQ(trace.back().container, "trade#1");
-  EXPECT_EQ(trace.back().type, ioc::core::kMarkTradeCommit);
+  EXPECT_EQ(trace.back().type, ioc::core::kMidMarkTradeCommit);
   EXPECT_EQ(trace.back().delta, 2);
   EXPECT_EQ(rig.root.stats().trades_committed, 1u);
   EXPECT_TRUE(rig.conserved());
@@ -752,7 +754,7 @@ TEST(FedVerify, FencedCommitMarkerCarriesTheMovedNodes) {
   act(ActionKind::kTxnTimeout, 0);
   ASSERT_TRUE(s.fenced);
   ASSERT_FALSE(step.events.empty());
-  EXPECT_EQ(step.events.back().type, ioc::core::kMarkTradeFence);
+  EXPECT_EQ(step.events.back().type, ioc::core::kMidMarkTradeFence);
   EXPECT_EQ(step.events.back().delta, 1);
   EXPECT_EQ(int{s.recipient_spares}, sc.recipient_spares + 1);
 }

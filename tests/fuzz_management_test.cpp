@@ -8,6 +8,8 @@
 //     provenance-labeled on disk.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "core/runtime.h"
 #include "core/spec.h"
 #include "util/hash.h"
@@ -134,7 +136,8 @@ TEST_P(ManagementFuzzUnderFaults, InvariantsSurviveActionsOnALossyFabric) {
   for (const auto& ev : p.gm().control_trace()) {
     h = util::fnv1a_value(ev.at, h);
     h = util::fnv1a(ev.container.data(), ev.container.size(), h);
-    h = util::fnv1a(ev.type.data(), ev.type.size(), h);
+    const std::string_view type = ev::type_name(ev.type);
+    h = util::fnv1a(type.data(), type.size(), h);
     h = util::fnv1a_value(ev.to_cm, h);
     h = util::fnv1a_value(ev.delta, h);
   }

@@ -5,6 +5,8 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/protocol.h"
 #include "core/protocol_fsm.h"
@@ -424,95 +426,106 @@ TEST(LintConfig, RegistryCoversAllEmittedCodes) {
 TEST(ProtocolFsm, LegalConversationsAdvance) {
   core::ProtocolFsm m;
   EXPECT_EQ(m.state(), core::CmState::kIdle);
-  EXPECT_TRUE(m.advance(core::kMsgIncrease));
+  EXPECT_TRUE(m.advance(core::kMidIncrease));
   EXPECT_EQ(m.state(), core::CmState::kResizing);
-  EXPECT_TRUE(m.advance(core::kMsgDone));
-  EXPECT_TRUE(m.advance(core::kMsgQueryNeeds));
-  EXPECT_TRUE(m.advance(core::kMsgNeeds));
-  EXPECT_TRUE(m.advance(core::kMsgOffline));
+  EXPECT_TRUE(m.advance(core::kMidDone));
+  EXPECT_TRUE(m.advance(core::kMidQueryNeeds));
+  EXPECT_TRUE(m.advance(core::kMidNeeds));
+  EXPECT_TRUE(m.advance(core::kMidOffline));
   EXPECT_EQ(m.state(), core::CmState::kGoingOffline);
-  EXPECT_TRUE(m.advance(core::kMsgDone));
+  EXPECT_TRUE(m.advance(core::kMidDone));
   EXPECT_EQ(m.state(), core::CmState::kOffline);
-  EXPECT_TRUE(m.advance(core::kMsgActivate));
-  EXPECT_TRUE(m.advance(core::kMsgDone));
+  EXPECT_TRUE(m.advance(core::kMidActivate));
+  EXPECT_TRUE(m.advance(core::kMidDone));
   EXPECT_EQ(m.state(), core::CmState::kIdle);
 }
 
 TEST(ProtocolFsm, IllegalMessagesAreRejectedWithoutMovingState) {
   core::ProtocolFsm m;
-  EXPECT_FALSE(m.advance(core::kMsgDone));  // DONE with nothing pending
+  EXPECT_FALSE(m.advance(core::kMidDone));  // DONE with nothing pending
   EXPECT_EQ(m.state(), core::CmState::kIdle);
-  EXPECT_TRUE(m.advance(core::kMsgOffline));
-  EXPECT_FALSE(m.advance(core::kMsgOffline));  // double OFFLINE_REQ
-  EXPECT_FALSE(m.advance(core::kMsgIncrease));  // resize while going offline
+  EXPECT_TRUE(m.advance(core::kMidOffline));
+  EXPECT_FALSE(m.advance(core::kMidOffline));  // double OFFLINE_REQ
+  EXPECT_FALSE(m.advance(core::kMidIncrease));  // resize while going offline
   EXPECT_EQ(m.state(), core::CmState::kGoingOffline);
 }
 
 TEST(ProtocolFsm, StatelessMessagesAreAlwaysLegal) {
   core::ProtocolFsm m;
-  EXPECT_TRUE(m.advance(core::kMsgEnableHashes));
-  EXPECT_TRUE(m.advance(core::kMsgIncrease));
-  EXPECT_TRUE(m.advance(core::kMsgMetric));  // monitoring flows regardless
+  EXPECT_TRUE(m.advance(core::kMidEnableHashes));
+  EXPECT_TRUE(m.advance(core::kMidIncrease));
+  EXPECT_TRUE(m.advance(core::kMidMetric));  // monitoring flows regardless
   EXPECT_EQ(m.state(), core::CmState::kResizing);
 }
 
 TEST(ProtocolFsm, ExhaustiveStateMessageTableCrossProduct) {
-  // Every CmState crossed with every protocol.h message string: advance()
+  // Every CmState crossed with every protocol.h message id: advance()
   // must accept exactly the cm_transitions() edges plus the stateless
   // messages (which never move the state), and reject everything else
-  // without moving — the markers (TIMEOUT/RETRY/ESCALATE) and HEARTBEAT are
-  // trace annotations respectively liveness chatter, never FSM inputs. Spot
-  // checks above show intent; this closes the complement so a new message
-  // or edge cannot slip in unexamined.
+  // without moving — the nine markers and HEARTBEAT are trace annotations
+  // respectively liveness chatter, never FSM inputs. Spot checks above show
+  // intent; this closes the complement so a new message or edge cannot slip
+  // in unexamined.
   const core::CmState kAllStates[] = {
       core::CmState::kIdle,         core::CmState::kResizing,
       core::CmState::kQueried,      core::CmState::kSwitching,
       core::CmState::kGoingOffline, core::CmState::kOffline,
       core::CmState::kActivating,
   };
-  const char* kAllMessages[] = {
-      core::kMsgIncrease,     core::kMsgDecrease,      core::kMsgOffline,
-      core::kMsgQueryNeeds,   core::kMsgSwitchToDisk,  core::kMsgActivate,
-      core::kMsgDone,         core::kMsgNeeds,         core::kMsgReplicaHello,
-      core::kMsgReplicaConfig, core::kMsgEndpointUpdate, core::kMsgMetric,
-      core::kMsgEnableHashes, core::kMsgHeartbeat,     core::kMarkTimeout,
-      core::kMarkRetry,       core::kMarkEscalate,
+  std::vector<ev::MessageId> messages = {
+      core::kMidIncrease,      core::kMidDecrease,      core::kMidOffline,
+      core::kMidQueryNeeds,    core::kMidSwitchToDisk,  core::kMidActivate,
+      core::kMidDone,          core::kMidNeeds,         core::kMidReplicaHello,
+      core::kMidReplicaConfig, core::kMidEndpointUpdate, core::kMidMetric,
+      core::kMidEnableHashes,  core::kMidHeartbeat,
   };
+  // The markers, by id: the nine close the canonical vocabulary, TIMEOUT
+  // first and TRADE_FENCE last.
+  const auto is_mark_id = [](ev::MessageId id) {
+    return id >= core::kMidMarkTimeout && id <= core::kMidMarkTradeFence;
+  };
+  for (ev::MessageId id = core::kMidMarkTimeout;
+       id <= core::kMidMarkTradeFence; ++id) {
+    messages.push_back(id);
+  }
+  ASSERT_EQ(messages.size(), 14u + 9u);
   const auto& table = core::cm_transitions();
   std::size_t legal_moves = 0;
   for (core::CmState from : kAllStates) {
-    for (const char* msg : kAllMessages) {
+    for (ev::MessageId msg : messages) {
+      const std::string_view name = ev::type_name(msg);
       // A message is either stateless, a marker, or a (potential) edge —
       // the three classifications must not overlap.
       const bool stateless = core::cm_message_is_stateless(msg);
       const bool marker = core::cm_message_is_marker(msg);
-      EXPECT_FALSE(stateless && marker) << msg;
+      EXPECT_FALSE(stateless && marker) << name;
+      EXPECT_EQ(marker, is_mark_id(msg)) << name;
 
       const core::CmTransition* edge = nullptr;
       for (const auto& t : table) {
-        if (t.from == from && std::string(msg) == t.message) {
+        if (t.from == from && msg == t.message) {
           ASSERT_EQ(edge, nullptr)  // table must be deterministic
               << "duplicate edge from " << core::cm_state_name(from)
-              << " on " << msg;
+              << " on " << name;
           edge = &t;
         }
       }
       if (edge != nullptr) {
-        EXPECT_FALSE(stateless) << msg << " is both stateless and an edge";
-        EXPECT_FALSE(marker) << msg << " is both a marker and an edge";
+        EXPECT_FALSE(stateless) << name << " is both stateless and an edge";
+        EXPECT_FALSE(marker) << name << " is both a marker and an edge";
       }
 
       core::ProtocolFsm m(from);
       const bool accepted = m.advance(msg);
       EXPECT_EQ(accepted, stateless || edge != nullptr)
-          << core::cm_state_name(from) << " x " << msg;
+          << core::cm_state_name(from) << " x " << name;
       if (edge != nullptr) {
         EXPECT_EQ(m.state(), edge->to)
-            << core::cm_state_name(from) << " x " << msg;
+            << core::cm_state_name(from) << " x " << name;
         ++legal_moves;
       } else {
         EXPECT_EQ(m.state(), from)  // rejects and stateless both stay put
-            << core::cm_state_name(from) << " x " << msg;
+            << core::cm_state_name(from) << " x " << name;
       }
     }
   }
@@ -523,7 +536,7 @@ TEST(ProtocolFsm, ExhaustiveStateMessageTableCrossProduct) {
 
 // --- trace checking --------------------------------------------------------
 
-ControlTraceEvent ev(const char* container, const char* type, bool to_cm,
+ControlTraceEvent ev(const char* container, ev::MessageId type, bool to_cm,
                      int delta = 0) {
   ControlTraceEvent e;
   e.container = container;
@@ -537,10 +550,10 @@ TEST(TraceCheck, RecordedIncreaseRoundPasses) {
   // The 512/24 setup has 4 spares: grow bonds by 2, then shrink it back.
   const auto spec = PipelineSpec::lammps_smartpointer(512, 24);
   const std::vector<ControlTraceEvent> trace = {
-      ev("bonds", core::kMsgIncrease, true),
-      ev("bonds", core::kMsgDone, false, +2),
-      ev("bonds", core::kMsgDecrease, true),
-      ev("bonds", core::kMsgDone, false, -2),
+      ev("bonds", core::kMidIncrease, true),
+      ev("bonds", core::kMidDone, false, +2),
+      ev("bonds", core::kMidDecrease, true),
+      ev("bonds", core::kMidDone, false, -2),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(r.ok()) << to_text(r);
@@ -551,19 +564,30 @@ TEST(TraceCheck, OutOfOrderOfflineSequenceIsRejected) {
   // Corrupted variant: the DONE arrives before any OFFLINE_REQ, then the
   // request follows — both directions of the inversion are illegal.
   const std::vector<ControlTraceEvent> trace = {
-      ev("csym", core::kMsgDone, false, -2),
-      ev("csym", core::kMsgOffline, true),
-      ev("csym", core::kMsgOffline, true),  // duplicate request
+      ev("csym", core::kMidDone, false, -2),
+      ev("csym", core::kMidOffline, true),
+      ev("csym", core::kMidOffline, true),  // duplicate request
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(codes(r).count("IOC101")) << to_text(r);
+  // The trace holds ids; the printed type names are the interned bytes,
+  // identical to the text from when traces held type strings.
+  EXPECT_EQ(to_text(r),
+            "<trace>:1: error [IOC101] container 'csym': message DONE is "
+            "illegal in state idle (trace event #1)\n"
+            "<trace>:3: error [IOC101] container 'csym': message OFFLINE_REQ "
+            "is illegal in state going-offline (trace event #3)\n"
+            "<trace>:3: error [IOC102] container 'csym': trace ends with the "
+            "container manager in state going-offline — a request never got "
+            "its reply\n"
+            "<trace>: 3 error(s), 0 warning(s)\n");
 }
 
 TEST(TraceCheck, DanglingRequestIsReported) {
   const auto spec = PipelineSpec::lammps_smartpointer(512, 24);
   const std::vector<ControlTraceEvent> trace = {
-      ev("bonds", core::kMsgIncrease, true),
+      ev("bonds", core::kMidIncrease, true),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(codes(r).count("IOC102")) << to_text(r);
@@ -573,14 +597,14 @@ TEST(TraceCheck, ConservationViolationIsReported) {
   const auto spec = PipelineSpec::lammps_smartpointer(512, 24);
   // +6 against 4 spares: widths sum past the staging allocation.
   const std::vector<ControlTraceEvent> over = {
-      ev("bonds", core::kMsgIncrease, true),
-      ev("bonds", core::kMsgDone, false, +6),
+      ev("bonds", core::kMidIncrease, true),
+      ev("bonds", core::kMidDone, false, +6),
   };
   EXPECT_TRUE(codes(check_trace(spec, over)).count("IOC103"));
   // A decrease below zero width is equally impossible.
   const std::vector<ControlTraceEvent> under = {
-      ev("csym", core::kMsgDecrease, true),
-      ev("csym", core::kMsgDone, false, -5),  // csym starts with 2
+      ev("csym", core::kMidDecrease, true),
+      ev("csym", core::kMidDone, false, -5),  // csym starts with 2
   };
   EXPECT_TRUE(codes(check_trace(spec, under)).count("IOC103"));
 }
@@ -588,7 +612,7 @@ TEST(TraceCheck, ConservationViolationIsReported) {
 TEST(TraceCheck, UnknownContainerIsFlagged) {
   const auto spec = PipelineSpec::lammps_smartpointer(512, 24);
   const std::vector<ControlTraceEvent> trace = {
-      ev("renderer", core::kMsgIncrease, true),
+      ev("renderer", core::kMidIncrease, true),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(codes(r).count("IOC104"));
@@ -600,9 +624,9 @@ TEST(TraceCheck, IOC105TimeoutWithoutRecoveryIsFlagged) {
   // The round hung, the manager recorded the TIMEOUT — and then nothing:
   // no retry, no escalation. Even a (stale) DONE does not excuse it.
   const std::vector<ControlTraceEvent> trace = {
-      ev("bonds", core::kMsgIncrease, true),
-      ev("bonds", core::kMarkTimeout, true),
-      ev("bonds", core::kMsgDone, false, +2),
+      ev("bonds", core::kMidIncrease, true),
+      ev("bonds", core::kMidMarkTimeout, true),
+      ev("bonds", core::kMidDone, false, +2),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(codes(r).count("IOC105")) << to_text(r);
@@ -612,10 +636,10 @@ TEST(TraceCheck, IOC105TimeoutWithoutRecoveryIsFlagged) {
 TEST(TraceCheck, TimeoutAnsweredByRetryIsClean) {
   const auto spec = PipelineSpec::lammps_smartpointer(512, 24);
   const std::vector<ControlTraceEvent> trace = {
-      ev("bonds", core::kMsgIncrease, true),
-      ev("bonds", core::kMarkTimeout, true),
-      ev("bonds", core::kMarkRetry, true),
-      ev("bonds", core::kMsgDone, false, +2),
+      ev("bonds", core::kMidIncrease, true),
+      ev("bonds", core::kMidMarkTimeout, true),
+      ev("bonds", core::kMidMarkRetry, true),
+      ev("bonds", core::kMidDone, false, +2),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(r.ok()) << to_text(r);
@@ -630,11 +654,11 @@ TEST(TraceCheck, EscalateSettlesTheFencedContainerCleanly) {
   // nodes returned to the spare set, so no IOC103 either), leaving the
   // FSM offline.
   const std::vector<ControlTraceEvent> trace = {
-      ev("csym", core::kMsgIncrease, true),
-      ev("csym", core::kMarkTimeout, true),
-      ev("csym", core::kMarkRetry, true),
-      ev("csym", core::kMarkTimeout, true),
-      ev("csym", core::kMarkEscalate, true, -2),
+      ev("csym", core::kMidIncrease, true),
+      ev("csym", core::kMidMarkTimeout, true),
+      ev("csym", core::kMidMarkRetry, true),
+      ev("csym", core::kMidMarkTimeout, true),
+      ev("csym", core::kMidMarkEscalate, true, -2),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(r.ok()) << to_text(r);
@@ -648,8 +672,8 @@ TEST(TraceCheck, IOC106UnterminatedTradeIsFlagged) {
   // A cross-shard trade opened its bracket and then vanished: whatever it
   // escrowed is counted by no shard's ledger.
   const std::vector<ControlTraceEvent> trace = {
-      ev("trade#1", core::kMarkTradeBegin, false, 1),
-      ev("trade#1", core::kMarkTimeout, false),
+      ev("trade#1", core::kMidMarkTradeBegin, false, 1),
+      ev("trade#1", core::kMidMarkTimeout, false),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(codes(r).count("IOC106")) << to_text(r);
@@ -662,17 +686,17 @@ TEST(TraceCheck, TerminatedTradesAndFleetMarkersAreClean) {
   // retry ladder's dangling TIMEOUT (the fence IS the recovery) — and
   // FAILOVER/REASSIGN are fleet annotations, not spec containers.
   const std::vector<ControlTraceEvent> trace = {
-      ev("trade#1", core::kMarkTradeBegin, false, 1),
-      ev("trade#1", core::kMarkTradeCommit, false, 1),
-      ev("trade#2", core::kMarkTradeBegin, false, 1),
-      ev("trade#2", core::kMarkTimeout, false),
-      ev("trade#2", core::kMarkRetry, false),
-      ev("trade#2", core::kMarkTimeout, false),
-      ev("trade#2", core::kMarkTradeFence, false),
-      ev("trade#3", core::kMarkTradeBegin, false, 1),
-      ev("trade#3", core::kMarkTradeAbort, false),
-      ev("shard-3", core::kMarkFailover, false),
-      ev("pipe-7", core::kMarkReassign, false, 2),
+      ev("trade#1", core::kMidMarkTradeBegin, false, 1),
+      ev("trade#1", core::kMidMarkTradeCommit, false, 1),
+      ev("trade#2", core::kMidMarkTradeBegin, false, 1),
+      ev("trade#2", core::kMidMarkTimeout, false),
+      ev("trade#2", core::kMidMarkRetry, false),
+      ev("trade#2", core::kMidMarkTimeout, false),
+      ev("trade#2", core::kMidMarkTradeFence, false),
+      ev("trade#3", core::kMidMarkTradeBegin, false, 1),
+      ev("trade#3", core::kMidMarkTradeAbort, false),
+      ev("shard-3", core::kMidMarkFailover, false),
+      ev("pipe-7", core::kMidMarkReassign, false, 2),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(r.ok()) << to_text(r);
@@ -687,12 +711,12 @@ TEST(TraceCheck, MarkersNeverAdvanceTheProtocolState) {
   // and reply must not be treated as a second request (which would be
   // illegal in kResizing and trip IOC101).
   const std::vector<ControlTraceEvent> trace = {
-      ev("bonds", core::kMsgDecrease, true),
-      ev("bonds", core::kMarkTimeout, true),
-      ev("bonds", core::kMarkRetry, true),
-      ev("bonds", core::kMarkTimeout, true),
-      ev("bonds", core::kMarkRetry, true),
-      ev("bonds", core::kMsgDone, false, -1),
+      ev("bonds", core::kMidDecrease, true),
+      ev("bonds", core::kMidMarkTimeout, true),
+      ev("bonds", core::kMidMarkRetry, true),
+      ev("bonds", core::kMidMarkTimeout, true),
+      ev("bonds", core::kMidMarkRetry, true),
+      ev("bonds", core::kMidDone, false, -1),
   };
   const LintResult r = check_trace(spec, trace);
   EXPECT_TRUE(r.ok()) << to_text(r);

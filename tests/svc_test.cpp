@@ -384,7 +384,8 @@ ScriptResult run_script(bool live) {
   p.pump_to_idle();
   EXPECT_TRUE(p.all_done());
   for (const auto& e : p.gm().control_trace()) {
-    out.trace.push_back(e.container + "/" + e.type + "/" +
+    out.trace.push_back(e.container + "/" +
+                        std::string(ev::type_name(e.type)) + "/" +
                         (e.to_cm ? "req" : "reply") + "/" +
                         std::to_string(e.delta));
   }
@@ -419,8 +420,9 @@ TEST(Equivalence, LiveControlTraceReplaysThroughTheProtocolFsm) {
     const std::size_t s2 = line.find('/', s1 + 1);
     const std::string container = line.substr(0, s1);
     const std::string type = line.substr(s1 + 1, s2 - s1 - 1);
-    if (core::cm_message_is_marker(type)) continue;
-    EXPECT_TRUE(fsms[container].advance(type))
+    const ev::MessageId id = ev::intern_type(type);
+    if (core::cm_message_is_marker(id)) continue;
+    EXPECT_TRUE(fsms[container].advance(id))
         << container << " rejected " << type << " in state "
         << core::cm_state_name(fsms[container].state());
   }
@@ -449,6 +451,8 @@ class BlockingClient {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
 
   void send_raw(const std::string& bytes) {
     std::size_t off = 0;
@@ -631,12 +635,33 @@ TEST_F(HttpApiTest, MalformedJsonBodyIs400NotACrash) {
 }
 
 TEST_F(HttpApiTest, MalformedRequestLineIs400) {
-  BlockingClient c(port_);
-  ASSERT_TRUE(c.connected());
-  c.send_raw("NONSENSE\r\n\r\n");
-  auto rs = c.read_responses(1);
-  ASSERT_EQ(rs.size(), 1u);
-  EXPECT_EQ(status_of(rs[0]), 400);
+  // Each rejection on a connection of its own, answered with its status;
+  // the server then closes that connection and still serves a fresh one.
+  const struct {
+    const char* raw;
+    int status;
+  } kCases[] = {
+      {"NONSENSE\r\n\r\n", 400},
+      {"GET /v1/pipelines HTTP/1.1\r\nNoColon\r\nHost: t\r\n\r\n", 400},
+      {"POST /v1/pipelines HTTP/1.1\r\nContent-Length: 12x\r\n\r\n", 400},
+      {"POST /v1/pipelines HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+       413},
+  };
+  static_assert(kMaxBodyBytes + 1 == 1048577, "the 413 case is one byte over");
+  for (const auto& k : kCases) {
+    BlockingClient c(port_);
+    ASSERT_TRUE(c.connected());
+    c.send_raw(k.raw);
+    // Half-close: a server that waited for a body would end the connection
+    // instead of hanging the test.
+    c.finish_sending();
+    auto rs = c.read_responses(1);
+    ASSERT_EQ(rs.size(), 1u) << k.raw;
+    EXPECT_EQ(status_of(rs[0]), k.status) << k.raw;
+    BlockingClient fresh(port_);
+    ASSERT_TRUE(fresh.connected());
+    EXPECT_EQ(status_of(fresh.request("GET", "/v1/pipelines")), 200) << k.raw;
+  }
 }
 
 TEST_F(HttpApiTest, UnknownRoutesAndMethods) {

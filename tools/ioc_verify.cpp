@@ -44,7 +44,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 
+#include "ev/intern.h"
 #include "lint/diagnostics.h"
 #include "lint/trace.h"
 #include "trace/sink.h"
@@ -98,7 +100,7 @@ bool write_chrome_trace(const std::string& path, const CheckReport& rep) {
   for (const auto& step : rep.counterexample) {
     for (const auto& ev : step.events) {
       ioc::trace::SpanRecord span;
-      span.name_id = ioc::util::intern(ev.type);
+      span.name_id = ioc::util::intern(ioc::ev::type_name(ev.type));
       span.category_id = ioc::util::intern("control");
       span.source_id = ioc::util::intern(ev.container);
       span.detail_id = ioc::util::intern(step.label);
@@ -153,9 +155,10 @@ int report(const CheckReport& rep, const ioc::core::PipelineSpec& spec,
       const auto& step = rep.counterexample[i];
       std::printf("  %3zu. %s\n", i + 1, step.label.c_str());
       for (const auto& ev : step.events) {
-        std::printf("       %s %s %s delta=%d\n",
-                    ev.to_cm ? "->" : "<-", ev.container.c_str(),
-                    ev.type.c_str(), ev.delta);
+        const std::string_view type = ioc::ev::type_name(ev.type);
+        std::printf("       %s %s %.*s delta=%d\n", ev.to_cm ? "->" : "<-",
+                    ev.container.c_str(), static_cast<int>(type.size()),
+                    type.data(), ev.delta);
       }
     }
     const auto lint = ioc::lint::check_trace(spec, rep.trace);
