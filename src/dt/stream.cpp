@@ -46,8 +46,10 @@ des::Task<bool> Stream::admit(StepData s,
   e.data = std::move(s);
   e.data.ingress = sim.now();
   e.admitted = sim.now();
-  e.delivered = std::make_shared<des::Event>(sim);
-  if (delivered != nullptr) *delivered = e.delivered;
+  if (delivered != nullptr) {
+    e.delivered = std::make_shared<des::Event>(sim);
+    *delivered = e.delivered;
+  }
   buffered_bytes_ += e.data.bytes;
   queue_.push_back(std::move(e));
   backlog_hwm_ = std::max(backlog_hwm_, queue_.size());
@@ -80,7 +82,7 @@ void Stream::finish_pull(const Entry& e) {
   buffered_bytes_ -= e.data.bytes;
   ++steps_delivered_;
   delivery_lat_.add(des::to_seconds(sim.now() - e.admitted));
-  e.delivered->set();
+  if (e.delivered != nullptr) e.delivered->set();
   writable_.notify_all();
   --in_flight_;
   if (in_flight_ == 0 && pause_pending_) {

@@ -108,7 +108,8 @@ class Stream {
   struct Entry {
     StepData data;
     des::SimTime admitted = 0;
-    std::shared_ptr<des::Event> delivered;  // set once pulled (sync writes)
+    /// Set once pulled; only write_sync, which waits on it, makes one.
+    std::shared_ptr<des::Event> delivered;
   };
 
   des::Task<bool> admit(StepData s, std::shared_ptr<des::Event>* delivered);

@@ -1,27 +1,12 @@
 #include "ev/intern.h"
 
 #include <cassert>
-#include <deque>
-#include <string>
-#include <unordered_map>
-#include <vector>
+
+#include "util/intern.h"
 
 namespace ioc::ev {
 
 namespace {
-
-struct SvHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct SvEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept {
-    return a == b;
-  }
-};
 
 // The canonical control-plane vocabulary, preregistered in this fixed order
 // so every binary assigns the same ids no matter which TU interns first.
@@ -47,24 +32,9 @@ constexpr std::string_view kCanonical[] = {
     "TRADE_COMMIT", "TRADE_ABORT", "TRADE_FENCE",
 };
 
-struct Table {
-  // Deque keeps the backing bytes pointer-stable across growth, so the
-  // views handed out by type_name() never dangle.
-  std::deque<std::string> strings;
-  std::vector<std::string_view> views;
-  std::unordered_map<std::string_view, MessageId, SvHash, SvEq> ids;
-
+struct Table : util::InternTable<MessageId> {
   Table() {
-    add("");  // id 0 <=> unset type
     for (std::string_view s : kCanonical) add(s);
-  }
-
-  MessageId add(std::string_view s) {
-    const MessageId id = static_cast<MessageId>(views.size());
-    strings.emplace_back(s);
-    views.push_back(strings.back());
-    ids.emplace(views.back(), id);
-    return id;
   }
 };
 
@@ -76,22 +46,17 @@ Table& table() {
 }  // namespace
 
 MessageId intern_type(std::string_view s) {
-  Table& t = table();
-  auto it = t.ids.find(s);
-  if (it != t.ids.end()) return it->second;
+  auto& t = table();
+  if (const auto id = t.find(s)) return *id;
   // 16 bits is deliberate head-room policing: the control plane has a few
   // dozen type strings, so running into the cap means someone is interning
   // unbounded data (e.g. a per-instance name) as a message type.
-  assert(t.views.size() < 65535 && "message-type intern table overflow");
+  assert(t.size() < 65535 && "message-type intern table overflow");
   return t.add(s);
 }
 
-std::string_view type_name(MessageId id) {
-  Table& t = table();
-  if (id >= t.views.size()) return {};
-  return t.views[id];
-}
+std::string_view type_name(MessageId id) { return table().name(id); }
 
-std::size_t type_count() { return table().views.size(); }
+std::size_t type_count() { return table().size(); }
 
 }  // namespace ioc::ev

@@ -1,8 +1,9 @@
 #include "lint/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "trace/json.h"
 
 namespace ioc::lint {
 
@@ -60,54 +61,21 @@ std::string to_text(const LintResult& r) {
   return os.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string to_json(const LintResult& r) {
+  using trace::json::escape;
   std::ostringstream os;
-  os << "{\"source\":\"" << json_escape(r.source) << "\","
+  os << "{\"source\":\"" << escape(r.source) << "\","
      << "\"errors\":" << r.errors() << ","
      << "\"warnings\":" << r.warnings() << ",\"diagnostics\":[";
   bool first = true;
   for (const auto& d : r.diagnostics) {
     if (!first) os << ",";
     first = false;
-    os << "{\"code\":\"" << json_escape(d.code) << "\",\"severity\":\""
+    os << "{\"code\":\"" << escape(d.code) << "\",\"severity\":\""
        << severity_name(d.severity) << "\",\"container\":\""
-       << json_escape(d.container) << "\",\"key\":\"" << json_escape(d.key)
+       << escape(d.container) << "\",\"key\":\"" << escape(d.key)
        << "\",\"line\":" << d.line << ",\"message\":\""
-       << json_escape(d.message) << "\"}";
+       << escape(d.message) << "\"}";
   }
   os << "]}";
   return os.str();

@@ -56,14 +56,34 @@ int connect_loopback(std::uint16_t port) {
   return fd;
 }
 
-int accept_nonblocking(int listen_fd) {
-  const int fd =
-      ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+namespace {
+
+std::uint64_t address_key(const sockaddr_in& a) {
+  return (std::uint64_t{ntohl(a.sin_addr.s_addr)} << 16) | ntohs(a.sin_port);
+}
+
+}  // namespace
+
+int accept_nonblocking(int listen_fd, std::uint64_t* peer) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  const int fd = ::accept4(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
   if (fd >= 0) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (peer != nullptr) *peer = address_key(addr);
   }
   return fd;
+}
+
+std::uint64_t local_address(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return 0;
+  }
+  return address_key(addr);
 }
 
 Conn::~Conn() {

@@ -22,8 +22,13 @@ int listen_loopback(std::uint16_t port, std::uint16_t* bound_port);
 /// becomes writable when established. Returns -1 on failure.
 int connect_loopback(std::uint16_t port);
 
-/// Accept one pending connection as a nonblocking fd, or -1 if none.
-int accept_nonblocking(int listen_fd);
+/// Accept one pending connection as a nonblocking fd, or -1 if none. When
+/// `peer` is given it receives the connecting socket's address, in the
+/// form local_address() gives for the socket at the other end.
+int accept_nonblocking(int listen_fd, std::uint64_t* peer = nullptr);
+
+/// `fd`'s own IPv4 address and port as one comparable key; 0 on error.
+std::uint64_t local_address(int fd);
 
 /// One established connection with userspace read/write buffering. The
 /// owner reads with read_some(), parses out of rbuf()/consume(), and queues

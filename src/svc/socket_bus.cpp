@@ -3,6 +3,7 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -52,8 +53,19 @@ void SocketBus::update_interest(Conn& c) {
 
 void SocketBus::on_accept() {
   for (;;) {
-    const int fd = accept_nonblocking(listen_fd_);
+    std::uint64_t peer = 0;
+    const int fd = accept_nonblocking(listen_fd_, &peer);
     if (fd < 0) return;
+    // Serve only the connections conn_for_node opened. Any other local
+    // process can reach the listener; its frames would be delivered as if
+    // posted, and a broken one fails every post in flight.
+    const bool own = std::any_of(out_.begin(), out_.end(), [&](const auto& o) {
+      return local_address(o.second->fd()) == peer;
+    });
+    if (!own) {
+      ::close(fd);
+      continue;
+    }
     auto conn = std::make_unique<Conn>(fd);
     in_.emplace(fd, std::move(conn));
     reactor_->add(fd, EPOLLIN,

@@ -15,6 +15,9 @@
 // frame arrival schedules the events that resume suspended post() calls.
 // Everything happens on one thread; there are no locks anywhere.
 //
+// The listener is reachable by any local process, so it serves only the
+// connections the bus opened itself and closes every other one at accept.
+//
 // Fault-hook semantics mirror the DES bus: drop counts injected_drops_ and
 // still reports a successful send; duplicate writes a second frame with
 // seq 0 (delivered, but confirming nothing); extra_delay is virtual-clock

@@ -15,6 +15,7 @@
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
 #include "lint/trace.h"
+#include "trace/json.h"
 #include "util/config.h"
 
 namespace ioc::lint {
@@ -404,6 +405,18 @@ TEST(LintConfig, JsonOutputIsWellFormed) {
   EXPECT_NE(j.find("\"source\":\"x.ini\""), std::string::npos) << j;
   EXPECT_NE(j.find("\"code\":\"IOC011\""), std::string::npos) << j;
   EXPECT_NE(j.find("\"errors\":1"), std::string::npos) << j;
+
+  // Every character JSON must escape survives the round trip.
+  const std::string awkward = std::string("q\"b\\n\nr\rt\tc") + '\x01';
+  r.add("IOC999", Severity::kWarning, awkward, "key", 3, "msg " + awkward);
+  trace::json::Value v;
+  std::string error;
+  ASSERT_TRUE(trace::json::parse(to_json(r), &v, &error)) << error;
+  const auto* diags = v.find("diagnostics");
+  ASSERT_NE(diags, nullptr);
+  ASSERT_FALSE(diags->array.empty());
+  EXPECT_EQ(diags->array.back().str_or("container"), awkward);
+  EXPECT_EQ(diags->array.back().str_or("message"), "msg " + awkward);
 }
 
 TEST(LintConfig, RegistryCoversAllEmittedCodes) {

@@ -317,6 +317,69 @@ TEST(SocketBus, RequestReplyLadderRunsOverSockets) {
   f.pump();
 }
 
+/// A local process the bus never connected to: a blocking loopback socket
+/// on the bus's listener.
+int connect_stranger(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+  EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(SocketBus, RefusesConnectionsItDidNotOpen) {
+  {
+    // A stranger's broken framing while a post is in flight must not fail
+    // the post: it resolves true and is delivered once. The stranger
+    // connects before the bus's own connection, so it is read first.
+    SocketBusFixture f;
+    auto& a = f.bus.open(0, "a");
+    auto& b = f.bus.open(1, "b");
+    const int stranger = connect_stranger(f.bus.port());
+    bool ok = false;
+    std::vector<ev::Message> got;
+    spawn(f.sim, recv_n(b, &got, 1));
+    spawn(f.sim, post_one(f.bus, a.id(), b.id(), "HELLO", &ok));
+    f.sim.run_until(f.sim.now());
+    ASSERT_EQ(f.bus.in_flight(), 1u);
+    std::string broken(8, '\0');
+    const std::uint32_t huge = kMaxFrameBytes + 1;
+    std::memcpy(broken.data(), &huge, 4);
+    send_all(stranger, broken);
+    f.pump();
+    ::close(stranger);
+    EXPECT_TRUE(ok);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].type(), "HELLO");
+  }
+  {
+    // A stranger's well-formed frame is never delivered.
+    SocketBusFixture f;
+    f.bus.open(0, "a");
+    auto& b = f.bus.open(1, "b");
+    WireFrame forged = make_frame(core::kMsgIncrease);
+    forged.msg.from = 12345;
+    forged.msg.to = b.id();
+    std::string bytes;
+    encode_frame(forged, &bytes);
+    const int stranger = connect_stranger(f.bus.port());
+    send_all(stranger, bytes);
+    // The first poll accepts, the next ones read whatever was accepted.
+    for (int i = 0; i < 10; ++i) f.bus.pump_transport();
+    ::close(stranger);
+    EXPECT_EQ(b.mailbox().size(), 0u);
+    EXPECT_EQ(f.bus.frames_received(), 0u);
+  }
+}
+
 // --- DES vs socket equivalence --------------------------------------------
 
 struct ScriptResult {
