@@ -397,6 +397,124 @@ TEST(Protocols, ActivateBringsDormantContainerOnline) {
   EXPECT_EQ(f.p.container("cna")->width(), 2u);
 }
 
+std::uint64_t fold_report(const ProtocolReport& r, std::uint64_t h) {
+  h = util::fnv1a(r.action.data(), r.action.size(), h);
+  h = util::fnv1a(r.container.data(), r.container.size(), h);
+  h = util::fnv1a_value(r.delta, h);
+  h = util::fnv1a_value(r.total, h);
+  h = util::fnv1a_value(r.gm_cm_messaging, h);
+  h = util::fnv1a_value(r.aprun, h);
+  h = util::fnv1a_value(r.metadata_exchange, h);
+  h = util::fnv1a_value(r.pause_wait, h);
+  h = util::fnv1a_value(r.endpoint_update, h);
+  h = util::fnv1a_value(r.state_migration, h);
+  h = util::fnv1a_value(r.metadata_messages, h);
+  return util::fnv1a_value(r.ok, h);
+}
+
+// Runs one resize of every kind against a live pipeline. After each step it
+// folds the step's report, the reports of the events the step logged, every
+// container's node count and the simulator's event count into `*fold`.
+des::Process resize_every_path(StagedPipeline& p, std::uint64_t* fold) {
+  co_await des::delay(p.sim(), 40 * des::kSecond);
+  std::size_t logged = 0;
+  auto note = [&](const ProtocolReport& r) {
+    std::uint64_t h = fold_report(r, *fold);
+    for (; logged < p.events().size(); ++logged) {
+      h = fold_report(p.events()[logged].report, h);
+    }
+    for (const auto& c : p.spec().containers) {
+      h = util::fnv1a_value(p.pool().owned_by(c.name), h);
+    }
+    *fold = util::fnv1a_value(p.sim().events_processed(), h);
+  };
+  // Tree decrease: helper 8 -> 4 frees the spares the rest draws on.
+  auto helper_down = p.gm().decrease("helper", 4);
+  note(co_await helper_down);
+  // Parallel (MPI-style) relaunches: bonds 2 -> 4, then 4 -> 3 (keep > 0).
+  auto bonds_up = p.gm().increase("bonds", 2);
+  note(co_await bonds_up);
+  auto bonds_down = p.gm().decrease("bonds", 1);
+  note(co_await bonds_down);
+  // Round-robin resizes of a stateful component migrate its state.
+  auto csym_up = p.gm().increase("csym", 1);
+  note(co_await csym_up);
+  auto csym_down = p.gm().decrease("csym", 2);
+  note(co_await csym_down);
+  auto cna_on = p.gm().activate("cna", 2);
+  note(co_await cna_on);
+  // The cascade switches helper to disk and takes bonds (a parallel
+  // decrease to zero), csym and cna offline.
+  auto cascade = p.gm().offline_cascade("bonds", "resize pin");
+  note(co_await cascade);
+}
+
+TEST(Protocols, EveryResizePathIsPinned) {
+  // Every report field (the Figs. 4-5 phase split included), the ledger
+  // and the event count after each step: a change to how a container
+  // manager resizes that moves any awaited step or any reported instant
+  // fails here.
+  PipelineSpec spec = PipelineSpec::lammps_smartpointer(256, 13);
+  spec.management_enabled = false;
+  spec.steps = 24;
+  for (auto& c : spec.containers) c.stateful = c.name == "csym";
+  StagedPipeline::Options opt;
+  // Taking cna offline waits for its step in progress, and one CNA step of
+  // this workload on two nodes takes about 7.6 virtual hours.
+  opt.horizon = 12 * 3600 * des::kSecond;
+  StagedPipeline p(std::move(spec), opt);
+  std::uint64_t fold = util::kFnvOffset;
+  spawn(p.sim(), resize_every_path(p, &fold));
+  p.run();
+  ASSERT_TRUE(p.all_done());
+  EXPECT_EQ(p.events().size(), 4u);  // activate + three offline
+  EXPECT_FALSE(p.container("bonds")->online());
+  EXPECT_TRUE(p.container("helper")->disk_mode());
+  EXPECT_TRUE(p.pool().conserved());
+  EXPECT_EQ(fold, 0xb4878fc6b2e489a6ull) << std::hex << fold;
+}
+
+des::Process fence_at(Container* c, des::Simulator& sim, des::SimTime at) {
+  co_await des::delay(sim, at);
+  c->fence();
+}
+
+TEST(Protocols, FenceDuringParallelRelaunchReleasesTheInput) {
+  // bonds is fenced while its relaunch waits in aprun. The manager must
+  // not resurrect the cohort, and it must resume the input it paused; the
+  // GM's round times out on the closed endpoint and escalates, which
+  // returns every node bonds held or was granted.
+  PipelineSpec spec = PipelineSpec::lammps_smartpointer(256, 13);
+  spec.management_enabled = false;
+  spec.steps = 4;
+  StagedPipeline::Options opt;
+  opt.gm.round.timeout = 30 * des::kSecond;
+  opt.gm.round.retries = 1;
+  opt.gm.round.backoff = des::kSecond;
+  StagedPipeline p(std::move(spec), opt);
+  p.run();
+  ProtocolReport dec, inc;
+  spawn(p.sim(), drive(p.gm().decrease("helper", 2), &dec));
+  p.sim().run();
+  ASSERT_TRUE(dec.ok);
+
+  Container* bonds = p.container("bonds");
+  spawn(p.sim(), drive(p.gm().increase("bonds", 2), &inc));
+  // aprun costs at least 3 s; the pause and the teardown of a drained
+  // pipeline take microseconds, so 1 s in the relaunch is inside aprun.
+  spawn(p.sim(), fence_at(bonds, p.sim(), des::kSecond));
+  p.sim().run();
+  EXPECT_FALSE(inc.ok);
+  EXPECT_FALSE(bonds->online());
+  EXPECT_EQ(bonds->width(), 0u);
+  EXPECT_FALSE(bonds->input()->paused());
+  EXPECT_EQ(p.pool().owned_by("bonds"), 0u);
+  EXPECT_TRUE(p.pool().conserved());
+  bool fenced = false;
+  for (const auto& e : p.events()) fenced |= e.action == "fence";
+  EXPECT_TRUE(fenced);
+}
+
 // --- transactional trades -------------------------------------------------
 
 struct TradeFixture {
