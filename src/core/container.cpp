@@ -66,7 +66,6 @@ void Container::fence() {
   if (input_ != nullptr) input_->kick();  // wake readers parked on the input
   for (auto& r : replicas_) fenced_replicas_.push_back(std::move(r));
   replicas_.clear();
-  node_list_.clear();
   if (mgr_ep_ != ev::kInvalidEndpoint) {
     env_.bus->close(mgr_ep_);
     mgr_ep_ = ev::kInvalidEndpoint;
@@ -100,8 +99,13 @@ void Container::add_replica(net::NodeId node) {
                            replicas_.empty();
     if (runs_loop) r->proc = spawn(*env_.sim, replica_loop(r.get()));
   }
-  node_list_.push_back(node);
   replicas_.push_back(std::move(r));
+}
+
+std::vector<net::NodeId> Container::nodes() const {
+  std::vector<net::NodeId> out;
+  for (const auto& r : replicas_) out.push_back(r->node);
+  return out;
 }
 
 double Container::service_seconds(std::uint64_t items) const {
@@ -337,75 +341,71 @@ des::Task<void> Container::stop_replicas(std::size_t from, std::size_t to) {
   }
 }
 
-des::Task<ProtocolReport> Container::do_increase(
-    std::vector<net::NodeId> add) {
-  ProtocolReport rep;
+std::vector<net::NodeId> Container::release(std::size_t from) {
+  std::vector<net::NodeId> freed;
+  for (std::size_t i = from; i < replicas_.size(); ++i) {
+    freed.push_back(replicas_[i]->node);
+    env_.bus->close(replicas_[i]->ep);
+  }
+  replicas_.resize(from);
+  return freed;
+}
+
+des::Task<bool> Container::launch(std::vector<net::NodeId> nodes,
+                                  ProtocolReport& report) {
+  const SimTime t0 = env_.sim->now();
+  co_await env_.batch->aprun_launch();
+  report.aprun = env_.sim->now() - t0;
+  if (fenced_) co_return false;  // evicted while launching: the grant is gone
+  const std::size_t existing = replicas_.size();
+  for (net::NodeId n : nodes) add_replica(n);
+  co_await metadata_exchange(nodes.size(), existing, report);
+  co_return true;
+}
+
+DonePayload Container::evicted(DonePayload done, bool paused) {
+  if (paused) input_->resume();
+  done.report.ok = false;
+  return done;
+}
+
+des::Task<DonePayload> Container::do_increase(std::vector<net::NodeId> add) {
+  DonePayload done;
+  ProtocolReport& rep = done.report;
   rep.action = "increase";
   rep.container = name();
   rep.delta = static_cast<int>(add.size());
   const SimTime t0 = env_.sim->now();
-  if (add.empty() || state_ != State::kOnline) {
+  // Refused: nothing to add, not online, or a serial component, which
+  // cannot use more nodes.
+  if (add.empty() || state_ != State::kOnline ||
+      spec_.model == sp::ComputeModel::kSerial) {
     rep.ok = false;
-    co_return rep;
+    co_return done;
   }
-  switch (spec_.model) {
-    case sp::ComputeModel::kRoundRobin:
-    case sp::ComputeModel::kTree: {
-      // New replicas join the running cohort: no pause required.
-      const SimTime ta = env_.sim->now();
-      co_await env_.batch->aprun_launch();
-      rep.aprun = env_.sim->now() - ta;
-      if (fenced_) {  // evicted while launching: the grant is already gone
-        rep.ok = false;
-        co_return rep;
-      }
-      const std::size_t existing = replicas_.size();
-      for (net::NodeId n : add) add_replica(n);
-      co_await metadata_exchange(add.size(), existing, rep);
-      co_await migrate_state(add.size(), /*to_replicas=*/true, rep);
-      co_await endpoint_update(rep);
-      break;
-    }
-    case sp::ComputeModel::kParallel: {
-      // An MPI-style instance cannot grow in place: pause the upstream
-      // writers, tear the instance down, and relaunch at the larger width
-      // (Section III-D's discussion of aprun and MPI).
-      const SimTime tp = env_.sim->now();
-      co_await input_->pause();
-      rep.pause_wait = env_.sim->now() - tp;
-      co_await stop_replicas(0, replicas_.size());
-      if (fenced_) {  // fence() already tore the instance down
-        input_->resume();
-        rep.ok = false;
-        co_return rep;
-      }
-      for (auto& r : replicas_) env_.bus->close(r->ep);
-      replicas_.clear();
-      std::vector<net::NodeId> all = node_list_;
-      node_list_.clear();
-      all.insert(all.end(), add.begin(), add.end());
-      const SimTime ta = env_.sim->now();
-      co_await env_.batch->aprun_launch();
-      rep.aprun = env_.sim->now() - ta;
-      if (fenced_) {  // evicted mid-relaunch: do not resurrect the cohort
-        input_->resume();
-        rep.ok = false;
-        co_return rep;
-      }
-      for (net::NodeId n : all) add_replica(n);
-      co_await metadata_exchange(replicas_.size(), 0, rep);
-      co_await endpoint_update(rep);
-      input_->resume();
-      break;
-    }
-    case sp::ComputeModel::kSerial:
-      rep.ok = false;  // a serial component cannot use more nodes
-      break;
+  // New round-robin or tree replicas join the running cohort: no pause
+  // required. An MPI-style instance cannot grow in place: pause the
+  // upstream writers, tear the instance down, and relaunch at the larger
+  // width (Section III-D's discussion of aprun and MPI).
+  const bool relaunch = spec_.model == sp::ComputeModel::kParallel;
+  std::vector<net::NodeId> nodes;
+  if (relaunch) {
+    const SimTime tp = env_.sim->now();
+    co_await input_->pause();
+    rep.pause_wait = env_.sim->now() - tp;
+    co_await stop_replicas(0, replicas_.size());
+    if (fenced_) co_return evicted(std::move(done), true);
+    nodes = release(0);
   }
-  IOC_CHECK(node_list_.size() == replicas_.size())
-      << "replica/node ledger out of sync after increase of " << name();
+  nodes.insert(nodes.end(), add.begin(), add.end());
+  auto up = launch(std::move(nodes), rep);
+  const bool launched = co_await up;
+  if (!launched) co_return evicted(std::move(done), relaunch);
+  if (!relaunch) co_await migrate_state(add.size(), /*to_replicas=*/true, rep);
+  co_await endpoint_update(rep);
+  if (relaunch) input_->resume();
   rep.total = env_.sim->now() - t0;
-  co_return rep;
+  co_return done;
 }
 
 des::Task<DonePayload> Container::do_decrease(std::uint32_t count) {
@@ -426,60 +426,28 @@ des::Task<DonePayload> Container::do_decrease(std::uint32_t count) {
   // replica cannot be removed mid-step.
   const SimTime tp = env_.sim->now();
   co_await input_->pause();
-  if (fenced_) {  // evicted while paused: nothing left to shrink
-    input_->resume();
-    rep.ok = false;
-    co_return done;
-  }
-
-  const std::size_t keep = replicas_.size() - count;
-  if (spec_.model == sp::ComputeModel::kParallel) {
-    co_await stop_replicas(0, replicas_.size());
-    rep.pause_wait = env_.sim->now() - tp;
-    if (fenced_) {  // fence() already tore the instance down
-      input_->resume();
-      rep.ok = false;
-      co_return done;
-    }
-    for (auto& r : replicas_) env_.bus->close(r->ep);
-    replicas_.clear();
-    std::vector<net::NodeId> all = node_list_;
-    node_list_.clear();
-    done.freed_nodes.assign(all.begin() + static_cast<std::ptrdiff_t>(keep),
-                            all.end());
-    all.resize(keep);
-    if (keep > 0) {
-      const SimTime ta = env_.sim->now();
-      co_await env_.batch->aprun_launch();
-      rep.aprun = env_.sim->now() - ta;
-      if (fenced_) {  // evicted mid-relaunch: do not resurrect the cohort
-        input_->resume();
-        rep.ok = false;
-        co_return done;
-      }
-      for (net::NodeId n : all) add_replica(n);
-      co_await metadata_exchange(replicas_.size(), 0, rep);
-    }
-  } else {
-    co_await stop_replicas(keep, replicas_.size());
-    rep.pause_wait = env_.sim->now() - tp;
-    co_await migrate_state(count, /*to_replicas=*/false, rep);
-    if (fenced_) {  // evicted mid-shrink: the ledger was repaired wholesale
-      input_->resume();
-      rep.ok = false;
-      co_return done;
-    }
-    for (std::size_t i = keep; i < replicas_.size(); ++i) {
-      done.freed_nodes.push_back(replicas_[i]->node);
-      env_.bus->close(replicas_[i]->ep);
-    }
-    replicas_.resize(keep);
-    node_list_.resize(keep);
+  if (fenced_) co_return evicted(std::move(done), true);
+  // The last `count` round-robin or tree replicas leave, handing their
+  // state back first. An MPI-style instance cannot shrink in place: all of
+  // it stops, and the survivors relaunch.
+  const bool relaunch = spec_.model == sp::ComputeModel::kParallel;
+  const std::size_t from = relaunch ? 0 : replicas_.size() - count;
+  co_await stop_replicas(from, replicas_.size());
+  rep.pause_wait = env_.sim->now() - tp;
+  if (!relaunch) co_await migrate_state(count, /*to_replicas=*/false, rep);
+  if (fenced_) co_return evicted(std::move(done), true);
+  std::vector<net::NodeId> nodes = release(from);
+  const std::size_t keep = nodes.size() - count;
+  done.freed_nodes.assign(nodes.begin() + static_cast<std::ptrdiff_t>(keep),
+                          nodes.end());
+  nodes.resize(keep);
+  if (!nodes.empty()) {
+    auto up = launch(std::move(nodes), rep);
+    const bool launched = co_await up;
+    if (!launched) co_return evicted(std::move(done), true);
   }
   co_await endpoint_update(rep);
   if (state_ == State::kOnline && !replicas_.empty()) input_->resume();
-  IOC_CHECK(node_list_.size() == replicas_.size())
-      << "replica/node ledger out of sync after decrease of " << name();
   IOC_CHECK(done.freed_nodes.size() == count)
       << "decrease of " << name() << " freed " << done.freed_nodes.size()
       << " nodes, expected " << count;
@@ -508,31 +476,25 @@ des::Task<void> Container::do_switch_to_disk(const SwitchToDiskPayload& p) {
   co_return;
 }
 
-des::Task<ProtocolReport> Container::do_activate(
-    std::vector<net::NodeId> nodes) {
-  ProtocolReport rep;
+des::Task<DonePayload> Container::do_activate(std::vector<net::NodeId> nodes) {
+  DonePayload done;
+  ProtocolReport& rep = done.report;
   rep.action = "activate";
   rep.container = name();
   rep.delta = static_cast<int>(nodes.size());
   const SimTime t0 = env_.sim->now();
   if (state_ == State::kOnline || nodes.empty()) {
     rep.ok = false;
-    co_return rep;
+    co_return done;
   }
   state_ = State::kOnline;
   fenced_ = false;  // a fenced container may be resurrected via activate
-  const SimTime ta = env_.sim->now();
-  co_await env_.batch->aprun_launch();
-  rep.aprun = env_.sim->now() - ta;
-  if (fenced_) {  // fenced again while launching
-    rep.ok = false;
-    co_return rep;
-  }
-  for (net::NodeId n : nodes) add_replica(n);
-  co_await metadata_exchange(replicas_.size(), 0, rep);
+  auto up = launch(std::move(nodes), rep);
+  const bool launched = co_await up;
+  if (!launched) co_return evicted(std::move(done), false);
   co_await endpoint_update(rep);
   rep.total = env_.sim->now() - t0;
-  co_return rep;
+  co_return done;
 }
 
 des::Process Container::manager_loop() {
@@ -561,14 +523,14 @@ des::Process Container::manager_loop() {
     // NOTE: tasks are materialized into named locals before co_await; GCC 12
     // miscompiles non-trivial temporaries inside co_await full-expressions
     // (double destruction of the coroutine argument copies).
-    if (msg->type_id == kMidIncrease) {
+    if (msg->type_id == kMidIncrease || msg->type_id == kMidActivate) {
       const auto* p = msg->as<IncreasePayload>();
       std::vector<net::NodeId> nodes;
       if (p != nullptr) nodes = p->nodes;
-      auto task = do_increase(std::move(nodes));
-      DonePayload done;
-      done.report = co_await task;
-      reply.payload = std::move(done);
+      auto task = msg->type_id == kMidIncrease
+                      ? do_increase(std::move(nodes))
+                      : do_activate(std::move(nodes));
+      reply.payload = co_await task;
     } else if (msg->type_id == kMidDecrease) {
       const auto* p = msg->as<DecreasePayload>();
       auto task = do_decrease(p != nullptr ? p->count : 0);
@@ -590,14 +552,6 @@ des::Process Container::manager_loop() {
       if (p != nullptr) payload = *p;
       auto task = do_switch_to_disk(payload);
       co_await task;
-    } else if (msg->type_id == kMidActivate) {
-      const auto* p = msg->as<IncreasePayload>();
-      std::vector<net::NodeId> nodes;
-      if (p != nullptr) nodes = p->nodes;
-      auto task = do_activate(std::move(nodes));
-      DonePayload done;
-      done.report = co_await task;
-      reply.payload = std::move(done);
     } else if (msg->type_id == kMidEnableHashes) {
       const auto* p = msg->as<EnableHashesPayload>();
       hashing_enabled_ = p == nullptr || p->enabled;

@@ -76,7 +76,8 @@ class Container {
   std::uint32_t width() const {
     return static_cast<std::uint32_t>(replicas_.size());
   }
-  const std::vector<net::NodeId>& nodes() const { return node_list_; }
+  /// The nodes the replicas run on, in replica order.
+  std::vector<net::NodeId> nodes() const;
   ev::EndpointId manager_endpoint() const { return mgr_ep_; }
   dt::Stream* input() const { return input_; }
   dt::Stream& output() { return *output_; }
@@ -101,8 +102,8 @@ class Container {
   void stop_heartbeats() { heartbeats_stopped_ = true; }
   /// STONITH-style eviction, called by the GM when this container's manager
   /// stopped answering (retries exhausted or endpoint gone): close every
-  /// endpoint, stop the replicas, clear the node ledger, and mark the
-  /// container offline-done. Safe to call on an already-crashed container —
+  /// endpoint, stop and drop the replicas, and mark the container
+  /// offline-done. Safe to call on an already-crashed container —
   /// that is its main use. The caller repairs the resource pool.
   void fence();
   /// Sink containers report pipeline end-to-end latency (Fig. 10).
@@ -117,13 +118,10 @@ class Container {
   /// Extra nodes needed to sustain one step per output interval — the local
   /// manager's answer to the global manager's QUERY_NEEDS.
   std::uint32_t nodes_needed(std::uint64_t items) const;
-  std::uint64_t last_items() const { return last_items_; }
   /// Soft-error hashing state (spec default; togglable via control plane).
   bool hashing_enabled() const { return hashing_enabled_; }
 
  private:
-  friend class GlobalManager;
-
   struct Replica {
     net::NodeId node = net::kInvalidNode;
     ev::EndpointId ep = ev::kInvalidEndpoint;
@@ -141,15 +139,27 @@ class Container {
                               double value, const std::string& source);
 
   // Control-protocol handlers (run inside the manager loop).
-  des::Task<ProtocolReport> do_increase(std::vector<net::NodeId> add);
+  des::Task<DonePayload> do_increase(std::vector<net::NodeId> add);
   des::Task<DonePayload> do_decrease(std::uint32_t count);
   des::Task<DonePayload> do_offline();
   des::Task<void> do_switch_to_disk(const SwitchToDiskPayload& p);
-  des::Task<ProtocolReport> do_activate(std::vector<net::NodeId> nodes);
+  des::Task<DonePayload> do_activate(std::vector<net::NodeId> nodes);
 
   void add_replica(net::NodeId node);
   /// Stop the replicas in [from, to) and wait for them to exit.
   des::Task<void> stop_replicas(std::size_t from, std::size_t to);
+  /// Drop the (stopped) replicas from `from` on: close their endpoints and
+  /// hand back their nodes, in replica order.
+  std::vector<net::NodeId> release(std::size_t from);
+  /// The launch step of a resize: aprun, then a replica on each of `nodes`
+  /// and the metadata exchange that introduces them. False, with nothing
+  /// added, if fence() evicted the container while aprun ran.
+  des::Task<bool> launch(std::vector<net::NodeId> nodes,
+                         ProtocolReport& report);
+  /// The exit of a resize handler that fence() evicted while it was
+  /// suspended: the fence already closed every endpoint and the GM repairs
+  /// the ledger, so it only resumes the input if the handler paused it.
+  DonePayload evicted(DonePayload done, bool paused);
   /// The contact-information rounds that dominate resize cost (Fig. 4).
   des::Task<void> metadata_exchange(std::size_t new_replicas,
                                     std::size_t existing,
@@ -176,7 +186,6 @@ class Container {
   /// input stream or a stop event; the objects must outlive those frames,
   /// which finish during the deployment's teardown drain.
   std::vector<std::unique_ptr<Replica>> fenced_replicas_;
-  std::vector<net::NodeId> node_list_;
   bool is_sink_ = false;
   bool started_ = false;
   /// Set by fence() so a resize handler suspended mid-protocol (on a pause,

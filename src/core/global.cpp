@@ -65,14 +65,6 @@ Container* GlobalManager::find(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<std::string> GlobalManager::online_names() const {
-  std::vector<std::string> out;
-  for (Container* c : containers_) {
-    if (c->online()) out.push_back(c->name());
-  }
-  return out;
-}
-
 des::Process GlobalManager::monitor_loop() {
   ev::Endpoint* ep = env_.bus->find(mon_ep_);
   while (ep != nullptr) {
@@ -202,8 +194,8 @@ des::Task<ProtocolReport> GlobalManager::increase(std::string name,
     rep.ok = false;
     co_return rep;
   }
-  const net::NodeId near =
-      c->nodes().empty() ? net::NodeId{2} : c->nodes().front();
+  const std::vector<net::NodeId> held = c->nodes();
+  const net::NodeId near = held.empty() ? net::NodeId{2} : held.front();
   auto nodes = pool_.grant_near(name, n, near);
   if (nodes.empty()) {
     rep.ok = false;
@@ -214,21 +206,14 @@ des::Task<ProtocolReport> GlobalManager::increase(std::string name,
   m.type_id = kMidIncrease;
   m.payload = IncreasePayload{nodes};
   ev::Message reply = co_await request_cm(c, std::move(m));
-  if (const auto* done = reply.as<DonePayload>()) {
-    rep = done->report;
-  } else {
-    rep.ok = false;
-  }
-  rep.total = env_.sim->now() - t0;
-  rep.gm_cm_messaging = rep.total - rep.aprun - rep.metadata_exchange -
-                        rep.pause_wait - rep.endpoint_update -
-                        rep.state_migration;
+  const auto* done = reply.as<DonePayload>();
   // A fenced round already repaired the pool wholesale (reclaim_all);
   // reclaiming the grant again would throw on the ownership mismatch.
-  if (!rep.ok && reply.type_id != kMidErrFenced) pool_.reclaim(name, nodes);
-  IOC_CHECK(pool_.conserved()) << "pool corrupted by increase of " << name;
-  hub_.reset_container(name);
-  co_return rep;
+  if ((done == nullptr || !done->report.ok) &&
+      reply.type_id != kMidErrFenced) {
+    pool_.reclaim(name, nodes);
+  }
+  co_return finish_resize(std::move(rep), done, t0);
 }
 
 des::Task<ProtocolReport> GlobalManager::decrease(std::string name,
@@ -246,9 +231,17 @@ des::Task<ProtocolReport> GlobalManager::decrease(std::string name,
   m.type_id = kMidDecrease;
   m.payload = DecreasePayload{k};
   ev::Message reply = co_await request_cm(c, std::move(m));
-  if (const auto* done = reply.as<DonePayload>()) {
+  const auto* done = reply.as<DonePayload>();
+  if (done != nullptr) pool_.reclaim(name, done->freed_nodes);
+  co_return finish_resize(std::move(rep), done, t0);
+}
+
+ProtocolReport GlobalManager::finish_resize(ProtocolReport rep,
+                                            const DonePayload* done,
+                                            des::SimTime t0) {
+  const std::string name = rep.container;
+  if (done != nullptr) {
     rep = done->report;
-    pool_.reclaim(name, done->freed_nodes);
   } else {
     rep.ok = false;
   }
@@ -256,9 +249,10 @@ des::Task<ProtocolReport> GlobalManager::decrease(std::string name,
   rep.gm_cm_messaging = rep.total - rep.aprun - rep.metadata_exchange -
                         rep.pause_wait - rep.endpoint_update -
                         rep.state_migration;
-  IOC_CHECK(pool_.conserved()) << "pool corrupted by decrease of " << name;
+  IOC_CHECK(pool_.conserved())
+      << "pool corrupted by " << rep.action << " of " << name;
   hub_.reset_container(name);
-  co_return rep;
+  return rep;
 }
 
 des::Task<ProtocolReport> GlobalManager::steal(std::string donor,
@@ -463,19 +457,22 @@ des::Task<bool> GlobalManager::try_feed(Container* c, std::string why) {
 }
 
 des::Task<void> GlobalManager::evaluate() {
-  const auto online = online_names();
-  if (online.empty()) co_return;
-
-  // SLA management: feed the container with the worst windowed latency.
-  auto bn = hub_.bottleneck(online);
-  if (bn.has_value()) {
-    Container* b = find(*bn);
-    const auto avg = hub_.avg_latency(*bn);
-    if (b != nullptr && avg.has_value() && *avg > spec_->latency_sla_s) {
-      const bool acted = co_await try_feed(
-          b, "latency " + std::to_string(*avg) + "s > SLA");
-      if (acted) co_return;
+  // SLA management: feed the online container with the worst windowed
+  // latency (the first of equals, in pipeline order).
+  Container* worst = nullptr;
+  double worst_latency = -1;
+  for (Container* c : containers_) {
+    if (!c->online()) continue;
+    const auto lat = hub_.avg_latency(c->name());
+    if (lat.has_value() && *lat > worst_latency) {
+      worst_latency = *lat;
+      worst = c;
     }
+  }
+  if (worst != nullptr && worst_latency > spec_->latency_sla_s) {
+    const bool acted = co_await try_feed(
+        worst, "latency " + std::to_string(worst_latency) + "s > SLA");
+    if (acted) co_return;
   }
 
   // Overflow guard: a container whose input backlog is heading for a queue

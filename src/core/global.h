@@ -65,7 +65,6 @@ class GlobalManager {
   /// endpoints so the blocked loops can finish once remaining events drain.
   void shutdown();
 
-  ev::EndpointId monitor_endpoint() const { return mon_ep_; }
   mon::MonitoringHub& hub() { return hub_; }
   const mon::MonitoringHub& hub() const { return hub_; }
   const std::vector<ManagementEvent>& events() const { return events_; }
@@ -131,7 +130,12 @@ class GlobalManager {
   /// including `upto`; pending: everything downstream of it.
   std::pair<std::string, std::string> provenance_labels(
       const std::string& upto) const;
-  std::vector<std::string> online_names() const;
+  /// What increase() and decrease() share once their round ended: adopt
+  /// the CM's report (`done`; null fails the action), time the whole
+  /// action from `t0` and credit what the CM's phases leave to GM <-> CM
+  /// messaging, check the pool and restart the container's latency window.
+  ProtocolReport finish_resize(ProtocolReport rep, const DonePayload* done,
+                               des::SimTime t0);
 
   Container::Env env_;
   const PipelineSpec* spec_;

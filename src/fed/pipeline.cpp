@@ -83,50 +83,38 @@ des::Process FedPipeline::service_loop() {
       continue;
     }
 
-    ev::Message reply;
-    reply.token = msg->token;
-    if (msg->type_id == core::kMidIncrease) {
-      const auto* pay = msg->as<core::IncreasePayload>();
-      co_await des::delay(sim, opt_.apply_delay);
-      if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
-      if (drop_if_stale(*msg)) continue;  // failed over mid-apply
-      std::size_t added = 0;
-      if (pay != nullptr) {
-        nodes_.insert(nodes_.end(), pay->nodes.begin(), pay->nodes.end());
-        added = pay->nodes.size();
-      }
-      ++resizes_applied_;
-      core::DonePayload done;
-      done.report.action = "increase";
-      done.report.container = name_;
-      done.report.delta = static_cast<int>(added);
-      done.report.total = opt_.apply_delay;
-      done.report.ok = true;
-      reply.type_id = core::kMidDone;
-      reply.payload = std::move(done);
-    } else if (msg->type_id == core::kMidDecrease) {
-      const auto* pay = msg->as<core::DecreasePayload>();
-      co_await des::delay(sim, opt_.apply_delay);
-      if (fenced_ || bus_->find(ep_) == nullptr) break;
-      if (drop_if_stale(*msg)) continue;
-      std::size_t k = pay != nullptr ? pay->count : 0;
-      k = std::min(k, nodes_.size());
-      std::vector<net::NodeId> freed(nodes_.end() - static_cast<long>(k),
-                                     nodes_.end());
-      nodes_.resize(nodes_.size() - k);
-      ++resizes_applied_;
-      core::DonePayload done;
-      done.report.action = "decrease";
-      done.report.container = name_;
-      done.report.delta = -static_cast<int>(k);
-      done.report.total = opt_.apply_delay;
-      done.report.ok = true;
-      done.freed_nodes = std::move(freed);
-      reply.type_id = core::kMidDone;
-      reply.payload = std::move(done);
-    } else {
+    const bool grow = msg->type_id == core::kMidIncrease;
+    if (!grow && msg->type_id != core::kMidDecrease) {
       continue;  // not part of the resize conversation
     }
+    co_await des::delay(sim, opt_.apply_delay);
+    if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
+    if (drop_if_stale(*msg)) continue;  // failed over mid-apply
+    core::DonePayload done;
+    if (grow) {
+      if (const auto* pay = msg->as<core::IncreasePayload>()) {
+        nodes_.insert(nodes_.end(), pay->nodes.begin(), pay->nodes.end());
+        done.report.delta = static_cast<int>(pay->nodes.size());
+      }
+    } else {
+      const auto* pay = msg->as<core::DecreasePayload>();
+      const std::size_t k =
+          std::min<std::size_t>(pay != nullptr ? pay->count : 0,
+                                nodes_.size());
+      const auto cut = nodes_.end() - static_cast<long>(k);
+      done.freed_nodes.assign(cut, nodes_.end());
+      nodes_.erase(cut, nodes_.end());
+      done.report.delta = -static_cast<int>(k);
+    }
+    ++resizes_applied_;
+    done.report.action = grow ? "increase" : "decrease";
+    done.report.container = name_;
+    done.report.total = opt_.apply_delay;
+    done.report.ok = true;
+    ev::Message reply;
+    reply.type_id = core::kMidDone;
+    reply.token = msg->token;
+    reply.payload = std::move(done);
     note_converged();
     replay_.store(*msg, reply);
     co_await bus_->post(ep_, msg->from, std::move(reply));

@@ -132,22 +132,16 @@ std::optional<double> MonitoringHub::last_value(const std::string& container,
   return s->last[slot(k)];
 }
 
-std::optional<std::string> MonitoringHub::bottleneck(
-    const std::vector<std::string>& candidates) const {
+std::optional<std::string> MonitoringHub::bottleneck() const {
   const Source* best = nullptr;
   double best_latency = -1;
-  auto consider = [&](const Source* s) {
-    if (s == nullptr || s->latency.count() == 0) return;
-    const double avg = s->latency.mean();
+  for (const Source& s : sources_) {
+    if (s.latency.count() == 0) continue;
+    const double avg = s.latency.mean();
     if (avg > best_latency) {
       best_latency = avg;
-      best = s;
+      best = &s;
     }
-  };
-  if (candidates.empty()) {
-    for (const Source& s : sources_) consider(&s);
-  } else {
-    for (const auto& name : candidates) consider(find(name));
   }
   if (best == nullptr) return std::nullopt;
   return best->name;

@@ -37,10 +37,9 @@ class MonitoringHub {
                                    MetricKind k) const;
   std::uint64_t samples_seen() const { return samples_seen_; }
 
-  /// The container with the highest windowed average latency, restricted to
-  /// `candidates` (empty = all known).
-  std::optional<std::string> bottleneck(
-      const std::vector<std::string>& candidates = {}) const;
+  /// The source with the highest windowed average latency (the first by
+  /// name among equals).
+  std::optional<std::string> bottleneck() const;
 
   /// Clear a container's window (after a management action changed it).
   void reset_container(const std::string& container);

@@ -499,10 +499,16 @@ TEST(Protocols, FenceDuringParallelRelaunchReleasesTheInput) {
   ASSERT_TRUE(dec.ok);
 
   Container* bonds = p.container("bonds");
+  const des::SimTime t0 = p.sim().now();
   spawn(p.sim(), drive(p.gm().increase("bonds", 2), &inc));
-  // aprun costs at least 3 s; the pause and the teardown of a drained
-  // pipeline take microseconds, so 1 s in the relaunch is inside aprun.
+  // aprun costs 3-27 s; the pause and the teardown of a drained pipeline
+  // take microseconds, so 1 s in the relaunch is inside aprun.
   spawn(p.sim(), fence_at(bonds, p.sim(), des::kSecond));
+  // Past aprun, before the round times out: the manager has seen the
+  // fence, left the cohort down and released its input.
+  p.sim().run_until(t0 + 29 * des::kSecond);
+  EXPECT_EQ(bonds->width(), 0u);
+  EXPECT_FALSE(bonds->input()->paused());
   p.sim().run();
   EXPECT_FALSE(inc.ok);
   EXPECT_FALSE(bonds->online());

@@ -33,10 +33,6 @@ TEST(Hub, BottleneckIsMaxAverage) {
   hub.ingest(lat("bonds", 25));
   hub.ingest(lat("csym", 7));
   EXPECT_EQ(hub.bottleneck().value(), "bonds");
-  // Restricted candidate set.
-  EXPECT_EQ(hub.bottleneck({"helper", "csym"}).value(), "csym");
-  // Unknown candidates give nothing.
-  EXPECT_FALSE(hub.bottleneck({"nope"}).has_value());
 }
 
 TEST(Hub, BottleneckEmptyWhenNoData) {
