@@ -94,8 +94,6 @@ class TxnHarness {
   TxnHarness(const TxnHarness&) = delete;
   TxnHarness& operator=(const TxnHarness&) = delete;
 
-  std::size_t participant_count() const { return members_.size(); }
-
   /// Assign the local operation of participant `index` (writers first, then
   /// readers). Ownership stays with the caller.
   void set_operation(std::size_t index, Operation* op);

@@ -2,11 +2,11 @@
 // both trade engines (the harness in txn/d2t.cpp, the federation shard in
 // fed/shard.cpp) and the model checker (src/verify) the same way
 // core/protocol_fsm.h is shared between the GlobalManager and the lint
-// trace replayer: one table describes which request message each round
-// sends, which reply types answer it, and how the round's token is derived,
-// and one participant step (d2t_step) answers every round request, with
-// one member guard and one donor prepare, so the implementation and the
-// verifier can never drift apart silently.
+// trace replayer: one place says which reply types answer each round
+// request and how the round's token is derived, and one participant step
+// (d2t_step) answers every round request, with one member guard and one
+// donor prepare, so the implementation and the verifier can never drift
+// apart silently.
 //
 // Token scheme (the at-most-once machinery hangs off it): every transaction
 // draws a base token `kTokenFloor + kTokensPerTxn * txn_counter`, and round
@@ -70,30 +70,18 @@ inline constexpr std::uint64_t kPhaseDecide = 2;
 inline constexpr std::uint64_t kDonorBase = 0;
 inline constexpr std::uint64_t kRecipientBase = 3;
 
-/// One gather round of the D2T protocol: the request the coordinator fans
-/// out, the replies that legally answer it, and the phase offset added to
-/// the transaction's base token.
-struct D2tRound {
-  const char* request;      ///< coordinator -> member message type
-  const char* reply_a;      ///< legal reply type
-  const char* reply_b;      ///< alternate legal reply (nullptr = none)
-  std::uint64_t phase;      ///< token offset within the txn's block
-
-  ev::MessageId request_id() const { return ev::intern_type(request); }
-};
-
-/// The three rounds, in execution order: begin, vote, decide. The decide
-/// round appears twice (commit and abort are alternative request types of
-/// the same round — same phase offset, same reply).
-const D2tRound* d2t_rounds(std::size_t* count);
-
-/// True iff `reply` is a legal reply type for a `sent` round message —
-/// derived from the table, used by the gather loop's reply filter.
-bool d2t_reply_matches(ev::MessageId sent, ev::MessageId reply);
-
 /// True for TXN_COMMIT / TXN_ABORT.
 inline bool d2t_is_decision(ev::MessageId type) {
   return type == kMidCommit || type == kMidAbort;
+}
+
+/// True iff `reply` legally answers the round message `sent` — the gather
+/// loop's reply filter: BEGUN answers a begin, VOTE_YES or VOTE_NO a vote,
+/// FINAL either spelling of the decision.
+inline bool d2t_reply_matches(ev::MessageId sent, ev::MessageId reply) {
+  if (sent == kMidBegin) return reply == kMidBegun;
+  if (sent == kMidVote) return reply == kMidVoteYes || reply == kMidVoteNo;
+  return d2t_is_decision(sent) && reply == kMidFinal;
 }
 
 /// Round token of phase `phase` in the transaction numbered `txn` (1-based).
