@@ -21,6 +21,7 @@
 namespace {
 
 using ioc::benchcheck::check_schema;
+using ioc::benchcheck::compare_to_baseline;
 using ioc::trace::json::Value;
 namespace bs = ioc::benchschema;
 
@@ -234,6 +235,28 @@ TEST(BenchSchema, EveryScaffoldCheckFails) {
     a = valid(s.tag);
     rows(a)[0] = number(1);
     EXPECT_TRUE(has_finding(check_schema(a), "results[0] is not an object"))
+        << s.tag;
+  }
+}
+
+TEST(BenchSchema, BaselineIsCheckedAgainstItsRow) {
+  // A baseline without a gated column or without rows would leave the gate
+  // nothing to compare, so it fails its schema row like a fresh artifact.
+  for (const bs::Schema& s : bs::kSchemas) {
+    const Value fresh = valid(s.tag);
+    EXPECT_TRUE(compare_to_baseline(fresh, valid(s.tag), 15, false).empty())
+        << s.tag;
+    for (const bs::Gate& g : s.gates) {
+      Value base = valid(s.tag);
+      erase(rows(base)[0], g.metric);
+      EXPECT_TRUE(has_finding(compare_to_baseline(fresh, base, 15, false),
+                              "baseline results[0] " + std::string(g.metric)))
+          << s.tag << " " << g.metric;
+    }
+    Value base = valid(s.tag);
+    rows(base).clear();
+    EXPECT_TRUE(has_finding(compare_to_baseline(fresh, base, 15, false),
+                            "baseline 'results' is empty"))
         << s.tag;
   }
 }

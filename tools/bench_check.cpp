@@ -185,10 +185,16 @@ std::vector<std::string> compare_to_baseline(const Value& fresh,
     return {"baseline schema '" + baseline.str_or("schema") +
             "' does not match fresh artifact schema '" + tag + "'"};
   }
+  // A baseline that lacks a gated column or has no rows would disarm the
+  // gate below, so it must pass its schema row like the fresh artifact.
+  Findings out;
+  for (const std::string& f : check_schema(baseline)) {
+    out.push_back("baseline " + f);
+  }
   const benchschema::Schema* s = benchschema::find_schema(tag);
   const Value* base_results = baseline.find("results");
   if (s == nullptr || base_results == nullptr || !base_results->is_array()) {
-    return {};
+    return out;
   }
   std::map<std::string, const Value*> fresh_rows;
   if (const Value* results = fresh.find("results");
@@ -199,7 +205,6 @@ std::vector<std::string> compare_to_baseline(const Value& fresh,
       }
     }
   }
-  Findings out;
   const double allowance = 1.0 + max_regression_pct / 100.0;
   for (const Value& r : base_results->array) {
     if (!r.is_object()) continue;

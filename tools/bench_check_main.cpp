@@ -6,6 +6,7 @@
 // With --baseline it also compares the fresh artifact against a committed
 // baseline of the same schema, row by row, on the row's gated metrics
 // (--max-regression PCT, default 15); --sim-only skips the wall-clock ones.
+// The baseline is checked against its schema row as well.
 // To re-record a baseline after an intentional change:
 //   bench_check FRESH && cp FRESH BASELINE
 //
