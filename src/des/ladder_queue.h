@@ -88,12 +88,6 @@ class LadderQueue {
     top_.push_back(std::move(e));
   }
 
-  /// Smallest (t, seq) event; undefined when empty().
-  const T& peek() {
-    refill_bottom();
-    return bottom_.back();
-  }
-
   /// Timestamp of the next event; undefined when empty().
   SimTime min_time() {
     refill_bottom();

@@ -74,9 +74,6 @@ class Simulator {
 
   /// Schedule a plain callback at absolute time `t`.
   void call_at(SimTime t, std::function<void()> fn);
-  void call_in(SimTime d, std::function<void()> fn) {
-    call_at(now_ + d, fn);
-  }
 
   /// Like call_at, but returns a handle that cancels the callback.
   Timer timer_at(SimTime t, std::function<void()> fn);

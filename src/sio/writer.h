@@ -29,7 +29,6 @@ class Writer {
 
   /// Begin an output step. Only one step may be open at a time.
   void open(std::uint64_t step);
-  bool is_open() const { return open_; }
 
   /// Record a variable write. The variable must exist in the group. `count`
   /// is the element count; bytes are derived from the declared type.

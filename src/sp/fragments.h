@@ -63,7 +63,6 @@ class FragmentTracker {
   std::vector<FragmentEvent> track(const md::AtomData& atoms,
                                    FragmentSet& current);
 
-  std::uint64_t steps_seen() const { return steps_; }
   std::uint32_t next_id() const { return next_id_; }
 
  private:

@@ -43,11 +43,9 @@ void ServiceHost::stop() {
 ServiceHost::Entry& ServiceHost::create(core::PipelineSpec spec,
                                         const std::string& name) {
   core::StagedPipeline::Options popt;
-  if (opt_.live_transport) {
-    popt.bus_factory = [](net::Network& n) -> std::unique_ptr<ev::BusIf> {
-      return std::make_unique<SocketBus>(n);
-    };
-  }
+  popt.bus_factory = [](net::Network& n) -> std::unique_ptr<ev::BusIf> {
+    return std::make_unique<SocketBus>(n);
+  };
   const std::uint64_t id = next_id_++;
   Entry e;
   e.id = id;

@@ -30,9 +30,6 @@ class ServiceHost {
   struct Options {
     /// HTTP listen port; 0 picks an ephemeral port (tests, loadgen).
     std::uint16_t http_port = 0;
-    /// Transport for managed pipelines: true = SocketBus (live mode),
-    /// false = the DES ev::Bus (useful to A/B the two under one API).
-    bool live_transport = true;
   };
 
   explicit ServiceHost(Options opt);

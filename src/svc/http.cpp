@@ -208,7 +208,6 @@ void HttpServer::parse_and_dispatch(HConn& c) {
     slot->conn_id = c.id;
     c.queue.push_back(slot);
     if (close_req) c.close_after = true;
-    ++requests_served_;
     HttpResponder responder;
     responder.slot_ = slot;
     handler_(req, responder);

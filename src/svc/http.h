@@ -75,8 +75,6 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   std::uint16_t port() const { return port_; }
-  std::size_t active_connections() const { return conns_.size(); }
-  std::uint64_t requests_served() const { return requests_served_; }
 
  private:
   friend class HttpResponder;
@@ -106,7 +104,6 @@ class HttpServer {
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, HConn> conns_;
   std::map<int, std::uint64_t> by_fd_;
-  std::uint64_t requests_served_ = 0;
 };
 
 }  // namespace ioc::svc

@@ -48,8 +48,6 @@ class Reactor {
   /// Thread-safe: make poll() return promptly. Used by ServiceHost::stop().
   void wake();
 
-  std::size_t watched() const { return handlers_.size(); }
-
  private:
   int epfd_ = -1;
   int wakefd_ = -1;

@@ -96,7 +96,6 @@ bool Conn::read_some() {
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n > 0) {
       rbuf_.append(chunk, static_cast<std::size_t>(n));
-      bytes_read_ += static_cast<std::uint64_t>(n);
       continue;
     }
     if (n == 0) return false;  // orderly EOF
@@ -117,7 +116,6 @@ bool Conn::flush() {
         ::write(fd_, wbuf_.data() + woff_, wbuf_.size() - woff_);
     if (n > 0) {
       woff_ += static_cast<std::size_t>(n);
-      bytes_written_ += static_cast<std::uint64_t>(n);
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOTCONN ||

@@ -57,16 +57,11 @@ class Conn {
   bool flush();
   bool want_write() const { return woff_ < wbuf_.size(); }
 
-  std::uint64_t bytes_read() const { return bytes_read_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
-
  private:
   int fd_;
   std::string rbuf_;
   std::string wbuf_;
   std::size_t woff_ = 0;  // flushed prefix of wbuf_
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
 };
 
 }  // namespace ioc::svc
