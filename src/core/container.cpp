@@ -331,12 +331,12 @@ des::Task<void> Container::migrate_state(std::size_t replica_count,
   report.state_migration += env_.sim->now() - t0;
 }
 
-des::Task<void> Container::stop_replicas(std::size_t from, std::size_t to) {
-  for (std::size_t i = from; i < to && i < replicas_.size(); ++i) {
+des::Task<void> Container::stop_replicas(std::size_t from) {
+  for (std::size_t i = from; i < replicas_.size(); ++i) {
     replicas_[i]->stop->set();
   }
   input_->kick();
-  for (std::size_t i = from; i < to && i < replicas_.size(); ++i) {
+  for (std::size_t i = from; i < replicas_.size(); ++i) {
     if (replicas_[i]->proc.valid()) co_await replicas_[i]->proc;
   }
 }
@@ -393,7 +393,7 @@ des::Task<DonePayload> Container::do_increase(std::vector<net::NodeId> add) {
     const SimTime tp = env_.sim->now();
     co_await input_->pause();
     rep.pause_wait = env_.sim->now() - tp;
-    co_await stop_replicas(0, replicas_.size());
+    co_await stop_replicas(0);
     if (fenced_) co_return evicted(std::move(done), true);
     nodes = release(0);
   }
@@ -432,7 +432,7 @@ des::Task<DonePayload> Container::do_decrease(std::uint32_t count) {
   // it stops, and the survivors relaunch.
   const bool relaunch = spec_.model == sp::ComputeModel::kParallel;
   const std::size_t from = relaunch ? 0 : replicas_.size() - count;
-  co_await stop_replicas(from, replicas_.size());
+  co_await stop_replicas(from);
   rep.pause_wait = env_.sim->now() - tp;
   if (!relaunch) co_await migrate_state(count, /*to_replicas=*/false, rep);
   if (fenced_) co_return evicted(std::move(done), true);

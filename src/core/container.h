@@ -146,8 +146,8 @@ class Container {
   des::Task<DonePayload> do_activate(std::vector<net::NodeId> nodes);
 
   void add_replica(net::NodeId node);
-  /// Stop the replicas in [from, to) and wait for them to exit.
-  des::Task<void> stop_replicas(std::size_t from, std::size_t to);
+  /// Stop the replicas from `from` on and wait for them to exit.
+  des::Task<void> stop_replicas(std::size_t from);
   /// Drop the (stopped) replicas from `from` on: close their endpoints and
   /// hand back their nodes, in replica order.
   std::vector<net::NodeId> release(std::size_t from);
