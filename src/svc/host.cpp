@@ -5,10 +5,10 @@
 
 namespace ioc::svc {
 
-ServiceHost::ServiceHost(Options opt) : opt_(opt) {
+ServiceHost::ServiceHost(Options opt) {
   rest_ = std::make_unique<RestApi>(*this);
   http_ = std::make_unique<HttpServer>(
-      reactor_, opt_.http_port,
+      reactor_, opt.http_port,
       [this](const HttpRequest& req, HttpResponder res) {
         rest_->handle(req, res);
       });

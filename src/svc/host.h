@@ -72,7 +72,6 @@ class ServiceHost {
   std::string metrics_text() const;
 
  private:
-  Options opt_;
   Reactor reactor_;
   std::unique_ptr<RestApi> rest_;
   std::unique_ptr<HttpServer> http_;
