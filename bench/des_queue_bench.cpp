@@ -37,7 +37,9 @@ struct Ev {
 /// comparator Simulator used to carry.
 class HeapQueue {
  public:
-  void push(Ev e) { q_.push(e); }
+  void emplace(des::SimTime t, std::uint64_t seq, std::uint64_t payload) {
+    q_.push(Ev{t, seq, payload});
+  }
   Ev pop() {
     Ev e = q_.top();
     q_.pop();
@@ -68,7 +70,7 @@ void BM_Hold(benchmark::State& state) {
   util::Rng rng(20260808);
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < pending; ++i) {
-    q.push(Ev{static_cast<des::SimTime>(rng.below(1000000)), seq++, i});
+    q.emplace(static_cast<des::SimTime>(rng.below(1000000)), seq++, i);
   }
   des::SimTime now = 0;
   for (auto _ : state) {
@@ -76,7 +78,7 @@ void BM_Hold(benchmark::State& state) {
     now = e.t;
     const auto offset =
         1 + static_cast<des::SimTime>(rng.below(1u << rng.below(20)));
-    q.push(Ev{now + offset, seq++, e.payload});
+    q.emplace(now + offset, seq++, e.payload);
     benchmark::DoNotOptimize(e.payload);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -96,7 +98,7 @@ void BM_EqualBurst(benchmark::State& state) {
   des::SimTime now = 0;
   for (auto _ : state) {
     ++now;
-    for (std::size_t i = 0; i < pending; ++i) q.push(Ev{now, seq++, i});
+    for (std::size_t i = 0; i < pending; ++i) q.emplace(now, seq++, i);
     std::uint64_t check = 0;
     for (std::size_t i = 0; i < pending; ++i) check ^= q.pop().seq;
     benchmark::DoNotOptimize(check);

@@ -8,13 +8,16 @@
 // timestamp and only ever sorting one small bucket at a time.
 //
 // Three tiers, earliest to latest:
-//   bottom_ : the committed next events, sorted descending by (t, seq) so
-//             pop_back() is the minimum. At most ~one bucket's worth.
-//             Deliberately a sorted vector, not a heap: most pushes in a
-//             cascading simulation are near-"now" events that insert close
-//             to the minimum end, where the insert memmove is a few
-//             entries — measured faster than a heap's full-depth sifts on
-//             both insert and every pop.
+//   bottom_ : the committed next events, sorted descending by (t, seq) in
+//             bottom_[0, live_), so bottom_[live_ - 1] is the minimum and a
+//             pop is `--live_`. At most ~one bucket's worth. Deliberately a
+//             sorted array, not a heap: most pushes in a cascading
+//             simulation are near-"now" events that land close to the
+//             minimum end, so an insert shifts the few entries earlier than
+//             it up one slot, from that end, and writes the event into the
+//             gap — measured faster than a heap's full-depth sifts on both
+//             insert and every pop. Slots past live_ are spare: the array
+//             never shrinks between refills.
 //   rungs_  : arrays of timestamp buckets. rungs_[k+1] refines one bucket of
 //             rungs_[k] with a smaller bucket width, spawned lazily when a
 //             bucket is too big to sort outright. Rung spans form a nested
@@ -31,13 +34,20 @@
 // (t, seq) values, so replay determinism survives the swap from the heap
 // (DESIGN.md §15).
 //
-// T must expose `.t` (SimTime) and `.seq` (unique std::uint64_t).
+// Every event is built in the slot where it lands: emplace(t, seq, rest...)
+// constructs T{t, seq, rest...} there (a bottom slot, a rung bucket or top),
+// so no caller builds an entry to be copied in again.
+//
+// T is a trivially copyable aggregate whose first two members are `t`
+// (SimTime) and `seq` (unique std::uint64_t).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -47,21 +57,26 @@ namespace ioc::des {
 
 template <class T>
 class LadderQueue {
+  static_assert(std::is_trivially_copyable_v<T>);
+
  public:
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  void push(T e) {
+  /// Queue the event T{t, seq, rest...}, constructed in its final slot.
+  template <class... Rest>
+  void emplace(SimTime t, std::uint64_t seq, Rest&&... rest) {
     ++size_;
-    if (!bottom_.empty() && earlier(e, bottom_.front())) {
+    if (live_ != 0 && earlier(t, seq, bottom_[0])) {
       // Earlier than the latest committed event: merge into bottom so the
-      // pop order stays exact. bottom_ is small, the memmove is cheap.
-      insert_bottom(std::move(e));
+      // pop order stays exact.
+      std::construct_at(open_bottom_slot(t, seq), t, seq,
+                        std::forward<Rest>(rest)...);
       return;
     }
-    if (!rungs_.empty() && e.t < top_start_) {
+    if (!rungs_.empty() && t < top_start_) {
       // Walk from the deepest (finest) rung up to the first whose span
-      // covers e.t. Spans are nested, so a miss below the deepest span can
+      // covers t. Spans are nested, so a miss below the deepest span can
       // only mean "earlier than every pending bucket" — that goes to
       // bottom; a miss above means a shallower rung covers it.
       for (std::size_t r = rungs_.size(); r-- > 0;) {
@@ -69,12 +84,13 @@ class LadderQueue {
         const SimTime span_end =
             rung.start + static_cast<SimTime>(rung.width) *
                              static_cast<SimTime>(rung.buckets.size());
-        if (e.t >= span_end) continue;
-        if (e.t >= rung.start) {
+        if (t >= span_end) continue;
+        if (t >= rung.start) {
           const auto idx = static_cast<std::size_t>(
-              (e.t - rung.start) / static_cast<SimTime>(rung.width));
+              (t - rung.start) / static_cast<SimTime>(rung.width));
           if (idx >= rung.cur) {
-            rung.buckets[idx].push_back(std::move(e));
+            rung.buckets[idx].emplace_back(t, seq,
+                                           std::forward<Rest>(rest)...);
             return;
           }
           // Buckets before cur already drained (they are empty); the event
@@ -82,24 +98,23 @@ class LadderQueue {
         }
         break;
       }
-      insert_bottom(std::move(e));
+      std::construct_at(open_bottom_slot(t, seq), t, seq,
+                        std::forward<Rest>(rest)...);
       return;
     }
-    top_.push_back(std::move(e));
+    top_.emplace_back(t, seq, std::forward<Rest>(rest)...);
   }
 
   /// Timestamp of the next event; undefined when empty().
   SimTime min_time() {
     refill_bottom();
-    return bottom_.back().t;
+    return bottom_[live_ - 1].t;
   }
 
   T pop() {
     refill_bottom();
-    T e = std::move(bottom_.back());
-    bottom_.pop_back();
     --size_;
-    return e;
+    return bottom_[--live_];
   }
 
   /// Pop the minimum into `out` if its timestamp is <= `deadline`; returns
@@ -108,9 +123,8 @@ class LadderQueue {
   /// (min_time() + pop()).
   bool pop_if_at_most(SimTime deadline, T& out) {
     refill_bottom();
-    if (bottom_.empty() || bottom_.back().t > deadline) return false;
-    out = std::move(bottom_.back());
-    bottom_.pop_back();
+    if (live_ == 0 || bottom_[live_ - 1].t > deadline) return false;
+    out = bottom_[--live_];
     --size_;
     return true;
   }
@@ -132,23 +146,32 @@ class LadderQueue {
   /// cap only guards against pathological adversarial inputs.
   static constexpr std::size_t kMaxRungs = 48;
 
-  static bool earlier(const T& a, const T& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
+  /// Does the event (t, seq) pop before `e`?
+  static bool earlier(SimTime t, std::uint64_t seq, const T& e) {
+    if (t != e.t) return t < e.t;
+    return seq < e.seq;
   }
-  void insert_bottom(T e) {
-    // bottom_ is descending; find the first element not after e.
-    auto it = std::lower_bound(
-        bottom_.begin(), bottom_.end(), e,
-        [](const T& x, const T& v) { return earlier(v, x); });
-    bottom_.insert(it, std::move(e));
+
+  /// Make room in bottom for the event (t, seq) and return its slot: every
+  /// live entry earlier than it moves up one slot, from the minimum end.
+  T* open_bottom_slot(SimTime t, std::uint64_t seq) {
+    if (live_ == bottom_.size()) bottom_.emplace_back();
+    T* slots = bottom_.data();
+    std::size_t gap = live_++;
+    while (gap != 0 && !earlier(t, seq, slots[gap - 1])) {
+      slots[gap] = slots[gap - 1];
+      --gap;
+    }
+    return slots + gap;
   }
 
   void sort_into_bottom(std::vector<T>& events) {
     bottom_.swap(events);
     events.clear();
-    std::sort(bottom_.begin(), bottom_.end(),
-              [](const T& a, const T& b) { return earlier(b, a); });
+    live_ = bottom_.size();
+    std::sort(bottom_.begin(), bottom_.end(), [](const T& a, const T& b) {
+      return earlier(b.t, b.seq, a);
+    });
   }
 
   /// Scatter `events` spanning [start, start + width) into a new finest
@@ -190,7 +213,7 @@ class LadderQueue {
   }
 
   void refill_bottom() {
-    while (bottom_.empty()) {
+    while (live_ == 0) {
       if (!rungs_.empty()) {
         Rung& rung = rungs_.back();
         // Re-check the current bucket first: it may have received pushes
@@ -224,7 +247,8 @@ class LadderQueue {
     }
   }
 
-  std::vector<T> bottom_;    ///< sorted descending; pop_back() is the min
+  std::vector<T> bottom_;    ///< [0, live_) sorted descending; then spare
+  std::size_t live_ = 0;     ///< live entries in bottom_
   std::vector<Rung> rungs_;  ///< nested refinements, coarsest first
   std::vector<T> top_;       ///< unsorted staging beyond top_start_
   SimTime top_start_ = std::numeric_limits<SimTime>::min();

@@ -31,8 +31,8 @@ Simulator::~Simulator() {
 
 void Simulator::call_at(SimTime t, std::function<void()> fn) {
   assert(t >= now_ && "cannot schedule into the past");
-  queue_.push(
-      Entry{t, next_seq_++, nullptr, new std::function<void()>(std::move(fn))});
+  queue_.emplace(t, next_seq_++, nullptr,
+                 new std::function<void()>(std::move(fn)));
 }
 
 Timer Simulator::timer_at(SimTime t, std::function<void()> fn) {

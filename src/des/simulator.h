@@ -62,7 +62,7 @@ class Simulator {
   /// suspension), and out-of-line it costs a call per event.
   void schedule_at(SimTime t, std::coroutine_handle<> h) {
     assert(t >= now_ && "cannot schedule into the past");
-    queue_.push(Entry{t, next_seq_++, h, nullptr});
+    queue_.emplace(t, next_seq_++, h, nullptr);
   }
   /// Schedule a coroutine resumption after delay `d` (>= 0).
   void schedule_in(SimTime d, std::coroutine_handle<> h) {
@@ -93,9 +93,9 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
 
  private:
-  // Trivially copyable on purpose: the ladder queue shuffles entries through
-  // vector inserts and sorts millions of times per soak, and a POD entry
-  // turns those into memmoves. Callbacks (timers, rare next to coroutine
+  // Trivially copyable on purpose: the ladder queue shifts entries through
+  // its sorted bottom and sorts millions of times per soak, and a POD entry
+  // turns those into plain copies. Callbacks (timers, rare next to coroutine
   // resumptions) go through an owned heap node instead of an inline
   // std::function, whose non-trivial move would poison the whole queue.
   struct Entry {

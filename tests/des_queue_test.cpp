@@ -28,6 +28,7 @@ struct RefQueue {
   };
   std::priority_queue<Ev, std::vector<Ev>, Later> q;
   void push(Ev e) { q.push(e); }
+  const Ev& top() const { return q.top(); }
   Ev pop() {
     Ev e = q.top();
     q.pop();
@@ -41,14 +42,36 @@ TEST(LadderQueue, EmptyAndSize) {
   LadderQueue<Ev> q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  q.push(Ev{5, 0});
-  q.push(Ev{3, 1});
+  q.emplace(5, 0);
+  q.emplace(3, 1);
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.min_time(), 3);
   EXPECT_EQ(q.pop().t, 3);
   EXPECT_EQ(q.min_time(), 5);
   EXPECT_EQ(q.pop().t, 5);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(LadderQueue, BottomInsertAtEitherEndAndInTheMiddle) {
+  // A top this small is sorted straight into bottom on the first pop; each
+  // later push lands at a different place in that sorted bottom.
+  LadderQueue<Ev> q;
+  std::uint64_t seq = 0;
+  for (SimTime t : {10, 20, 30, 40, 50}) q.emplace(t, seq++);
+  EXPECT_EQ(q.pop().seq, 0u);  // frees a spare slot
+  q.emplace(45, seq++);        // maximum end: every entry but 50 moves up
+  q.emplace(5, seq++);         // minimum end: nothing moves
+  q.emplace(30, seq++);        // middle, after the equal-timestamp 30 (FIFO)
+  q.emplace(60, seq++);        // after bottom's maximum: staged in top
+  ASSERT_EQ(q.size(), 8u);
+  const std::vector<Ev> want = {{5, 6},  {20, 1}, {30, 2}, {30, 7},
+                                {40, 3}, {45, 5}, {50, 4}, {60, 8}};
+  for (const Ev& w : want) {
+    const Ev e = q.pop();
+    EXPECT_EQ(e.t, w.t);
+    EXPECT_EQ(e.seq, w.seq);
+  }
   EXPECT_TRUE(q.empty());
 }
 
@@ -59,7 +82,7 @@ TEST(LadderQueue, EqualTimestampBurstPopsInSeqOrder) {
   // span==1 sort path.
   for (std::size_t burst : {1u, 2u, 63u, 64u, 65u, 5000u, 100000u}) {
     LadderQueue<Ev> q;
-    for (std::uint64_t s = 0; s < burst; ++s) q.push(Ev{42, s});
+    for (std::uint64_t s = 0; s < burst; ++s) q.emplace(42, s);
     for (std::uint64_t s = 0; s < burst; ++s) {
       const Ev e = q.pop();
       ASSERT_EQ(e.t, 42) << "burst=" << burst;
@@ -79,7 +102,7 @@ TEST(LadderQueue, MatchesHeapOnRandomHoldWorkload) {
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < 20000; ++i) {
     const Ev e{static_cast<SimTime>(rng.below(100000)), seq++};
-    ladder.push(e);
+    ladder.emplace(e.t, e.seq);
     heap.push(e);
   }
   SimTime now = 0;
@@ -101,7 +124,7 @@ TEST(LadderQueue, MatchesHeapOnRandomHoldWorkload) {
                    : static_cast<SimTime>(
                          rng.below(1u << (1 + rng.below(16))));
       const Ev e{now + offset, seq++};
-      ladder.push(e);
+      ladder.emplace(e.t, e.seq);
       heap.push(e);
     }
   }
@@ -125,7 +148,7 @@ TEST(LadderQueue, MatchesHeapAcrossManySeeds) {
     for (std::size_t i = 0; i < prefill; ++i) {
       const Ev e{static_cast<SimTime>(rng.below(1 + rng.below(10000))),
                  seq++};
-      ladder.push(e);
+      ladder.emplace(e.t, e.seq);
       heap.push(e);
     }
     SimTime now = 0;
@@ -137,11 +160,74 @@ TEST(LadderQueue, MatchesHeapAcrossManySeeds) {
       now = a.t;
       if (rng.chance(0.3)) {
         const Ev e{now + static_cast<SimTime>(rng.below(1000)), seq++};
-        ladder.push(e);
+        ladder.emplace(e.t, e.seq);
         heap.push(e);
       }
     }
     EXPECT_TRUE(ladder.empty()) << "seed=" << seed;
+  }
+}
+
+TEST(LadderQueue, BoundedPopMatchesHeap) {
+  // The pop Simulator::run_until uses. Prefills are big and clustered
+  // enough to spawn nested rungs; pushes land at now (storms), near now
+  // (the bottom) and far past the prefill (top); and after each refused
+  // pop the clock moves to the deadline, as run_until leaves it.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    util::Rng rng(seed);
+    LadderQueue<Ev> ladder;
+    RefQueue heap;
+    const std::size_t prefill = 100 + rng.below(20000);
+    // Far pushes would feed the queue forever: past this many events the
+    // queue only drains.
+    const std::uint64_t budget = 3 * prefill;
+    std::uint64_t seq = 0;
+    auto push = [&](SimTime t) {
+      if (seq == budget) return;
+      ladder.emplace(t, seq);
+      heap.push(Ev{t, seq++});
+    };
+    for (std::size_t i = 0; i < prefill; ++i) {
+      push(static_cast<SimTime>(rng.below(1 + rng.below(1000000))));
+    }
+    SimTime now = 0;
+    std::size_t refusals = 0;
+    while (!heap.empty()) {
+      const SimTime deadline =
+          now + static_cast<SimTime>(rng.below(1u << rng.below(14)));
+      Ev e;
+      for (std::size_t before = ladder.size();
+           ladder.pop_if_at_most(deadline, e); before = ladder.size()) {
+        const Ev want = heap.pop();
+        ASSERT_EQ(e.t, want.t) << "seed=" << seed;
+        ASSERT_EQ(e.seq, want.seq) << "seed=" << seed;
+        ASSERT_LE(e.t, deadline) << "seed=" << seed;
+        ASSERT_EQ(ladder.size(), before - 1) << "seed=" << seed;
+        now = e.t;
+        const std::size_t kind = rng.below(8);
+        if (kind == 0) {
+          for (std::size_t k = rng.below(4); k-- > 0;) push(now);
+        } else if (kind == 1) {
+          push(now + 1 + static_cast<SimTime>(rng.below(64)));
+        } else if (kind == 2) {
+          push(now + 1000000 + static_cast<SimTime>(rng.below(1000000)));
+        }
+      }
+      // Refused: nothing popped, and the minimum is where it was.
+      ASSERT_EQ(ladder.size(), heap.size()) << "seed=" << seed;
+      if (!heap.empty()) {
+        ++refusals;
+        ASSERT_GT(heap.top().t, deadline) << "seed=" << seed;
+        ASSERT_EQ(ladder.min_time(), heap.top().t) << "seed=" << seed;
+        ASSERT_FALSE(ladder.pop_if_at_most(deadline, e)) << "seed=" << seed;
+        ASSERT_EQ(ladder.size(), heap.size()) << "seed=" << seed;
+        ASSERT_EQ(ladder.min_time(), heap.top().t) << "seed=" << seed;
+      }
+      now = deadline;
+      if (rng.chance(0.5)) push(now + static_cast<SimTime>(rng.below(64)));
+    }
+    EXPECT_TRUE(ladder.empty()) << "seed=" << seed;
+    EXPECT_GT(refusals, 0u) << "seed=" << seed;
   }
 }
 
