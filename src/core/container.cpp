@@ -261,6 +261,8 @@ des::Task<void> Container::metadata_exchange(std::size_t new_replicas,
                                              ProtocolReport& report) {
   const SimTime t0 = env_.sim->now();
   const std::uint32_t writers = env_.upstream_width(spec_.upstream);
+  // fence() empties replicas_ while a post is in flight, so the exchange
+  // stops at the first post that returns to a fenced container.
   for (std::size_t i = existing; i < existing + new_replicas; ++i) {
     Replica& r = *replicas_.at(i);
     ev::Message cfg;
@@ -268,17 +270,20 @@ des::Task<void> Container::metadata_exchange(std::size_t new_replicas,
     cfg.size_bytes = 512;
     co_await env_.bus->post(mgr_ep_, r.ep, std::move(cfg),
                             ev::TrafficClass::kMetadata);
+    if (fenced_) co_return;
     ev::Message hello;
     hello.type_id = kMidReplicaHello;
     co_await env_.bus->post(r.ep, mgr_ep_, std::move(hello),
                             ev::TrafficClass::kMetadata);
+    if (fenced_) co_return;
     report.metadata_messages += 2;
     // Contact exchange with the peer replicas already in the container.
-    for (std::size_t j = 0; j < existing && j < replicas_.size(); ++j) {
+    for (std::size_t j = 0; j < existing; ++j) {
       ev::Message peer;
       peer.type_id = kMidReplicaConfig;
       co_await env_.bus->post(r.ep, replicas_[j]->ep, std::move(peer),
                               ev::TrafficClass::kMetadata);
+      if (fenced_) co_return;
       ++report.metadata_messages;
     }
     // Every upstream DataTap writer must learn the new replica's contact
@@ -289,6 +294,7 @@ des::Task<void> Container::metadata_exchange(std::size_t new_replicas,
       contact.size_bytes = 512;
       co_await env_.bus->post(mgr_ep_, r.ep, std::move(contact),
                               ev::TrafficClass::kMetadata);
+      if (fenced_) co_return;
       ++report.metadata_messages;
     }
   }
@@ -360,7 +366,7 @@ des::Task<bool> Container::launch(std::vector<net::NodeId> nodes,
   const std::size_t existing = replicas_.size();
   for (net::NodeId n : nodes) add_replica(n);
   co_await metadata_exchange(nodes.size(), existing, report);
-  co_return true;
+  co_return !fenced_;  // evicted during the exchange: the replicas are gone
 }
 
 DonePayload Container::evicted(DonePayload done, bool paused) {
@@ -388,6 +394,9 @@ des::Task<DonePayload> Container::do_increase(std::vector<net::NodeId> add) {
   // upstream writers, tear the instance down, and relaunch at the larger
   // width (Section III-D's discussion of aprun and MPI).
   const bool relaunch = spec_.model == sp::ComputeModel::kParallel;
+  // A round-robin or tree container decreased to width 0 kept its input
+  // paused; the replicas this increase brings back resume it.
+  const bool paused = relaunch || input_->paused();
   std::vector<net::NodeId> nodes;
   if (relaunch) {
     const SimTime tp = env_.sim->now();
@@ -400,10 +409,10 @@ des::Task<DonePayload> Container::do_increase(std::vector<net::NodeId> add) {
   nodes.insert(nodes.end(), add.begin(), add.end());
   auto up = launch(std::move(nodes), rep);
   const bool launched = co_await up;
-  if (!launched) co_return evicted(std::move(done), relaunch);
+  if (!launched) co_return evicted(std::move(done), paused);
   if (!relaunch) co_await migrate_state(add.size(), /*to_replicas=*/true, rep);
   co_await endpoint_update(rep);
-  if (relaunch) input_->resume();
+  if (paused) input_->resume();
   rep.total = env_.sim->now() - t0;
   co_return done;
 }

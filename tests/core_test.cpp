@@ -521,6 +521,89 @@ TEST(Protocols, FenceDuringParallelRelaunchReleasesTheInput) {
   EXPECT_TRUE(fenced);
 }
 
+// Fences `c` the first microsecond its relaunch has replicas again: the
+// cohort went to width 0 for the teardown, and the new replicas join just
+// before their metadata exchange starts. Records the width it fenced at.
+des::Process fence_when_relaunched(Container* c, des::Simulator& sim,
+                                   std::uint32_t* fenced_at_width) {
+  const des::SimTime give_up = sim.now() + 60 * des::kSecond;
+  while (c->width() != 0 && sim.now() < give_up) {
+    co_await des::delay(sim, des::kMicrosecond);
+  }
+  while (c->width() == 0 && sim.now() < give_up) {
+    co_await des::delay(sim, des::kMicrosecond);
+  }
+  *fenced_at_width = c->width();
+  c->fence();
+}
+
+TEST(Protocols, FenceDuringMetadataExchangeReleasesTheInput) {
+  // bonds is fenced while its relaunch exchanges metadata with the new
+  // replicas, and fence() empties the cohort under the exchange. The
+  // manager must stop the exchange and resume the input it paused; the
+  // GM's round times out and escalates, which returns every node.
+  PipelineSpec spec = PipelineSpec::lammps_smartpointer(256, 13);
+  spec.management_enabled = false;
+  spec.steps = 4;
+  StagedPipeline::Options opt;
+  opt.gm.round.timeout = 60 * des::kSecond;
+  opt.gm.round.retries = 1;
+  opt.gm.round.backoff = des::kSecond;
+  StagedPipeline p(std::move(spec), opt);
+  p.run();
+  ProtocolReport dec, inc;
+  spawn(p.sim(), drive(p.gm().decrease("helper", 2), &dec));
+  p.sim().run();
+  ASSERT_TRUE(dec.ok);
+
+  Container* bonds = p.container("bonds");
+  std::uint32_t fenced_at_width = 0;
+  spawn(p.sim(), drive(p.gm().increase("bonds", 2), &inc));
+  spawn(p.sim(), fence_when_relaunched(bonds, p.sim(), &fenced_at_width));
+  p.sim().run();
+  EXPECT_EQ(fenced_at_width, 4u);
+  EXPECT_FALSE(inc.ok);
+  EXPECT_FALSE(bonds->online());
+  EXPECT_EQ(bonds->width(), 0u);
+  EXPECT_FALSE(bonds->input()->paused());
+  EXPECT_EQ(p.pool().owned_by("bonds"), 0u);
+  EXPECT_TRUE(p.pool().conserved());
+}
+
+// csym (round-robin) loses all three replicas at 40 s and gets two back at
+// 70 s.
+des::Process csym_to_zero_and_back(StagedPipeline& p, ProtocolReport* dec,
+                                   ProtocolReport* inc) {
+  co_await des::delay(p.sim(), 40 * des::kSecond);
+  auto down = p.gm().decrease("csym", 3);
+  *dec = co_await down;
+  co_await des::delay(
+      p.sim(), std::max<des::SimTime>(0, 70 * des::kSecond - p.sim().now()));
+  auto up = p.gm().increase("csym", 2);
+  *inc = co_await up;
+}
+
+TEST(Protocols, IncreaseAfterDecreaseToZeroResumesTheInput) {
+  // The decrease to width 0 leaves csym's input paused. The replicas the
+  // increase brings back must read it: the pipeline drains and csym
+  // processes every step.
+  PipelineSpec spec = PipelineSpec::lammps_smartpointer(256, 13);
+  spec.management_enabled = false;
+  spec.steps = 12;
+  StagedPipeline p(std::move(spec));
+  ProtocolReport dec, inc;
+  spawn(p.sim(), csym_to_zero_and_back(p, &dec, &inc));
+  p.run();
+  ASSERT_TRUE(dec.ok);
+  ASSERT_TRUE(inc.ok);
+  EXPECT_TRUE(p.all_done());
+  Container* csym = p.container("csym");
+  EXPECT_EQ(csym->width(), 2u);
+  EXPECT_FALSE(csym->input()->paused());
+  EXPECT_EQ(csym->steps_processed(), 12u);
+  EXPECT_TRUE(p.pool().conserved());
+}
+
 // --- transactional trades -------------------------------------------------
 
 struct TradeFixture {
