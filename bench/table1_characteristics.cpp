@@ -18,10 +18,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double time_once(const std::function<void()>& fn) {
-  const auto t0 = Clock::now();
-  fn();
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+/// Wall time of `fn`, the fastest of five runs: a single timing is at the
+/// mercy of host noise, and the power-law fits below amplify it.
+double time_fastest(const std::function<void()>& fn) {
+  double best = 0;
+  for (int run = 0; run < 5; ++run) {
+    const auto t0 = Clock::now();
+    fn();
+    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (run == 0 || s < best) best = s;
+  }
+  return best;
 }
 
 }  // namespace
@@ -54,9 +61,9 @@ int main() {
     sp::BondAnalysis bonds;
     sp::CentralSymmetry csym;
     sp::CommonNeighborAnalysis cna({0.854 * md::kLjFccLatticeConstant});
-    t_bonds_naive.push_back(time_once([&] { bonds.compute_naive(atoms); }));
-    t_csym.push_back(time_once([&] { csym.compute(atoms); }));
-    t_cna.push_back(time_once([&] { cna.classify(atoms); }));
+    t_bonds_naive.push_back(time_fastest([&] { bonds.compute_naive(atoms); }));
+    t_csym.push_back(time_fastest([&] { csym.compute(atoms); }));
+    t_cna.push_back(time_fastest([&] { cna.classify(atoms); }));
   }
   auto fb = util::fit_power_law(sizes, t_bonds_naive);
   auto fc = util::fit_power_law(sizes, t_csym);
