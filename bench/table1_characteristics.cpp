@@ -2,8 +2,12 @@
 // (complexity class, compute model, dynamic branching), and validates the
 // complexity column empirically by timing the real kernels over a sweep of
 // atom counts and fitting power laws.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <limits>
+#include <vector>
 
 #include "bench_util.h"
 #include "md/lattice.h"
@@ -18,17 +22,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Wall time of `fn`, the fastest of five runs: a single timing is at the
-/// mercy of host noise, and the power-law fits below amplify it.
-double time_fastest(const std::function<void()>& fn) {
-  double best = 0;
-  for (int run = 0; run < 5; ++run) {
-    const auto t0 = Clock::now();
-    fn();
-    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (run == 0 || s < best) best = s;
-  }
-  return best;
+/// Lowers `best` to the wall time of one run of `fn`.
+void time_run(double& best, const std::function<void()>& fn) {
+  const auto t0 = Clock::now();
+  fn();
+  best = std::min(best,
+                  std::chrono::duration<double>(Clock::now() - t0).count());
 }
 
 }  // namespace
@@ -53,17 +52,30 @@ int main() {
 
   // Empirical validation: time the real kernels on FCC crystals of growing
   // size and fit log-log slopes. The naive Bonds path is the O(n^2)
-  // formulation the paper characterizes; CSym is O(n).
-  std::vector<double> sizes, t_bonds_naive, t_csym, t_cna;
+  // formulation the paper characterizes; CSym is O(n). Each time is the
+  // fastest of five runs, and every round runs every size, so a burst of
+  // host noise slows one run of a point rather than all five (the fits
+  // amplify a slow point).
+  std::vector<md::AtomData> crystals;
+  std::vector<double> sizes;
   for (std::size_t c : {6, 8, 10, 12}) {
-    auto atoms = md::make_fcc(c, c, c, md::kLjFccLatticeConstant);
-    sizes.push_back(static_cast<double>(atoms.size()));
-    sp::BondAnalysis bonds;
-    sp::CentralSymmetry csym;
-    sp::CommonNeighborAnalysis cna({0.854 * md::kLjFccLatticeConstant});
-    t_bonds_naive.push_back(time_fastest([&] { bonds.compute_naive(atoms); }));
-    t_csym.push_back(time_fastest([&] { csym.compute(atoms); }));
-    t_cna.push_back(time_fastest([&] { cna.classify(atoms); }));
+    crystals.push_back(md::make_fcc(c, c, c, md::kLjFccLatticeConstant));
+    sizes.push_back(static_cast<double>(crystals.back().size()));
+  }
+  const double never = std::numeric_limits<double>::infinity();
+  std::vector<double> t_bonds_naive(sizes.size(), never);
+  std::vector<double> t_csym(sizes.size(), never);
+  std::vector<double> t_cna(sizes.size(), never);
+  const sp::BondAnalysis bonds;
+  const sp::CentralSymmetry csym;
+  const sp::CommonNeighborAnalysis cna({0.854 * md::kLjFccLatticeConstant});
+  for (int round = 0; round < 5; ++round) {
+    for (std::size_t i = 0; i < crystals.size(); ++i) {
+      const md::AtomData& atoms = crystals[i];
+      time_run(t_bonds_naive[i], [&] { bonds.compute_naive(atoms); });
+      time_run(t_csym[i], [&] { csym.compute(atoms); });
+      time_run(t_cna[i], [&] { cna.classify(atoms); });
+    }
   }
   auto fb = util::fit_power_law(sizes, t_bonds_naive);
   auto fc = util::fit_power_law(sizes, t_csym);
