@@ -36,10 +36,14 @@
 //
 // Every event is built in the slot where it lands: emplace(t, seq, rest...)
 // constructs T{t, seq, rest...} there (a bottom slot, a rung bucket or top),
-// so no caller builds an entry to be copied in again.
+// so no caller builds an entry to be copied in again. GCC stores such an
+// entry in 8-byte pieces and copies it in 16-byte halves, and a 16-byte load
+// that spans two pending 8-byte stores waits until they reach the cache (a
+// store-to-load forwarding stall on every push).
 //
 // T is a trivially copyable aggregate whose first two members are `t`
-// (SimTime) and `seq` (unique std::uint64_t).
+// (SimTime) and `seq` (unique std::uint64_t): entries move by plain copies,
+// and a spare bottom slot is built over without destroying what it held.
 #pragma once
 
 #include <algorithm>

@@ -169,10 +169,10 @@ TEST(LadderQueue, MatchesHeapAcrossManySeeds) {
 }
 
 TEST(LadderQueue, BoundedPopMatchesHeap) {
-  // The pop Simulator::run_until uses. Prefills are big and clustered
-  // enough to spawn nested rungs; pushes land at now (storms), near now
-  // (the bottom) and far past the prefill (top); and after each refused
-  // pop the clock moves to the deadline, as run_until leaves it.
+  // The pop Simulator::run_until uses. Prefills spawn nested rungs;
+  // pushes land at now (storms), near now (the bottom) and far past the
+  // prefill (top); and after each refused pop the clock moves to the
+  // deadline, as run_until leaves it.
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     util::Rng rng(seed);
     LadderQueue<Ev> ladder;
@@ -187,8 +187,12 @@ TEST(LadderQueue, BoundedPopMatchesHeap) {
       ladder.emplace(t, seq);
       heap.push(Ev{t, seq++});
     };
+    // A quarter of the prefill in one narrow cluster, whose buckets
+    // overflow and spawn a finer rung; the rest skewed toward the start.
     for (std::size_t i = 0; i < prefill; ++i) {
-      push(static_cast<SimTime>(rng.below(1 + rng.below(1000000))));
+      push(static_cast<SimTime>(rng.chance(0.25)
+                                    ? rng.below(1000)
+                                    : rng.below(1 + rng.below(1000000))));
     }
     SimTime now = 0;
     std::size_t refusals = 0;
@@ -196,13 +200,12 @@ TEST(LadderQueue, BoundedPopMatchesHeap) {
       const SimTime deadline =
           now + static_cast<SimTime>(rng.below(1u << rng.below(14)));
       Ev e;
-      for (std::size_t before = ladder.size();
-           ladder.pop_if_at_most(deadline, e); before = ladder.size()) {
+      while (ladder.pop_if_at_most(deadline, e)) {
         const Ev want = heap.pop();
         ASSERT_EQ(e.t, want.t) << "seed=" << seed;
         ASSERT_EQ(e.seq, want.seq) << "seed=" << seed;
         ASSERT_LE(e.t, deadline) << "seed=" << seed;
-        ASSERT_EQ(ladder.size(), before - 1) << "seed=" << seed;
+        ASSERT_EQ(ladder.size(), heap.size()) << "seed=" << seed;
         now = e.t;
         const std::size_t kind = rng.below(8);
         if (kind == 0) {
