@@ -20,8 +20,18 @@ FedPipeline::~FedPipeline() {
   // is closed so the service loop can observe end-of-stream.
 }
 
+void FedPipeline::set_owner(ev::EndpointId ep,
+                            std::vector<std::uint64_t>& marks,
+                            std::size_t slot) {
+  owner_ep_ = ep;
+  owner_marks_ = &marks;
+  slot_ = slot;
+  mark();
+}
+
 void FedPipeline::set_target(std::size_t n) {
   if (fenced_) return;
+  if (n != target_ && owner_marks_ != nullptr) mark();
   target_ = n;
   if (target_ == width()) {
     demand_since_ = -1;  // demand met before any resize was needed

@@ -17,6 +17,15 @@
 //    before it was fenced either lands before the handover (and reconcile
 //    sees it) or is dropped here, even mid-apply — it can never mutate
 //    width after the new owner took a ground-truth snapshot.
+//
+// Resize marks: the owner keeps one bit per slot of its pipeline list, and
+// its policy tick visits only the set bits. The invariant is that every live
+// pipeline whose target differs from its width is marked. set_owner marks
+// the pipeline's slot and set_target marks it on every change of target.
+// The apply path of service_loop needs no mark: a width moves only inside
+// the owning shard's round for this pipeline, whose slot is marked until a
+// later visit finds it at its target, because the owner filter drops every
+// other sender and the reply cache replays a retried request.
 #pragma once
 
 #include <cstdint>
@@ -55,13 +64,16 @@ class FedPipeline {
   /// thousands of pipelines.
   void set_fence_tick(std::uint64_t* tick) { fence_tick_ = tick; }
 
-  /// Only control requests from this endpoint are honored. Set at placement
-  /// and on every failover handover (Shard::adopt).
-  void set_owner(ev::EndpointId ep) { owner_ep_ = ep; }
+  /// Only control requests from `ep` are honored. Set at placement and on
+  /// every failover handover (Shard::adopt), with the owner's resize marks
+  /// and this pipeline's slot in them; marks the slot.
+  void set_owner(ev::EndpointId ep, std::vector<std::uint64_t>& marks,
+                 std::size_t slot);
 
   /// Workload demand. Restamps the resize clock when it changes the gap
   /// between demand and width; the clock stops (and a latency sample is
-  /// recorded) when width converges to the target.
+  /// recorded) when width converges to the target. A changed target marks
+  /// the pipeline's slot in its owner's resize marks.
   void set_target(std::size_t n);
   std::size_t target() const { return target_; }
 
@@ -81,6 +93,9 @@ class FedPipeline {
  private:
   des::Process service_loop();
   void note_converged();
+  void mark() {
+    (*owner_marks_)[slot_ / 64] |= std::uint64_t{1} << slot_ % 64;
+  }
   /// True, counted in stale_owner_drops_, when `m` is not from the owner.
   bool drop_if_stale(const ev::Message& m);
 
@@ -88,6 +103,8 @@ class FedPipeline {
   std::string name_;
   ev::EndpointId ep_ = ev::kInvalidEndpoint;
   ev::EndpointId owner_ep_ = ev::kInvalidEndpoint;
+  std::vector<std::uint64_t>* owner_marks_ = nullptr;  ///< null until placed
+  std::size_t slot_ = 0;  ///< index into the owner's pipeline list
   Options opt_;
   std::vector<net::NodeId> nodes_;
   std::size_t target_ = 0;

@@ -1,6 +1,7 @@
 #include "fed/shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.h"
@@ -32,15 +33,20 @@ void Shard::start() {
   procs_.push_back(spawn(bus_->sim(), participant_loop()));
 }
 
-void Shard::add_pipeline(FedPipeline* p) {
+void Shard::take(FedPipeline* p) {
+  const std::size_t slot = pipelines_.size();
   pipelines_.push_back(p);
-  p->set_owner(ctl_ep_);
+  if (slot % 64 == 0) marks_.push_back(0);
+  p->set_owner(ctl_ep_, marks_, slot);
+}
+
+void Shard::add_pipeline(FedPipeline* p) {
+  take(p);
   rounds_.track(p->name(), core::CmState::kIdle);
 }
 
 void Shard::adopt(FedPipeline* p) {
-  pipelines_.push_back(p);
-  p->set_owner(ctl_ep_);
+  take(p);
   // The root attached the dead shard's ledger entries for this pipeline to
   // our pool before calling adopt; re-reconcile against the pipeline's own
   // node list so ledger and ground truth agree from the first policy tick.
@@ -94,9 +100,22 @@ void Shard::move_decided(std::uint64_t txn, bool commit, bool as_donor,
                               << " at shard " << id_;
 }
 
+std::size_t Shard::next_marked(std::size_t from) const {
+  std::size_t word = from / 64;
+  if (word >= marks_.size()) return pipelines_.size();
+  std::uint64_t bits = marks_[word] & (~std::uint64_t{0} << from % 64);
+  while (bits == 0) {
+    if (++word == marks_.size()) return pipelines_.size();
+    bits = marks_[word];
+  }
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 std::size_t Shard::unmet_demand() const {
   std::size_t unmet = 0;
-  for (const FedPipeline* p : pipelines_) {
+  for (std::size_t i = next_marked(0); i < pipelines_.size();
+       i = next_marked(i + 1)) {
+    const FedPipeline* p = pipelines_[i];
     if (p->fenced()) continue;
     if (p->target() > p->width()) unmet += p->target() - p->width();
   }
@@ -112,15 +131,21 @@ des::Process Shard::policy_loop() {
       crashed_ = true;
       break;
     }
-    // Index loop: adopt() may append while we are suspended in a round.
-    for (std::size_t i = 0; i < pipelines_.size(); ++i) {
+    // Visit the marked slots in order, re-reading the marks after each
+    // round: a demand change or an adopt() while we are suspended marks
+    // its slot, served in this tick if it lies ahead.
+    for (std::size_t i = next_marked(0); i < pipelines_.size();
+         i = next_marked(i + 1)) {
       FedPipeline* p = pipelines_[i];
-      if (p->fenced()) continue;
       const std::size_t w = p->width();
       const std::size_t t = p->target();
+      if (p->fenced() || t == w) {
+        marks_[i / 64] &= ~(std::uint64_t{1} << i % 64);
+        continue;
+      }
       if (t > w) {
         co_await resize(p, static_cast<int>(t - w));
-      } else if (t < w) {
+      } else {
         co_await resize(p, -static_cast<int>(w - t));
       }
       if (fenced_ || crashed_) co_return;

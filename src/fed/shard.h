@@ -23,6 +23,21 @@
 //    live heir's pool). The fleet-level conservation invariant is
 //    therefore sum(pool().total() + pool().escrowed()) == constant at
 //    quiesce.
+//
+// Resize marks: one bit per slot of pipelines_, in slot order, meaning
+// "this pipeline may need a resize". Every live pipeline whose target
+// differs from its width is marked: placement and adopt mark the new slot
+// (FedPipeline::set_owner), and FedPipeline::set_target marks it on every
+// change of target. A width moves only inside this shard's round for that
+// pipeline, while its slot is marked: the pipeline's owner filter drops
+// every other sender and its reply cache replays retries, so its apply
+// path needs no mark. A policy tick visits the set bits in ascending slot
+// order, re-reading them after each awaited round, and clears a bit only
+// when its visit finds the pipeline fenced or at its target. So a tick
+// serves the pipelines a walk over every slot would: one marked mid-walk
+// at a higher slot (or appended by adopt) in this tick, one at a lower
+// slot in the next, and one a dry pool left short in every tick until a
+// trade covers it.
 #pragma once
 
 #include <cstdint>
@@ -123,10 +138,16 @@ class Shard {
   void rethrow_if_failed() const;
 
   const Stats& stats() const { return stats_; }
-  /// Unmet demand across live pipelines (nodes wanted but not yet granted).
-  std::size_t unmet_demand() const;
 
  private:
+  /// Take `p` into the next slot, marked (the shared half of add_pipeline
+  /// and adopt).
+  void take(FedPipeline* p);
+  /// First marked slot at or after `from`; pipelines_.size() if none.
+  std::size_t next_marked(std::size_t from) const;
+  /// Unmet demand across live pipelines (nodes wanted but not yet granted),
+  /// summed over the marked slots: an unmarked pipeline has none.
+  std::size_t unmet_demand() const;
   des::Process policy_loop();
   des::Process heartbeat_loop();
   des::Process participant_loop();
@@ -149,6 +170,8 @@ class Shard {
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId root_ep_ = ev::kInvalidEndpoint;
   std::vector<FedPipeline*> pipelines_;
+  /// Resize marks, bit i % 64 of word i / 64 for slot i (see the top).
+  std::vector<std::uint64_t> marks_;
   /// Control trace and per-pipeline Fig. 3 state, advanced together.
   core::Coordinator rounds_;
   bool fenced_ = false;

@@ -311,18 +311,66 @@ TEST(Fleet, PipelineCutOffFromItsShardIsEscalatedAndFenced) {
   EXPECT_EQ(r.digest, 0xa88007dad2af303cull) << std::hex << r.digest;
 }
 
+// --- the policy tick's walk -------------------------------------------------
+
+/// One shard owning two pipelines (slot 0 and slot 1) and no workload: the
+/// tests set each target themselves. Both start at width and target 0.
+Fleet::Options walk_options() {
+  Fleet::Options opt = quiet_options();
+  opt.shards = 1;
+  opt.pipelines = 2;
+  opt.demand_events = 0;
+  return opt;
+}
+
+/// Raise slot `first` so the 20 ms policy tick starts its round, then raise
+/// slot `second` while that round is in flight (its node granted, not yet
+/// applied). Returns the width of `second` just before the 40 ms tick.
+std::size_t width_before_next_tick(std::size_t first, std::size_t second) {
+  Fleet fleet(walk_options());
+  ioc::fed::Shard& shard = fleet.shard(0);
+  EXPECT_EQ(shard.pipelines().size(), 2u);
+  fleet.start_soak();
+  shard.pipelines()[first]->set_target(1);
+  fleet.advance_to(21 * kMillisecond);
+  EXPECT_EQ(shard.pool().spare_count(), 7u);
+  EXPECT_EQ(shard.pipelines()[first]->width(), 0u);
+  shard.pipelines()[second]->set_target(1);
+  fleet.advance_to(39 * kMillisecond);
+  EXPECT_EQ(shard.pipelines()[first]->width(), 1u);
+  const std::size_t w = shard.pipelines()[second]->width();
+  fleet.advance_to(45 * kMillisecond);
+  EXPECT_EQ(shard.pipelines()[second]->width(), 1u);
+  EXPECT_EQ(shard.stats().resizes, 2u);
+  return w;
+}
+
+TEST(ShardPolicyTick, DemandRaisedAheadOfTheWalkIsServedInTheSameTick) {
+  // The walk re-reads the marks after each round, so slot 1, raised during
+  // slot 0's round, converges in the 20 ms tick.
+  EXPECT_EQ(width_before_next_tick(0, 1), 1u);
+}
+
+TEST(ShardPolicyTick, DemandRaisedBehindTheWalkWaitsForTheNextTick) {
+  // Slot 0, raised during slot 1's round, lies behind the walk: the 40 ms
+  // tick serves it, as a walk over every slot would.
+  EXPECT_EQ(width_before_next_tick(1, 0), 0u);
+}
+
 /// Posts an INCREASE of one node from `from`, then hands the pipeline to
-/// `heir` 1 ms later — mid-way through the pipeline's 2 ms apply delay.
+/// `heir` (slot 0 of `marks`) 1 ms later — mid-way through the pipeline's
+/// 2 ms apply delay.
 ioc::des::Process increase_then_fail_over(ioc::ev::Bus& bus,
                                           ioc::fed::FedPipeline& pipe,
                                           ioc::ev::EndpointId from,
-                                          ioc::ev::EndpointId heir) {
+                                          ioc::ev::EndpointId heir,
+                                          std::vector<std::uint64_t>& marks) {
   ioc::ev::Message m;
   m.type_id = ioc::core::kMidIncrease;
   m.payload = ioc::core::IncreasePayload{{1000}};
   co_await bus.post(from, pipe.endpoint(), std::move(m));
   co_await ioc::des::delay(bus.sim(), kMillisecond);
-  pipe.set_owner(heir);
+  pipe.set_owner(heir, marks, 0);
 }
 
 TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
@@ -337,8 +385,9 @@ TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
   ioc::fed::FedPipeline pipe(bus, /*node=*/1, "pipe-0", {});
   const ioc::ev::EndpointId a = bus.open(0, "test.a").id();
   const ioc::ev::EndpointId b = bus.open(2, "test.b").id();
-  pipe.set_owner(a);
-  ioc::des::spawn(sim, increase_then_fail_over(bus, pipe, a, b));
+  std::vector<std::uint64_t> marks(1);
+  pipe.set_owner(a, marks, 0);
+  ioc::des::spawn(sim, increase_then_fail_over(bus, pipe, a, b, marks));
   sim.run_until(5 * kMillisecond);
   EXPECT_EQ(pipe.width(), 0u);
   EXPECT_EQ(pipe.stale_owner_drops(), 1u);
