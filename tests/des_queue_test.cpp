@@ -93,15 +93,19 @@ TEST(LadderQueue, EqualTimestampBurstPopsInSeqOrder) {
 }
 
 TEST(LadderQueue, MatchesHeapOnRandomHoldWorkload) {
-  // Drive ladder and heap with the identical stream: random prefill, then
-  // alternating pops and pushes at now + random offset (the Simulator
-  // contract — never into the past). Every popped (t, seq) must match.
+  // The hold model: a random prefill, then every pop pushes about one
+  // event at now + a random offset (the Simulator contract: never into the
+  // past), so the queue keeps its size while the clock moves on through
+  // fresh rungs. Offsets are mostly short with occasional long ones; one
+  // pop in twenty is a schedule-now storm of up to eight events at offset
+  // 0, one in five pushes nothing. Every popped (t, seq) must match.
   util::Rng rng(0xD5C0FFEEu);
   LadderQueue<Ev> ladder;
   RefQueue heap;
   std::uint64_t seq = 0;
-  for (std::size_t i = 0; i < 20000; ++i) {
-    const Ev e{static_cast<SimTime>(rng.below(100000)), seq++};
+  constexpr SimTime kPrefillSpan = 10000;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const Ev e{static_cast<SimTime>(rng.below(kPrefillSpan)), seq++};
     ladder.emplace(e.t, e.seq);
     heap.push(e);
   }
@@ -114,20 +118,56 @@ TEST(LadderQueue, MatchesHeapOnRandomHoldWorkload) {
     ASSERT_EQ(a.seq, b.seq) << "pop " << i;
     ASSERT_GE(a.t, now) << "time went backwards at pop " << i;
     now = a.t;
-    // Mostly short offsets with occasional long ones, plus schedule_now
-    // storms (offset 0) to stress the equal-timestamp path mid-drain.
-    const std::size_t kind = rng.below(10);
-    const std::size_t npush = kind == 0 ? rng.below(50) : 1;
+    const std::size_t kind = rng.below(20);
+    const bool storm = kind == 0;
+    const std::size_t npush = storm ? rng.below(9) : kind <= 16 ? 1 : 0;
     for (std::size_t p = 0; p < npush; ++p) {
       const SimTime offset =
-          kind < 3 ? 0
-                   : static_cast<SimTime>(
-                         rng.below(1u << (1 + rng.below(16))));
+          storm ? 0
+                : static_cast<SimTime>(rng.below(1u << (1 + rng.below(17))));
       const Ev e{now + offset, seq++};
       ladder.emplace(e.t, e.seq);
       heap.push(e);
     }
   }
+  // The clock left the prefill behind: the last pops took events pushed
+  // from a moving clock, not the prefill's.
+  EXPECT_GT(now, kPrefillSpan);
+  while (!heap.empty()) {
+    const Ev a = ladder.pop();
+    const Ev b = heap.pop();
+    ASSERT_EQ(a.t, b.t);
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  EXPECT_TRUE(ladder.empty());
+}
+
+TEST(LadderQueue, PushesAtNowAboveALongEqualTimestampRunMatchHeap) {
+  // The bottom insert's worst case: a long run of equal timestamps at
+  // "now" in the bottom, under a later event that keeps every push at now
+  // in the bottom too. Such a push lands above the whole run (FIFO) and
+  // moves all of it up one slot. Each step pops one event and pushes two
+  // at now, so the run grows by one entry a step.
+  constexpr std::size_t kRun = 4096;
+  constexpr SimTime kNow = 3;
+  LadderQueue<Ev> ladder;
+  RefQueue heap;
+  std::uint64_t seq = 0;
+  auto push = [&](SimTime t) {
+    ladder.emplace(t, seq);
+    heap.push(Ev{t, seq++});
+  };
+  push(kNow);
+  push(1000);
+  for (std::size_t i = 0; i < kRun; ++i) {
+    const Ev a = ladder.pop();
+    const Ev b = heap.pop();
+    ASSERT_EQ(a.t, kNow) << "step " << i;
+    ASSERT_EQ(a.seq, b.seq) << "step " << i;
+    push(kNow);
+    push(kNow);
+  }
+  ASSERT_EQ(ladder.size(), kRun + 2);  // the run of kRun + 1, and 1000
   while (!heap.empty()) {
     const Ev a = ladder.pop();
     const Ev b = heap.pop();
