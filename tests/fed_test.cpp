@@ -323,23 +323,25 @@ Fleet::Options walk_options() {
   return opt;
 }
 
-/// Raise slot `first` so the 20 ms policy tick starts its round, then raise
-/// slot `second` while that round is in flight (its node granted, not yet
-/// applied). Returns the width of `second` just before the 40 ms tick.
+/// Let the 20 ms policy tick clear the placement marks, raise slot `first`
+/// so the 40 ms tick starts its round, then raise slot `second` while that
+/// round is in flight (its node granted, not yet applied). Returns the
+/// width of `second` just before the 60 ms tick.
 std::size_t width_before_next_tick(std::size_t first, std::size_t second) {
   Fleet fleet(walk_options());
   ioc::fed::Shard& shard = fleet.shard(0);
   EXPECT_EQ(shard.pipelines().size(), 2u);
   fleet.start_soak();
+  fleet.advance_to(30 * kMillisecond);
   shard.pipelines()[first]->set_target(1);
-  fleet.advance_to(21 * kMillisecond);
+  fleet.advance_to(41 * kMillisecond);
   EXPECT_EQ(shard.pool().spare_count(), 7u);
   EXPECT_EQ(shard.pipelines()[first]->width(), 0u);
   shard.pipelines()[second]->set_target(1);
-  fleet.advance_to(39 * kMillisecond);
+  fleet.advance_to(59 * kMillisecond);
   EXPECT_EQ(shard.pipelines()[first]->width(), 1u);
   const std::size_t w = shard.pipelines()[second]->width();
-  fleet.advance_to(45 * kMillisecond);
+  fleet.advance_to(65 * kMillisecond);
   EXPECT_EQ(shard.pipelines()[second]->width(), 1u);
   EXPECT_EQ(shard.stats().resizes, 2u);
   return w;
@@ -347,12 +349,12 @@ std::size_t width_before_next_tick(std::size_t first, std::size_t second) {
 
 TEST(ShardPolicyTick, DemandRaisedAheadOfTheWalkIsServedInTheSameTick) {
   // The walk re-reads the marks after each round, so slot 1, raised during
-  // slot 0's round, converges in the 20 ms tick.
+  // slot 0's round, converges in the 40 ms tick.
   EXPECT_EQ(width_before_next_tick(0, 1), 1u);
 }
 
 TEST(ShardPolicyTick, DemandRaisedBehindTheWalkWaitsForTheNextTick) {
-  // Slot 0, raised during slot 1's round, lies behind the walk: the 40 ms
+  // Slot 0, raised during slot 1's round, lies behind the walk: the 60 ms
   // tick serves it, as a walk over every slot would.
   EXPECT_EQ(width_before_next_tick(1, 0), 0u);
 }
