@@ -151,8 +151,8 @@ des::Process Shard::policy_loop() {
       if (fenced_ || crashed_) co_return;
     }
     // Demand the local pool cannot cover: ask the root to broker a trade.
-    // The cheap tests go first, so the walk over the pipelines runs only
-    // when a TRADE_REQ can follow.
+    // The cheap tests go first, so unmet_demand() runs only when a
+    // TRADE_REQ can follow.
     if (pool_.spare_count() != 0 || root_ep_ == ev::kInvalidEndpoint) {
       continue;
     }

@@ -1,8 +1,9 @@
 // Federation-layer tests: consistent-hash placement properties, quiet and
 // chaos-battered fleet soaks (shard crashes, partitions, message faults),
-// the pipeline owner filter, cross-shard trade recovery, the fleet metrics
-// snapshot, and the federation model checker (the IOC106 escrow-leak
-// replay, the terminal markers).
+// the order of a shard's policy walk, the pipeline owner filter,
+// cross-shard trade recovery, the fleet metrics snapshot, and the
+// federation model checker (the IOC106 escrow-leak replay, the terminal
+// markers).
 //
 // The chaos soaks follow the repo's determinism idiom: every run is a pure
 // function of (Options, fault schedule), so a soak runs twice per seed and
@@ -384,10 +385,10 @@ TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
   ioc::net::Cluster cluster{sim, 3};
   ioc::net::Network net{cluster};
   ioc::ev::Bus bus{net};
+  std::vector<std::uint64_t> marks(1);  // outlives the pipeline it marks
   ioc::fed::FedPipeline pipe(bus, /*node=*/1, "pipe-0", {});
   const ioc::ev::EndpointId a = bus.open(0, "test.a").id();
   const ioc::ev::EndpointId b = bus.open(2, "test.b").id();
-  std::vector<std::uint64_t> marks(1);
   pipe.set_owner(a, marks, 0);
   ioc::des::spawn(sim, increase_then_fail_over(bus, pipe, a, b, marks));
   sim.run_until(5 * kMillisecond);
