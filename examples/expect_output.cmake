@@ -20,8 +20,10 @@ if(DEFINED EXPECT)
   list(APPEND lines "${EXPECT}")
 endif()
 if(DEFINED EXPECT_FILE)
+  # file(STRINGS) escapes a ';' inside a line; appending the list quoted
+  # keeps the escapes, so such a line stays one element.
   file(STRINGS "${EXPECT_FILE}" file_lines)
-  list(APPEND lines ${file_lines})
+  list(APPEND lines "${file_lines}")
 endif()
 foreach(line IN LISTS lines)
   string(FIND "${out}" "${line}\n" at)
