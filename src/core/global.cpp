@@ -8,6 +8,18 @@
 
 namespace ioc::core {
 
+namespace {
+/// Time between policy evaluations.
+constexpr des::SimTime kPolicyInterval = 30 * des::kSecond;
+/// A donor must sit below this fraction of the SLA to be shrunk.
+constexpr double kDonorSlackFactor = 0.5;
+/// Upper bound on nodes moved per management action; convergence then
+/// happens over successive policy rounds (visible in Fig. 8).
+constexpr std::uint32_t kMaxGrantPerAction = 4;
+/// Latency samples per container in the monitoring hub's moving window.
+constexpr std::size_t kMonitoringWindow = 4;
+}  // namespace
+
 GlobalManager::GlobalManager(Container::Env env, const PipelineSpec& spec,
                              ResourcePool& pool,
                              std::vector<Container*> containers, Options opt)
@@ -16,7 +28,7 @@ GlobalManager::GlobalManager(Container::Env env, const PipelineSpec& spec,
       pool_(pool),
       containers_(std::move(containers)),
       opt_(opt),
-      hub_(opt.monitoring_window),
+      hub_(kMonitoringWindow),
       rounds_(*env_.bus, "gm", env_.trace) {
   // The GM lives on its own node; by convention the deployment reserves
   // node 1 for it.
@@ -77,7 +89,7 @@ des::Process GlobalManager::monitor_loop() {
 
 des::Process GlobalManager::policy_loop() {
   while (!stopping_) {
-    co_await des::delay(*env_.sim, opt_.policy_interval);
+    co_await des::delay(*env_.sim, kPolicyInterval);
     if (stopping_) break;
     const des::SimTime t0 = env_.sim->now();
     const std::size_t events_before = events_.size();
@@ -416,7 +428,7 @@ des::Task<bool> GlobalManager::try_feed(Container* c, std::string why) {
   const auto* needs = reply.as<NeedsPayload>();
   std::uint32_t want = needs != nullptr ? needs->extra_nodes : 0;
   if (want == 0) co_return false;  // latency is queue drain, not capacity
-  want = std::min(want, opt_.max_grant_per_action);
+  want = std::min(want, kMaxGrantPerAction);
 
   // Spare staging nodes first.
   const auto spare = static_cast<std::uint32_t>(pool_.spare_count());
@@ -430,7 +442,7 @@ des::Task<bool> GlobalManager::try_feed(Container* c, std::string why) {
 
   // Otherwise steal from the most over-provisioned donor.
   Container* donor = nullptr;
-  double donor_latency = spec_->latency_sla_s * opt_.donor_slack_factor;
+  double donor_latency = spec_->latency_sla_s * kDonorSlackFactor;
   for (Container* d : containers_) {
     if (!d->online() || d == c) continue;
     const auto lat = hub_.avg_latency(d->name());

@@ -24,13 +24,6 @@ namespace ioc::core {
 class GlobalManager {
  public:
   struct Options {
-    des::SimTime policy_interval = 30 * des::kSecond;
-    /// A donor must sit below this fraction of the SLA to be shrunk.
-    double donor_slack_factor = 0.5;
-    /// Upper bound on nodes moved per management action; convergence then
-    /// happens over successive policy rounds (visible in Fig. 8).
-    std::uint32_t max_grant_per_action = 4;
-    std::size_t monitoring_window = 4;
     /// Retry ladder for GM -> CM control rounds. The default timeout of 0
     /// waits forever — the pre-robustness behaviour, kept for runs on a
     /// fabric known lossless. With a deadline set, an unanswered round is

@@ -71,7 +71,16 @@ std::vector<net::NodeId> ResourcePool::grant_near(const std::string& owner,
 
 void ResourcePool::reclaim(const std::string& owner,
                            const std::vector<net::NodeId>& nodes) {
-  transfer(owner, "", nodes);
+  // Validate everything before mutating anything, so a bad call cannot leave
+  // a half-applied reclaim.
+  for (net::NodeId n : nodes) {
+    if (owner_of(n) != owner) {
+      throw std::invalid_argument("ResourcePool: node " + std::to_string(n) +
+                                  " not owned by '" + owner + "'");
+    }
+  }
+  for (net::NodeId n : nodes) owner_[n] = "";
+  if (!owner.empty()) spares_ += nodes.size();
 }
 
 std::vector<net::NodeId> ResourcePool::reclaim_all(const std::string& owner) {
@@ -110,7 +119,7 @@ std::pair<std::size_t, std::size_t> ResourcePool::reconcile(
 
 void ResourcePool::attach(const std::string& owner,
                           const std::vector<net::NodeId>& nodes) {
-  // Validate everything before mutating anything (as transfer() does).
+  // Validate everything before mutating anything (as reclaim() does).
   for (net::NodeId n : nodes) {
     if (owner_.count(n) > 0) {
       throw std::invalid_argument("ResourcePool: node " + std::to_string(n) +
@@ -156,24 +165,6 @@ std::size_t ResourcePool::escrowed() const {
   std::size_t n = 0;
   for (const auto& [txn, nodes] : escrow_) n += nodes.size();
   return n;
-}
-
-void ResourcePool::transfer(const std::string& from, const std::string& to,
-                            const std::vector<net::NodeId>& nodes) {
-  // Validate everything before mutating anything, so a bad call cannot leave
-  // a half-applied trade.
-  for (net::NodeId n : nodes) {
-    if (owner_of(n) != from) {
-      throw std::invalid_argument("ResourcePool: node " + std::to_string(n) +
-                                  " not owned by '" + from + "'");
-    }
-  }
-  for (net::NodeId n : nodes) owner_[n] = to;
-  if (from.empty() && !to.empty()) {
-    spares_ -= nodes.size();
-  } else if (!from.empty() && to.empty()) {
-    spares_ += nodes.size();
-  }
 }
 
 bool ResourcePool::conserved() const {

@@ -49,10 +49,6 @@ class ResourcePool {
   /// the fencing path, where the owner can no longer say what it owns.
   /// Returns the reclaimed nodes (possibly none).
   std::vector<net::NodeId> reclaim_all(const std::string& owner);
-  /// Move nodes directly between owners (a trade). Throws on ownership
-  /// mismatch.
-  void transfer(const std::string& from, const std::string& to,
-                const std::vector<net::NodeId>& nodes);
   /// Re-sync the ledger with `owner`'s ground truth (`actual`, the node
   /// list the container really holds): ledger entries for `owner` missing
   /// from `actual` return to the spare set, and spare nodes present in

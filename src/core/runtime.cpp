@@ -13,7 +13,7 @@ StagedPipeline::StagedPipeline(PipelineSpec spec, Options opt)
 
   // Node plan: 0 = simulation I/O proxy, 1 = global manager, 2.. = staging.
   cluster_ = std::make_unique<net::Cluster>(sim_, 2 + spec_.staging_nodes);
-  net_ = std::make_unique<net::Network>(*cluster_, opt_.network);
+  net_ = std::make_unique<net::Network>(*cluster_);
   batch_ = std::make_unique<net::BatchScheduler>(*cluster_,
                                                  util::Rng(opt_.seed));
   if (opt_.bus_factory) {
@@ -26,7 +26,6 @@ StagedPipeline::StagedPipeline(PipelineSpec spec, Options opt)
     injector_->set_trace(opt_.trace);
   }
   fs_ = std::make_unique<sio::Filesystem>(sim_);
-  cost_ = sp::CostModel(opt_.cost);
 
   std::vector<net::NodeId> staging;
   for (std::size_t i = 0; i < spec_.staging_nodes; ++i) {

@@ -40,9 +40,6 @@ class StagedPipeline {
     std::uint64_t stream_buffer_bytes = 16ull * 1024 * 1024 * 1024;
     /// Hard wall for the virtual clock, as a safety net.
     des::SimTime horizon = 4 * 3600 * des::kSecond;
-    sp::CostModelConfig cost;
-    /// Interconnect model (latency, bandwidth, topology term).
-    net::NetworkConfig network;
     /// When set, containers record per-timestep spans and the global
     /// manager records control-round/policy spans here (caller-owned; must
     /// outlive the pipeline). Export with trace::to_chrome_json or inspect
@@ -132,7 +129,9 @@ class StagedPipeline {
   std::unique_ptr<ev::BusIf> bus_;
   std::unique_ptr<fault::Injector> injector_;
   std::unique_ptr<sio::Filesystem> fs_;
-  sp::CostModel cost_;
+  /// The default Table-I calibration, the one lint's feasibility rules
+  /// (src/lint/feasibility.h) predict with.
+  const sp::CostModel cost_;
   Container::Env env_;
   std::unique_ptr<ResourcePool> pool_;
   std::unique_ptr<dt::Stream> source_stream_;

@@ -1,10 +1,8 @@
-// Awaitable FIFO channel between processes. Bounded or unbounded; closing a
-// queue lets pending puts fail and lets getters drain remaining items before
-// observing end-of-stream (std::nullopt). The DataTap transport and the
-// container service loops are built on this.
+// Awaitable unbounded FIFO between processes: the mailbox of every
+// ev::Endpoint. Closing a queue refuses later puts and lets getters drain
+// the items already buffered before observing end-of-stream (std::nullopt).
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <optional>
@@ -18,116 +16,58 @@ namespace ioc::des {
 template <class T>
 class Queue {
  public:
-  /// capacity == 0 means unbounded.
-  explicit Queue(Simulator& sim, std::size_t capacity = 0)
-      : sim_(&sim), capacity_(capacity) {}
+  explicit Queue(Simulator& sim) : sim_(&sim) {}
   Queue(const Queue&) = delete;
   Queue& operator=(const Queue&) = delete;
 
   std::size_t size() const { return items_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  bool bounded() const { return capacity_ > 0; }
-  bool closed() const { return closed_; }
-  bool full() const { return bounded() && items_.size() >= capacity_; }
 
-  /// Lifetime statistics, used for overflow detection and reporting.
-  std::size_t high_watermark() const { return high_watermark_; }
-  std::uint64_t total_put() const { return total_put_; }
-  std::uint64_t total_got() const { return total_got_; }
-
-  /// Non-blocking put; false if the queue is full or closed.
+  /// Non-blocking put; false if the queue is closed.
   bool try_put(T v) {
-    if (closed_ || full()) return false;
-    push(std::move(v));
-    pump();
+    if (closed_) return false;
+    if (getters_.empty()) {
+      items_.push_back(std::move(v));
+      return true;
+    }
+    // A getter waits only while the queue is empty, so the oldest one takes
+    // the item and resumes at this instant.
+    GetWaiter w = getters_.front();
+    getters_.pop_front();
+    w.aw->slot.emplace(std::move(v));
+    sim_->schedule_now(w.h);
     return true;
   }
 
   struct GetAwaiter {
     Queue* q;
     std::optional<T> slot;
-    bool ready_closed = false;
 
     bool await_ready() {
       if (!q->items_.empty()) {
         slot.emplace(std::move(q->items_.front()));
         q->items_.pop_front();
-        ++q->total_got_;
-        q->pump();  // space may admit a waiting putter
         return true;
       }
-      if (q->closed_) {
-        ready_closed = true;
-        return true;
-      }
-      return false;
+      return q->closed_;
     }
     void await_suspend(std::coroutine_handle<> h) {
       q->getters_.push_back({h, this});
     }
-    std::optional<T> await_resume() {
-      if (slot.has_value()) {
-        return std::move(slot);
-      }
-      return std::nullopt;  // closed and drained
-    }
+    /// The item, or std::nullopt once the queue is closed and drained.
+    std::optional<T> await_resume() { return std::move(slot); }
   };
 
   /// Await the next item; std::nullopt once the queue is closed and drained.
-  GetAwaiter get() { return GetAwaiter{this, std::nullopt, false}; }
+  GetAwaiter get() { return GetAwaiter{this, std::nullopt}; }
 
-  /// Non-blocking get.
-  std::optional<T> try_get() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    ++total_got_;
-    pump();
-    return v;
-  }
-
-  struct PutAwaiter {
-    Queue* q;
-    T item;
-    bool accepted = false;
-    bool consumed = false;  // item moved into the queue
-
-    bool await_ready() {
-      if (q->closed_) return true;  // accepted stays false
-      if (!q->full()) {
-        q->push(std::move(item));
-        consumed = true;
-        accepted = true;
-        q->pump();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      q->putters_.push_back({h, this});
-    }
-    bool await_resume() { return accepted; }
-  };
-
-  /// Await space and enqueue; resolves false if the queue was closed first.
-  PutAwaiter put(T v) { return PutAwaiter{this, std::move(v), false, false}; }
-
-  /// Close the queue: pending and future puts fail; getters drain what is
-  /// buffered and then observe std::nullopt.
+  /// Close the queue: future puts fail; getters drain what is buffered and
+  /// then observe std::nullopt.
   void close() {
     if (closed_) return;
     closed_ = true;
-    putters_.for_each(
-        [this](PutWaiter& w) { sim_->schedule_now(w.h); });  // accepted == false
-    putters_.clear();
-    // Wake getters only if nothing is left to deliver; otherwise they will
-    // drain buffered items first via pump() as usual.
-    pump();
-    if (items_.empty()) {
-      getters_.for_each(
-          [this](GetWaiter& w) { sim_->schedule_now(w.h); });  // -> nullopt
-      getters_.clear();
-    }
+    // Waiting getters imply an empty queue: each sees end-of-stream.
+    getters_.for_each([this](GetWaiter& w) { sim_->schedule_now(w.h); });
+    getters_.clear();
   }
 
  private:
@@ -135,61 +75,15 @@ class Queue {
     std::coroutine_handle<> h;
     GetAwaiter* aw;
   };
-  struct PutWaiter {
-    std::coroutine_handle<> h;
-    PutAwaiter* aw;
-  };
-
-  void push(T v) {
-    items_.push_back(std::move(v));
-    ++total_put_;
-    high_watermark_ = std::max(high_watermark_, items_.size());
-  }
-
-  /// Match buffered items with waiting getters and free space with waiting
-  /// putters until no more progress is possible.
-  void pump() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      while (!getters_.empty() && !items_.empty()) {
-        GetWaiter w = getters_.front();
-        getters_.pop_front();
-        w.aw->slot.emplace(std::move(items_.front()));
-        items_.pop_front();
-        ++total_got_;
-        sim_->schedule_now(w.h);
-        progress = true;
-      }
-      while (!putters_.empty() && !closed_ && !full()) {
-        PutWaiter w = putters_.front();
-        putters_.pop_front();
-        push(std::move(w.aw->item));
-        w.aw->consumed = true;
-        w.aw->accepted = true;
-        sim_->schedule_now(w.h);
-        progress = true;
-      }
-    }
-    if (closed_ && items_.empty() && !getters_.empty()) {
-      getters_.for_each([this](GetWaiter& w) { sim_->schedule_now(w.h); });
-      getters_.clear();
-    }
-  }
 
   // Ring buffers instead of std::deque: a deque allocates/frees ~512-byte
   // node blocks as messages flow through, which was measurable heap churn
   // per delivery; the rings hit their high-watermark size once and then
   // recycle in place (util/ring_deque.h).
   Simulator* sim_;
-  std::size_t capacity_;
   util::RingDeque<T> items_;
   util::RingDeque<GetWaiter> getters_;
-  util::RingDeque<PutWaiter> putters_;
   bool closed_ = false;
-  std::size_t high_watermark_ = 0;
-  std::uint64_t total_put_ = 0;
-  std::uint64_t total_got_ = 0;
 };
 
 }  // namespace ioc::des

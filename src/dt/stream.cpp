@@ -4,6 +4,11 @@
 
 namespace ioc::dt {
 
+namespace {
+/// Size of the metadata notification a reader receives before each pull.
+constexpr std::uint64_t kMetadataBytes = 256;
+}  // namespace
+
 std::uint64_t step_checksum(const StepData& s, std::size_t payload_len) {
   std::uint64_t h = util::fnv1a_value(s.step);
   h = util::fnv1a_value(s.bytes, h);
@@ -106,7 +111,7 @@ des::Task<std::optional<StepData>> Stream::read(net::NodeId reader_node,
   ++in_flight_;
 
   // Metadata notification, then the (optionally scheduled) bulk pull.
-  co_await net_->transfer(writer_node_, reader_node, cfg_.metadata_bytes);
+  co_await net_->transfer(writer_node_, reader_node, kMetadataBytes);
   if (cfg_.scheduled_pulls) co_await pull_slot_.acquire();
   co_await net_->transfer(writer_node_, reader_node, e.data.bytes);
   if (cfg_.scheduled_pulls) pull_slot_.release();

@@ -52,7 +52,6 @@ std::uint64_t step_checksum(const StepData& s, std::size_t payload_len = 0);
 struct StreamConfig {
   std::uint64_t buffer_capacity = 2ull * 1024 * 1024 * 1024;  ///< writer side
   bool scheduled_pulls = true;   ///< DataStager pull scheduling on/off
-  std::uint64_t metadata_bytes = 256;
 };
 
 class Stream {

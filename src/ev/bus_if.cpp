@@ -97,9 +97,4 @@ const TrafficStats& BusIf::stats(TrafficClass c) const {
   return stats_[static_cast<int>(c)];
 }
 
-void BusIf::reset_stats() {
-  for (auto& s : stats_) s = TrafficStats{};
-  dropped_ = 0;
-}
-
 }  // namespace ioc::ev

@@ -191,7 +191,6 @@ class BusIf {
   FaultHook* fault_hook() const { return fault_; }
 
   const TrafficStats& stats(TrafficClass c) const;
-  void reset_stats();
   std::uint64_t dropped() const { return dropped_; }
   /// Messages the fault hook silently dropped (not counted in dropped()).
   std::uint64_t injected_drops() const { return injected_drops_; }

@@ -27,9 +27,7 @@ Fleet::Fleet(Options opt)
     injector_ = std::make_unique<fault::Injector>(bus_, opt_.faults);
     if (opt_.trace != nullptr) injector_->set_trace(opt_.trace);
   }
-  Root::Options ropt = opt_.root;
-  ropt.trace = opt_.trace;
-  root_ = std::make_unique<Root>(bus_, /*node=*/0, ropt);
+  root_ = std::make_unique<Root>(bus_, /*node=*/0, opt_.trace);
 
   Shard::Options sopt = opt_.shard;
   sopt.trace = opt_.trace;
@@ -55,7 +53,7 @@ Fleet::Fleet(Options opt)
   for (std::size_t i = 0; i < opt_.pipelines; ++i) {
     auto p = std::make_unique<FedPipeline>(
         bus_, static_cast<net::NodeId>(1 + opt_.shards + i),
-        "pipe-" + std::to_string(i), opt_.pipe);
+        "pipe-" + std::to_string(i));
     p->set_fence_tick(&fence_ticks_);
     const std::string& owner = root_->owner_of(p->name());
     for (auto& s : shards_) {

@@ -54,8 +54,6 @@ class Fleet {
     bool faults_enabled = false;
     fault::FaultConfig faults;
     Shard::Options shard;
-    Root::Options root;
-    FedPipeline::Options pipe;
     trace::TraceSink* trace = nullptr;
   };
 

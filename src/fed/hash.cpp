@@ -2,6 +2,13 @@
 
 namespace ioc::fed {
 
+namespace {
+/// Points per shard. More points = smoother key distribution at O(points)
+/// memory per shard; 64 keeps the max/min owned-arc ratio low for
+/// single-digit shard counts.
+constexpr std::size_t kVnodes = 64;
+}  // namespace
+
 std::uint64_t stable_hash(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : s) {
@@ -20,8 +27,6 @@ std::uint64_t stable_hash(const std::string& s) {
   return h;
 }
 
-HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes == 0 ? 1 : vnodes) {}
-
 std::uint64_t HashRing::point(const std::string& shard,
                               std::size_t replica) const {
   return stable_hash(shard + "#" + std::to_string(replica));
@@ -30,7 +35,7 @@ std::uint64_t HashRing::point(const std::string& shard,
 void HashRing::add(const std::string& shard) {
   if (shards_.count(shard) > 0) return;
   shards_[shard] = true;
-  for (std::size_t i = 0; i < vnodes_; ++i) {
+  for (std::size_t i = 0; i < kVnodes; ++i) {
     // On a (astronomically unlikely) point collision the lexicographically
     // smaller shard name wins, so ownership never depends on add() order.
     auto [it, inserted] = ring_.emplace(point(shard, i), shard);
@@ -49,7 +54,7 @@ void HashRing::remove(const std::string& shard) {
   }
   // Re-add surviving shards' points a removed collision winner shadowed.
   for (const auto& [s, unused] : shards_) {
-    for (std::size_t i = 0; i < vnodes_; ++i) {
+    for (std::size_t i = 0; i < kVnodes; ++i) {
       ring_.emplace(point(s, i), s);
     }
   }

@@ -1,6 +1,6 @@
 // Consistent-hash ring assigning pipelines (and any other string key) to GM
-// shards. Each shard contributes `vnodes` points on a 64-bit ring; a key
-// belongs to the shard owning the first point at or after the key's hash.
+// shards. Each shard contributes 64 points on a 64-bit ring; a key belongs
+// to the shard owning the first point at or after the key's hash.
 // Properties the federation layer leans on, covered by tests/fed_test.cpp:
 //
 //  * deterministic: the hash is FNV-1a over the bytes, no pointer values,
@@ -22,11 +22,6 @@ std::uint64_t stable_hash(const std::string& s);
 
 class HashRing {
  public:
-  /// `vnodes`: points per shard. More points = smoother key distribution at
-  /// O(vnodes) memory per shard; 64 keeps the max/min owned-arc ratio low
-  /// for single-digit shard counts.
-  explicit HashRing(std::size_t vnodes = 64);
-
   void add(const std::string& shard);
   void remove(const std::string& shard);
   bool contains(const std::string& shard) const;
@@ -43,7 +38,6 @@ class HashRing {
  private:
   std::uint64_t point(const std::string& shard, std::size_t replica) const;
 
-  std::size_t vnodes_;
   std::map<std::uint64_t, std::string> ring_;  // point -> shard
   std::map<std::string, bool> shards_;
 };

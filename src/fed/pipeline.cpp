@@ -7,9 +7,13 @@
 
 namespace ioc::fed {
 
-FedPipeline::FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name,
-                         Options opt)
-    : bus_(&bus), name_(std::move(name)), opt_(opt) {
+namespace {
+/// Virtual cost of applying a resize (launching/retiring components).
+constexpr des::SimTime kApplyDelay = 2 * des::kMillisecond;
+}  // namespace
+
+FedPipeline::FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name)
+    : bus_(&bus), name_(std::move(name)) {
   ep_ = bus_->open(node, "fed.pipe." + name_).id();
   proc_ = spawn(bus_->sim(), service_loop());
 }
@@ -97,7 +101,7 @@ des::Process FedPipeline::service_loop() {
     if (!grow && msg->type_id != core::kMidDecrease) {
       continue;  // not part of the resize conversation
     }
-    co_await des::delay(sim, opt_.apply_delay);
+    co_await des::delay(sim, kApplyDelay);
     if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
     if (drop_if_stale(*msg)) continue;  // failed over mid-apply
     core::DonePayload done;
@@ -119,7 +123,7 @@ des::Process FedPipeline::service_loop() {
     ++resizes_applied_;
     done.report.action = grow ? "increase" : "decrease";
     done.report.container = name_;
-    done.report.total = opt_.apply_delay;
+    done.report.total = kApplyDelay;
     done.report.ok = true;
     ev::Message reply;
     reply.type_id = core::kMidDone;

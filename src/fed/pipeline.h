@@ -42,13 +42,7 @@ namespace ioc::fed {
 
 class FedPipeline {
  public:
-  struct Options {
-    /// Virtual cost of applying a resize (launching/retiring components).
-    des::SimTime apply_delay = 2 * des::kMillisecond;
-  };
-
-  FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name,
-              Options opt);
+  FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name);
   ~FedPipeline();
 
   const std::string& name() const { return name_; }
@@ -105,7 +99,6 @@ class FedPipeline {
   ev::EndpointId owner_ep_ = ev::kInvalidEndpoint;
   std::vector<std::uint64_t>* owner_marks_ = nullptr;  ///< null until placed
   std::size_t slot_ = 0;  ///< index into the owner's pipeline list
-  Options opt_;
   std::vector<net::NodeId> nodes_;
   std::size_t target_ = 0;
   bool fenced_ = false;

@@ -22,14 +22,17 @@ using txn::kRecipientBase;
 bool is_round_error(const ev::Message& r) {
   return core::round_end(r) != core::RoundEnd::kReply;
 }
+
+/// Time between heartbeat sweeps.
+constexpr des::SimTime kSweepInterval = 20 * des::kMillisecond;
+/// A shard silent for this long is fenced and failed over.
+constexpr des::SimTime kHeartbeatTimeout = 100 * des::kMillisecond;
+/// Time between trade-loop passes, each serving at most one trade request.
+constexpr des::SimTime kTradeInterval = 10 * des::kMillisecond;
 }  // namespace
 
-Root::Root(ev::BusIf& bus, net::NodeId node, Options opt)
-    : bus_(&bus),
-      node_(node),
-      opt_(opt),
-      ring_(opt.ring_vnodes),
-      rounds_(bus, "root", opt_.trace) {
+Root::Root(ev::BusIf& bus, net::NodeId node, trace::TraceSink* trace)
+    : bus_(&bus), node_(node), trace_(trace), rounds_(bus, "root", trace) {
   ctl_ep_ = bus_->open(node_, "fed.root.ctl").id();
   trade_ep_ = bus_->open(node_, "fed.root.trade").id();
 }
@@ -37,9 +40,9 @@ Root::Root(ev::BusIf& bus, net::NodeId node, Options opt)
 Root::~Root() { shutdown(); }
 
 void Root::add_shard(Shard* s) {
+  s->set_root(ctl_ep_, static_cast<std::uint32_t>(shards_.size()));
   shards_.push_back({s, bus_->sim().now(), 0});
   ring_.add(s->manager_id());
-  s->set_root(ctl_ep_);
 }
 
 void Root::start() {
@@ -75,12 +78,11 @@ des::Process Root::service_loop() {
     if (!msg.has_value()) break;
     if (msg->type_id == core::kMidHeartbeat) {
       if (const auto* hb = msg->as<HeartbeatWire>()) {
-        for (ShardEntry& e : shards_) {
-          if (e.shard->manager_name() != hb->shard) continue;
-          e.last_hb = bus_->sim().now();
-          e.spares = hb->spares;
-          break;
-        }
+        IOC_CHECK(hb->slot < shards_.size())
+            << "heartbeat from unregistered slot " << hb->slot;
+        ShardEntry& e = shards_[hb->slot];
+        e.last_hb = bus_->sim().now();
+        e.spares = hb->spares;
       }
     } else if (msg->type_id == kMidTradeReq) {
       if (const auto* req = msg->as<TradeRequestWire>()) {
@@ -94,12 +96,12 @@ des::Process Root::service_loop() {
 des::Process Root::sweep_loop() {
   auto& sim = bus_->sim();
   while (!stopped_) {
-    co_await des::delay(sim, opt_.sweep_interval);
+    co_await des::delay(sim, kSweepInterval);
     if (stopped_) break;
     for (const ShardEntry& e : shards_) {
       if (e.shard->fenced()) continue;
       const des::SimTime silent = sim.now() - e.last_hb;
-      if (silent > opt_.heartbeat_timeout) failover(e.shard);
+      if (silent > kHeartbeatTimeout) failover(e.shard);
     }
   }
 }
@@ -176,7 +178,7 @@ Shard* Root::live_heir(const std::string& dead_id) {
 des::Process Root::trade_loop() {
   auto& sim = bus_->sim();
   while (!stopped_) {
-    co_await des::delay(sim, opt_.trade_interval);
+    co_await des::delay(sim, kTradeInterval);
     if (stopped_) break;
     if (bus_->find(trade_ep_) == nullptr) break;
     // One trade at a time, strictly serialized: transaction ids (and with
@@ -224,7 +226,7 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
     m.token = txn::d2t_token(txn, phase);
     m.payload = w;
     return rounds_.run_round(tid, trade_ep_, member->trade_endpoint(),
-                             std::move(m), opt_.round);
+                             std::move(m), kRoundLadder);
   };
 
   TradeWire wire{txn, donor->manager_id(), recipient->manager_id(), count,
@@ -315,8 +317,8 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
   } else {
     ++stats_.trades_aborted;
   }
-  if (trace::active(opt_.trace)) {
-    opt_.trace->span("trade", "fed", tid, txn, bus_->sim().now(),
+  if (trace::active(trace_)) {
+    trace_->span("trade", "fed", tid, txn, bus_->sim().now(),
                      bus_->sim().now(),
                      {{"nodes", static_cast<double>(nodes.size())},
                       {"commit", commit ? 1.0 : 0.0}});

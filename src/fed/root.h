@@ -5,9 +5,9 @@
 //    fenced (STONITH: its endpoints close, it may never act again) and its
 //    pipelines fail over to the consistent-hash survivors, ledgers repaired
 //    via ResourcePool::reconcile across the shard boundary. A beat carries
-//    the shard's id and spare count, nothing else, and lands in that
-//    shard's own entry of the root's shard list, so neither side's per-beat
-//    work grows with pipelines per shard;
+//    the shard's slot in the root's shard list and its spare count, nothing
+//    else, and lands in that slot's entry, so neither side's per-beat work
+//    grows with pipelines or shards;
 //  * brokering cross-shard trades: a shard whose pool ran dry posts a
 //    TRADE_REQ; the root picks the donor with the most reported spares and
 //    drives a D2T-style begin/vote/decide exchange against both shards. The
@@ -40,18 +40,6 @@ namespace ioc::fed {
 
 class Root {
  public:
-  struct Options {
-    des::SimTime sweep_interval = 20 * des::kMillisecond;
-    /// A shard silent for this long is fenced and failed over.
-    des::SimTime heartbeat_timeout = 100 * des::kMillisecond;
-    des::SimTime trade_interval = 10 * des::kMillisecond;
-    /// Retry ladder for root -> shard trade rounds.
-    ev::RoundOptions round{10 * des::kMillisecond, 3,
-                           5 * des::kMillisecond, 40 * des::kMillisecond};
-    std::size_t ring_vnodes = 64;
-    trace::TraceSink* trace = nullptr;
-  };
-
   struct Stats {
     std::uint64_t failovers = 0;
     std::uint64_t pipelines_reassigned = 0;
@@ -61,11 +49,13 @@ class Root {
     std::uint64_t trades_denied = 0;
   };
 
-  Root(ev::BusIf& bus, net::NodeId node, Options opt);
+  /// `trace`, if set, records the root's trade spans (caller-owned).
+  Root(ev::BusIf& bus, net::NodeId node, trace::TraceSink* trace);
   ~Root();
 
   /// Register a shard (before start). Adds it to the consistent-hash ring
-  /// and points it at the root's control endpoint.
+  /// and points it at the root's control endpoint and at its slot in the
+  /// shard list; the list never shrinks, so the slot is stable.
   void add_shard(Shard* s);
   /// The shard that should own `pipeline` under the current (live) ring.
   const std::string& owner_of(const std::string& pipeline) const {
@@ -109,11 +99,11 @@ class Root {
 
   ev::BusIf* bus_;
   net::NodeId node_;
-  Options opt_;
+  trace::TraceSink* trace_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   /// A registered shard and what its heartbeats last told the root. A beat
-  /// finds its entry by a scan of the shards' interned ids.
+  /// finds its entry by the slot it carries.
   struct ShardEntry {
     Shard* shard = nullptr;
     des::SimTime last_hb = 0;

@@ -9,6 +9,11 @@
 
 namespace ioc::fed {
 
+namespace {
+/// Time between policy ticks, each visiting the marked pipelines.
+constexpr des::SimTime kPolicyInterval = 20 * des::kMillisecond;
+}  // namespace
+
 Shard::Shard(ev::BusIf& bus, std::string id, net::NodeId node,
              const std::vector<net::NodeId>& staging, Options opt)
     : bus_(&bus),
@@ -17,7 +22,6 @@ Shard::Shard(ev::BusIf& bus, std::string id, net::NodeId node,
       pool_(staging),
       opt_(opt),
       rounds_(bus, "shard " + id_, opt_.trace) {
-  id_name_ = util::intern(id_);
   ctl_ep_ = bus_->open(node_, "fed.shard." + id_ + ".ctl").id();
   trade_ep_ = bus_->open(node_, "fed.shard." + id_ + ".trade").id();
 }
@@ -125,7 +129,7 @@ std::size_t Shard::unmet_demand() const {
 des::Process Shard::policy_loop() {
   auto& sim = bus_->sim();
   while (!fenced_ && !crashed_) {
-    co_await des::delay(sim, opt_.policy_interval);
+    co_await des::delay(sim, kPolicyInterval);
     if (fenced_ || crashed_) break;
     if (bus_->find(ctl_ep_) == nullptr) {
       crashed_ = true;
@@ -180,7 +184,7 @@ des::Process Shard::heartbeat_loop() {
     m.type_id = core::kMidHeartbeat;
     m.size_bytes = 64;
     // One heartbeat per shard per beat, whatever its pipeline count.
-    m.payload = HeartbeatWire{id_name_,
+    m.payload = HeartbeatWire{root_slot_,
                               static_cast<std::uint32_t>(pool_.spare_count())};
     co_await bus_->post(ctl_ep_, root_ep_, std::move(m),
                         ev::TrafficClass::kMonitoring);
@@ -201,7 +205,7 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
   }
   rounds_.open(p->name(), m);
   ev::Message reply = co_await rounds_.run_round(
-      p->name(), ctl_ep_, p->endpoint(), std::move(m), opt_.round);
+      p->name(), ctl_ep_, p->endpoint(), std::move(m), kRoundLadder);
   if (fenced_) co_return;  // the root fenced us mid-round: hands off
   const core::RoundEnd end = core::round_end(reply);
   if (end == core::RoundEnd::kSelfDied) {

@@ -57,14 +57,15 @@
 
 namespace ioc::fed {
 
+/// Retry ladder of the federation's control rounds: a shard's resize rounds
+/// against its pipelines and the root's trade rounds against the shards.
+inline constexpr ev::RoundOptions kRoundLadder{
+    10 * des::kMillisecond, 3, 5 * des::kMillisecond, 40 * des::kMillisecond};
+
 class Shard {
  public:
   struct Options {
-    des::SimTime policy_interval = 20 * des::kMillisecond;
     des::SimTime heartbeat_interval = 25 * des::kMillisecond;
-    /// Retry ladder for shard -> pipeline resize rounds.
-    ev::RoundOptions round{10 * des::kMillisecond, 3,
-                           5 * des::kMillisecond, 40 * des::kMillisecond};
     trace::TraceSink* trace = nullptr;
   };
 
@@ -86,10 +87,6 @@ class Shard {
 
   /// Stable identity in the fleet; consistent hashing keys on it.
   const std::string& manager_id() const { return id_; }
-  /// Interned form of manager_id(), cached at construction. Heartbeats
-  /// carry it, and the root matches each beat to its shard by it;
-  /// re-interning the string per beat showed up in the fleet bench.
-  util::NameId manager_name() const { return id_name_; }
   core::ResourcePool& pool() { return pool_; }
   /// True once the shard crashed or was fenced by the root.
   bool failed() const { return fenced_ || crashed_; }
@@ -102,7 +99,12 @@ class Shard {
   net::NodeId node() const { return node_; }
   ev::EndpointId ctl_endpoint() const { return ctl_ep_; }
   ev::EndpointId trade_endpoint() const { return trade_ep_; }
-  void set_root(ev::EndpointId root) { root_ep_ = root; }
+  /// Point the shard at the root's control endpoint; `slot` is the shard's
+  /// index in the root's shard list, which each heartbeat carries.
+  void set_root(ev::EndpointId root, std::uint32_t slot) {
+    root_ep_ = root;
+    root_slot_ = slot;
+  }
 
   /// Initial placement: take ownership of `p` (no ledger movement — the
   /// pipeline starts at width 0 and converges through the protocol).
@@ -162,13 +164,13 @@ class Shard {
 
   ev::BusIf* bus_;
   std::string id_;
-  util::NameId id_name_ = util::kEmptyName;  ///< interned id_, for heartbeats
   net::NodeId node_;
   core::ResourcePool pool_;
   Options opt_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId root_ep_ = ev::kInvalidEndpoint;
+  std::uint32_t root_slot_ = 0;
   std::vector<FedPipeline*> pipelines_;
   /// Resize marks, bit i % 64 of word i / 64 for slot i (see the top).
   std::vector<std::uint64_t> marks_;

@@ -10,7 +10,6 @@
 
 #include "ev/intern.h"
 #include "net/cluster.h"
-#include "util/intern.h"
 
 namespace ioc::fed {
 
@@ -22,7 +21,7 @@ namespace ioc::fed {
 /// of a beat stay independent of pipelines per shard (16 shards x 2048
 /// pipelines = 16 heartbeats per round).
 struct HeartbeatWire {
-  util::NameId shard = util::kEmptyName;  ///< interned shard id (util/intern.h)
+  std::uint32_t slot = 0;    ///< the shard's index in the root's shard list
   std::uint32_t spares = 0;  ///< spare staging nodes in the shard's pool
 };
 

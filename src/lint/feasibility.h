@@ -4,9 +4,10 @@
 // "is this pipeline schedulable at all?" where the IOC0xx rules answer "is
 // this spec well-formed?".
 //
-// All four use the default-calibrated sp::CostModel (the one the DES runs
-// with unless overridden) and the Table-II workload for spec.sim_nodes, so
-// a diagnostic here predicts what the simulator would go on to demonstrate.
+// All four use the default-calibrated sp::CostModel, the only calibration
+// core::StagedPipeline runs the DES with, and the Table-II workload for
+// spec.sim_nodes, so a diagnostic here predicts what the simulator would go
+// on to demonstrate.
 #pragma once
 
 #include "lint/rules.h"

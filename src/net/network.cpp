@@ -16,10 +16,4 @@ des::Task<void> Network::transfer(NodeId src, NodeId dst,
   while (!x.done()) co_await x;
 }
 
-void Network::reset_stats() {
-  transfer_count_ = 0;
-  bytes_moved_ = 0;
-  contention_.reset();
-}
-
 }  // namespace ioc::net

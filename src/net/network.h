@@ -57,7 +57,6 @@ class Network {
   /// Time transfers spent waiting for a NIC, in seconds; the contention the
   /// pull scheduler is meant to suppress.
   const util::OnlineStats& contention_wait() const { return contention_; }
-  void reset_stats();
 
  private:
   friend class Transfer;

@@ -34,6 +34,11 @@ TEST(ResourcePool, GrantReclaimConservation) {
   EXPECT_EQ(pool.owned_by("bonds"), 2u);
   EXPECT_EQ(pool.spare_count(), 3u);
   EXPECT_TRUE(pool.conserved());
+  // a[0] is spare now: the call fails as a whole and a[1] stays with bonds.
+  EXPECT_THROW(pool.reclaim("bonds", {a[1], a[0]}), std::invalid_argument);
+  EXPECT_EQ(pool.owner_of(a[1]), "bonds");
+  EXPECT_EQ(pool.spare_count(), 3u);
+  EXPECT_THROW(pool.owner_of(99), std::invalid_argument);
 }
 
 TEST(ResourcePool, GrantReturnsFewerWhenShort) {
@@ -41,17 +46,6 @@ TEST(ResourcePool, GrantReturnsFewerWhenShort) {
   auto a = pool.grant("x", 5);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_TRUE(pool.grant("y", 1).empty());
-}
-
-TEST(ResourcePool, TransferValidatesOwnership) {
-  ResourcePool pool({1, 2, 3});
-  auto a = pool.grant("x", 2);
-  EXPECT_THROW(pool.transfer("y", "z", {a[0]}), std::invalid_argument);
-  // Failed validation must not move anything.
-  EXPECT_EQ(pool.owner_of(a[0]), "x");
-  pool.transfer("x", "z", {a[0]});
-  EXPECT_EQ(pool.owner_of(a[0]), "z");
-  EXPECT_THROW(pool.owner_of(99), std::invalid_argument);
 }
 
 TEST(ReplyCache, KeepsNewestMutatingRepliesOnly) {

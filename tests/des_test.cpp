@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -214,7 +216,7 @@ TEST(Task, ExceptionPropagates) {
 Process producer(Simulator& sim, Queue<int>& q, int n) {
   for (int i = 0; i < n; ++i) {
     co_await delay(sim, 10);
-    co_await q.put(i);
+    q.try_put(i);
   }
   q.close();
 }
@@ -233,74 +235,35 @@ TEST(Queue, ProducerConsumerFifoAndClose) {
   spawn(sim, consumer(q, &got));
   sim.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(q.total_put(), 5u);
-  EXPECT_EQ(q.total_got(), 5u);
+  EXPECT_EQ(q.size(), 0u);
 }
 
-Process fast_producer(Queue<int>& q, int n, std::vector<SimTime>* put_times,
-                      Simulator& sim) {
-  for (int i = 0; i < n; ++i) {
-    co_await q.put(i);
-    put_times->push_back(sim.now());
-  }
-  q.close();
+struct Delivery {
+  int getter;
+  int item;
+  SimTime at;
+  bool operator==(const Delivery&) const = default;
+};
+
+Process ranked_getter(Simulator& sim, Queue<int>& q, int id,
+                      std::vector<Delivery>* out) {
+  auto v = co_await q.get();
+  out->push_back({id, v.value_or(-1), sim.now()});
 }
 
-Process slow_consumer(Simulator& sim, Queue<int>& q, std::vector<int>* out) {
-  while (auto v = co_await q.get()) {
-    out->push_back(*v);
-    co_await delay(sim, 100);
-  }
-}
-
-TEST(Queue, BoundedPutBlocksUntilSpace) {
+TEST(Queue, TryPutWakesTheOldestWaitingGetterFirst) {
   Simulator sim;
-  Queue<int> q(sim, 2);
-  std::vector<int> got;
-  std::vector<SimTime> put_times;
-  spawn(sim, fast_producer(q, 5, &put_times, sim));
-  spawn(sim, slow_consumer(sim, q, &got));
+  Queue<int> q(sim);
+  std::vector<Delivery> got;
+  for (int id = 0; id < 3; ++id) spawn(sim, ranked_getter(sim, q, id, &got));
+  sim.run_until(5);  // all three suspend on the empty queue, in spawn order
+  ASSERT_TRUE(got.empty());
+  EXPECT_TRUE(q.try_put(10));
+  EXPECT_TRUE(q.try_put(20));
+  EXPECT_TRUE(q.try_put(30));
+  EXPECT_EQ(q.size(), 0u);  // each item went straight to a waiting getter
   sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  // Two puts fill the buffer and a third is admitted when the consumer takes
-  // item 0 at t=0; the fourth must wait a full consumer service period.
-  EXPECT_EQ(put_times[0], 0);
-  EXPECT_EQ(put_times[1], 0);
-  EXPECT_EQ(put_times[2], 0);
-  EXPECT_GT(put_times[3], 0);
-  EXPECT_EQ(q.high_watermark(), 2u);
-}
-
-TEST(Queue, TryPutRespectsCapacityAndClose) {
-  Simulator sim;
-  Queue<int> q(sim, 1);
-  EXPECT_TRUE(q.try_put(1));
-  EXPECT_FALSE(q.try_put(2));  // full
-  q.close();
-  EXPECT_FALSE(q.try_put(3));  // closed
-  // Items remain drainable after close.
-  auto v = q.try_get();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
-}
-
-Process blocked_putter(Queue<int>& q, bool* accepted, bool* finished) {
-  *accepted = co_await q.put(99);
-  *finished = true;
-}
-
-TEST(Queue, CloseFailsPendingPut) {
-  Simulator sim;
-  Queue<int> q(sim, 1);
-  ASSERT_TRUE(q.try_put(1));
-  bool accepted = true, finished = false;
-  spawn(sim, blocked_putter(q, &accepted, &finished));
-  sim.run();
-  EXPECT_FALSE(finished);  // still blocked
-  q.close();
-  sim.run();
-  EXPECT_TRUE(finished);
-  EXPECT_FALSE(accepted);
+  EXPECT_EQ(got, (std::vector<Delivery>{{0, 10, 5}, {1, 20, 5}, {2, 30, 5}}));
 }
 
 Process getter_records(Queue<int>& q, std::vector<std::optional<int>>* out) {
@@ -323,9 +286,11 @@ TEST(Queue, CloseWakesPendingGettersWithNullopt) {
 TEST(Queue, DrainsBufferedItemsAfterClose) {
   Simulator sim;
   Queue<int> q(sim);
-  q.try_put(7);
-  q.try_put(8);
+  EXPECT_TRUE(q.try_put(7));
+  EXPECT_TRUE(q.try_put(8));
   q.close();
+  EXPECT_FALSE(q.try_put(9));  // refused once closed
+  EXPECT_EQ(q.size(), 2u);
   std::vector<int> got;
   spawn(sim, consumer(q, &got));
   sim.run();
@@ -382,9 +347,9 @@ TEST(Event, WaitOnSetEventIsImmediate) {
 }
 
 // Property-style sweep: with a producer at period P and consumer service
-// time S, the queue's high watermark is bounded when S <= P and grows with
-// the number of items when S > P (the basic staging backlog relation the
-// container policies act on).
+// time S, the queue's high watermark (the largest size() after a put) is
+// bounded when S <= P and grows with the number of items when S > P (the
+// basic staging backlog relation the container policies act on).
 struct BacklogParam {
   SimTime period;
   SimTime service;
@@ -402,10 +367,12 @@ void PrintTo(const BacklogParam& p, std::ostream* os) {
 
 class QueueBacklog : public ::testing::TestWithParam<BacklogParam> {};
 
-Process paced_producer(Simulator& sim, Queue<int>& q, int n, SimTime period) {
+Process paced_producer(Simulator& sim, Queue<int>& q, int n, SimTime period,
+                       std::size_t* high_watermark) {
   for (int i = 0; i < n; ++i) {
     co_await delay(sim, period);
-    co_await q.put(i);
+    q.try_put(i);
+    *high_watermark = std::max(*high_watermark, q.size());
   }
   q.close();
 }
@@ -423,17 +390,18 @@ TEST_P(QueueBacklog, HighWatermarkMatchesLittleLaw) {
   Simulator sim;
   Queue<int> q(sim);
   int consumed = 0;
-  spawn(sim, paced_producer(sim, q, p.items, p.period));
+  std::size_t high_watermark = 0;
+  spawn(sim, paced_producer(sim, q, p.items, p.period, &high_watermark));
   spawn(sim, servicing_consumer(sim, q, p.service, &consumed));
   sim.run();
   EXPECT_EQ(consumed, p.items);
   if (p.service <= p.period) {
-    EXPECT_LE(q.high_watermark(), 1u);
+    EXPECT_LE(high_watermark, 1u);
   } else {
     // Sustained overload: backlog grows roughly as items * (1 - P/S).
     const double expect =
         p.items * (1.0 - static_cast<double>(p.period) / p.service);
-    EXPECT_GE(q.high_watermark() + 2.0, expect * 0.8);
+    EXPECT_GE(high_watermark + 2.0, expect * 0.8);
   }
 }
 
@@ -449,7 +417,7 @@ Process noisy(Simulator& sim, Queue<int>& q, int id,
   for (int i = 0; i < 10; ++i) {
     co_await delay(sim, (id + 1) * 7);
     trace->push_back(id * 100 + i);
-    co_await q.put(id);
+    q.try_put(id);
   }
 }
 

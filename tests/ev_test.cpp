@@ -211,8 +211,6 @@ TEST(Bus, TrafficLedgerSeparatesClasses) {
   EXPECT_EQ(f.bus.stats(TrafficClass::kMetadata).messages, 1u);
   EXPECT_EQ(f.bus.stats(TrafficClass::kMetadata).bytes, 100u);
   EXPECT_EQ(f.bus.stats(TrafficClass::kMonitoring).messages, 0u);
-  f.bus.reset_stats();
-  EXPECT_EQ(f.bus.stats(TrafficClass::kControl).messages, 0u);
 }
 
 TEST(Bus, FindByName) {

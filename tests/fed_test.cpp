@@ -83,8 +83,8 @@ std::uint64_t control_trace_fold(Fleet& fleet) {
   return fold_trace(fleet.root().control_trace(), h);
 }
 
-HashRing ring_of(std::size_t shards, std::size_t vnodes = 64) {
-  HashRing ring(vnodes);
+HashRing ring_of(std::size_t shards) {
+  HashRing ring;
   for (std::size_t i = 0; i < shards; ++i) ring.add("s" + std::to_string(i));
   return ring;
 }
@@ -164,7 +164,7 @@ TEST(HashRing, SuccessorIsADistinctLiveShard) {
     EXPECT_NE(heir, id);
     EXPECT_TRUE(ring.contains(heir));
   }
-  HashRing lone(16);
+  HashRing lone;
   lone.add("only");
   EXPECT_TRUE(lone.successor("only").empty());
 }
@@ -386,7 +386,7 @@ TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
   ioc::net::Network net{cluster};
   ioc::ev::Bus bus{net};
   std::vector<std::uint64_t> marks(1);  // outlives the pipeline it marks
-  ioc::fed::FedPipeline pipe(bus, /*node=*/1, "pipe-0", {});
+  ioc::fed::FedPipeline pipe(bus, /*node=*/1, "pipe-0");
   const ioc::ev::EndpointId a = bus.open(0, "test.a").id();
   const ioc::ev::EndpointId b = bus.open(2, "test.b").id();
   pipe.set_owner(a, marks, 0);
@@ -417,7 +417,7 @@ struct TradeRig {
   ioc::net::Cluster cluster{sim, 5};
   ioc::net::Network net{cluster};
   ioc::ev::Bus bus{net};
-  ioc::fed::Root root{bus, /*node=*/0, {}};
+  ioc::fed::Root root{bus, /*node=*/0, /*trace=*/nullptr};
   std::vector<std::unique_ptr<ioc::fed::Shard>> shards;
   bool fired = false;
 

@@ -163,18 +163,6 @@ TEST(Network, WireTimeMath) {
   EXPECT_EQ(f.net.wire_time(0), f.net.config().message_overhead);
 }
 
-TEST(Network, StatsResetClears) {
-  NetFixture f;
-  SimTime done = -1;
-  spawn(f.sim, do_transfer(f.net, 0, 1, 1000, &done, f.sim));
-  f.sim.run();
-  EXPECT_EQ(f.net.transfer_count(), 1u);
-  f.net.reset_stats();
-  EXPECT_EQ(f.net.transfer_count(), 0u);
-  EXPECT_EQ(f.net.bytes_moved(), 0u);
-  EXPECT_EQ(f.net.contention_wait().count(), 0u);
-}
-
 TEST(BatchScheduler, ReleaseUnallocatedAsserts) {
   NetFixture f;
   BatchScheduler bs(f.cluster);
