@@ -21,8 +21,6 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-void OnlineStats::reset() { *this = OnlineStats(); }
-
 void WindowedMean::add(double x) {
   buf_.push_back(x);
   sum_ += x;

@@ -20,7 +20,6 @@ class OnlineStats {
   double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
-  void reset();
 
  private:
   std::size_t n_ = 0;
