@@ -319,9 +319,9 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
   }
   if (trace::active(trace_)) {
     trace_->span("trade", "fed", tid, txn, bus_->sim().now(),
-                     bus_->sim().now(),
-                     {{"nodes", static_cast<double>(nodes.size())},
-                      {"commit", commit ? 1.0 : 0.0}});
+                 bus_->sim().now(),
+                 {{"nodes", static_cast<double>(nodes.size())},
+                  {"commit", commit ? 1.0 : 0.0}});
   }
 }
 
