@@ -4,11 +4,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <utility>
 #include <vector>
 
 #include "md/lattice.h"
 #include "md/sim.h"
+#include "par/thread_pool.h"
 #include "sp/adjacency.h"
 #include "sp/bonds.h"
 #include "sp/cna.h"
@@ -326,10 +328,35 @@ md::AtomData distorted_crystal() {
   return atoms;
 }
 
+/// A notched crystal thermalised for `steps` MD steps, strained along x at
+/// `strain_rate` as examples/crack_pipeline strains it (0: unstrained).
+md::MdSim notched_thermal_crystal(std::size_t nx, std::size_t ny,
+                                  std::size_t nz, double strain_rate = 0.0,
+                                  int steps = 30) {
+  md::MdConfig cfg;
+  cfg.target_temperature = 0.05;
+  cfg.strain_rate = strain_rate;
+  md::MdSim sim(md::make_fcc(nx, ny, nz, kA), cfg, 11);
+  sim.carve_notch(0.0, 0.4 * sim.atoms().box.hi.x, 1.0);
+  sim.initialize_velocities();
+  sim.run(steps);
+  return sim;
+}
+
+/// 1,225 atoms: enough for two grain-limited chunks, with notch faces
+/// (atoms CSym's inner rows leave to the cutoff rows) in both.
+md::MdSim threaded_crystal() {
+  auto sim = notched_thermal_crystal(8, 8, 5);
+  EXPECT_GE(sim.atoms().size(), 2 * par::kDefaultGrain);
+  return sim;
+}
+
 TEST(Bonds, ThreadedMatchesSerial) {
-  auto atoms = distorted_crystal();
+  const auto sim = threaded_crystal();
+  const md::AtomData& atoms = sim.atoms();
   const Adjacency serial = BondAnalysis{}.compute(atoms);
   for (unsigned threads : {2u, 4u, 8u}) {
+    ASSERT_GE(par::grain_limited_threads(threads, atoms.size()), 2u);
     BondsConfig cfg;
     cfg.threads = threads;
     EXPECT_EQ(BondAnalysis(cfg).compute(atoms), serial)
@@ -338,23 +365,30 @@ TEST(Bonds, ThreadedMatchesSerial) {
 }
 
 TEST(Csym, ThreadedBitIdentical) {
-  auto atoms = distorted_crystal();
+  const auto sim = threaded_crystal();
+  const md::AtomData& atoms = sim.atoms();
   const auto serial = CentralSymmetry{}.compute(atoms);
   CsymConfig cfg;
   cfg.threads = 4;
+  ASSERT_GE(par::grain_limited_threads(cfg.threads, atoms.size()), 2u);
   const auto par = CentralSymmetry(cfg).compute(atoms);
   ASSERT_EQ(par.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(par[i], serial[i]) << "atom " << i;  // per-atom independent
+    // Per-atom independent, so bit for bit.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(par[i]),
+              std::bit_cast<std::uint64_t>(serial[i]))
+        << "atom " << i;
   }
 }
 
 TEST(Cna, ThreadedMatchesSerial) {
-  auto atoms = distorted_crystal();
+  const auto sim = threaded_crystal();
+  const md::AtomData& atoms = sim.atoms();
   const auto serial = CommonNeighborAnalysis({0.854 * kA}).classify(atoms);
   CnaConfig cfg;
   cfg.cutoff = 0.854 * kA;
   cfg.threads = 4;
+  ASSERT_GE(par::grain_limited_threads(cfg.threads, atoms.size()), 2u);
   const auto par = CommonNeighborAnalysis(cfg).classify(atoms);
   EXPECT_EQ(par.labels, serial.labels);
 }
@@ -491,14 +525,19 @@ void expect_csym_matches_reference(const md::AtomData& atoms) {
   }
 }
 
-TEST(Csym, MatchesReferenceOnSlabWithTiesAtTheTwelfth) {
-  // a = 1.5 puts every coordinate on a multiple of 0.75, so distances are
-  // exact: surface atoms have 8 first-shell and 5 second-shell (r = a < 1.6)
-  // neighbours, and the 12th nearest is an exact five-way tie.
-  auto atoms = md::make_fcc(4, 4, 4, 1.5);
-  atoms.box.hi.z += 4.0;  // free surfaces at z = 0 and z = 4.5
+/// Radius of the sphere that holds num_neighbors atoms at the frame's mean
+/// density: where CSym's inner rows end, unless it exceeds the cutoff.
+double inner_shell_radius(const md::AtomData& atoms, const CsymConfig& cfg) {
+  const double rho = static_cast<double>(atoms.size()) / atoms.box.volume();
+  return std::cbrt(3.0 * cfg.num_neighbors / (4.0 * std::numbers::pi * rho));
+}
+
+/// Atoms whose 12th and 13th nearest neighbours within the cutoff lie at
+/// exactly the same distance.
+std::size_t ties_at_the_twelfth(const md::AtomData& atoms) {
   std::size_t straddled = 0;
-  const Adjacency adj = BondAnalysis({1.6}).compute_naive(atoms);
+  const Adjacency adj =
+      BondAnalysis({CsymConfig{}.cutoff}).compute_naive(atoms);
   for (std::size_t i = 0; i < atoms.size(); ++i) {
     std::vector<double> r2;
     for (std::uint32_t j : adj.neighbors_of(i)) {
@@ -507,7 +546,30 @@ TEST(Csym, MatchesReferenceOnSlabWithTiesAtTheTwelfth) {
     std::sort(r2.begin(), r2.end());
     if (r2.size() > 12 && r2[11] == r2[12]) ++straddled;
   }
-  ASSERT_GT(straddled, 0u);  // the case under test really occurs
+  return straddled;
+}
+
+TEST(Csym, MatchesReferenceOnSlabWithTiesAtTheTwelfth) {
+  // a = 1.5 puts every coordinate on a multiple of 0.75, so distances are
+  // exact: surface atoms have 8 first-shell and 5 second-shell (r = a < 1.6)
+  // neighbours, and the 12th nearest is an exact five-way tie.
+  auto atoms = md::make_fcc(4, 4, 4, 1.5);
+  atoms.box.hi.z += 4.0;  // free surfaces at z = 0 and z = 4.5
+  ASSERT_GT(ties_at_the_twelfth(atoms), 0u);  // the case under test occurs
+  expect_csym_matches_reference(atoms);
+}
+
+TEST(Csym, MatchesReferenceOnSlabWithTiesInsideTheInnerShell) {
+  // a = 1.25: the same five-way tie at r = a, and a third shell at
+  // a * sqrt(1.5) = 1.53 inside the cutoff. The inner shell ends between
+  // the two, so a surface atom's inner row lacks entries its cutoff row
+  // holds, and those change how partial_sort breaks the tie.
+  auto atoms = md::make_fcc(4, 4, 4, 1.25);
+  atoms.box.hi.z += 5.0;
+  const double inner = inner_shell_radius(atoms, CsymConfig{});
+  ASSERT_GT(inner, 1.25);
+  ASSERT_LT(inner, 1.25 * std::sqrt(1.5));
+  ASSERT_GT(ties_at_the_twelfth(atoms), 0u);
   expect_csym_matches_reference(atoms);
 }
 
@@ -522,19 +584,78 @@ TEST(Csym, MatchesReferenceOnSmallBoxFallback) {
   expect_csym_matches_reference(atoms);
 }
 
-md::MdSim notched_thermal_crystal() {
-  md::MdConfig cfg;
-  cfg.target_temperature = 0.05;
-  md::MdSim sim(md::make_fcc(6, 5, 4, kA), cfg, 11);
-  sim.carve_notch(0.0, 0.4 * sim.atoms().box.hi.x, 1.0);
-  sim.initialize_velocities();
-  sim.run(30);
-  return sim;
+TEST(Csym, MatchesReferenceOnNotchedThermalCrystal) {
+  const auto sim = notched_thermal_crystal(6, 5, 4);
+  expect_csym_matches_reference(sim.atoms());
 }
 
-TEST(Csym, MatchesReferenceOnNotchedThermalCrystal) {
-  const auto sim = notched_thermal_crystal();
+TEST(Csym, MatchesReferenceOnStrainedNotchedCrystal) {
+  // 600 steps at strain rate 0.02: 4.8% elongation along x, so the notch
+  // has opened and the frame's mean density has fallen.
+  const auto sim = notched_thermal_crystal(6, 5, 4, 0.02, 600);
+  ASSERT_GT(sim.applied_strain(), 0.04);
   expect_csym_matches_reference(sim.atoms());
+}
+
+TEST(Csym, MatchesReferenceWhereTheInnerShellReachesTheCutoff) {
+  // Vacuum as deep as the crystal: at this mean density the sphere that
+  // holds 12 atoms is wider than the cutoff, so the inner rows are the
+  // cutoff rows and settle every atom themselves.
+  auto atoms = distorted_crystal();
+  atoms.box.hi.z += 4 * kA;
+  ASSERT_GE(inner_shell_radius(atoms, CsymConfig{}), CsymConfig{}.cutoff);
+  expect_csym_matches_reference(atoms);
+}
+
+/// Atoms with fewer than num_neighbors neighbours inside the inner shell:
+/// the atoms CSym's inner rows leave to the cutoff rows for lack of
+/// entries.
+std::size_t atoms_short_of_k_in_the_inner_shell(const md::AtomData& atoms,
+                                                const CsymConfig& cfg) {
+  const Adjacency adj =
+      BondAnalysis({inner_shell_radius(atoms, cfg)}).compute_naive(atoms);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    n += adj.degree(i) < static_cast<std::size_t>(cfg.num_neighbors);
+  }
+  return n;
+}
+
+/// A uniform random gas at the crystal's density: about half its atoms
+/// have fewer than 12 neighbours inside the inner shell.
+md::AtomData random_gas(std::size_t n) {
+  const double side = std::cbrt(static_cast<double>(n) * kA * kA * kA / 4);
+  md::AtomData atoms;
+  atoms.box.hi = {side, side, side};
+  std::uint64_t s = 23;
+  auto next = [&s, side] {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return side * (static_cast<double>(s >> 11) / 9007199254740992.0);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = next(), y = next(), z = next();
+    atoms.add(static_cast<std::int64_t>(i), {x, y, z});
+  }
+  return atoms;
+}
+
+TEST(Csym, ThreadedBitIdenticalWhenManyAtomsNeedCutoffRows) {
+  const auto atoms = random_gas(3000);
+  CsymConfig cfg;
+  cfg.threads = 4;
+  // Enough such atoms that their cutoff rows run in two chunks too.
+  ASSERT_GE(par::grain_limited_threads(
+                cfg.threads, atoms_short_of_k_in_the_inner_shell(atoms, cfg)),
+            2u);
+  const auto serial = CentralSymmetry{}.compute(atoms);
+  const auto par = CentralSymmetry(cfg).compute(atoms);
+  ASSERT_EQ(par.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(par[i]),
+              std::bit_cast<std::uint64_t>(serial[i]))
+        << "atom " << i;
+  }
+  expect_csym_matches_reference(atoms);
 }
 
 void expect_subset_matches_classify(const md::AtomData& atoms,
@@ -552,7 +673,7 @@ void expect_subset_matches_classify(const md::AtomData& atoms,
 }
 
 TEST(Cna, SubsetMatchesClassifyOnCsymRegion) {
-  const auto sim = notched_thermal_crystal();
+  const auto sim = notched_thermal_crystal(6, 5, 4);
   const auto region =
       BreakDetector{}.region(CentralSymmetry{}.compute(sim.atoms()));
   ASSERT_FALSE(region.empty());
@@ -560,7 +681,7 @@ TEST(Cna, SubsetMatchesClassifyOnCsymRegion) {
 }
 
 TEST(Cna, SubsetMatchesClassifyOnRandomSubsets) {
-  const auto sim = notched_thermal_crystal();
+  const auto sim = notched_thermal_crystal(6, 5, 4);
   const std::size_t n = sim.atoms().size();
   std::uint64_t s = 17;
   for (std::size_t size : {std::size_t{1}, std::size_t{40}, n / 2, n}) {
