@@ -36,9 +36,14 @@ BondAnalysis::broken_bonds(const Adjacency& reference,
   std::vector<std::pair<std::uint32_t, std::uint32_t>> broken;
   const std::size_t n = std::min(reference.size(), current.size());
   for (std::uint32_t i = 0; i < n; ++i) {
+    // Both rows are sorted: one merge walk finds the reference bonds the
+    // current row lacks.
+    const auto cur = current.neighbors_of(i);
+    auto c = cur.begin();
     for (std::uint32_t j : reference.neighbors_of(i)) {
       if (j <= i || j >= n) continue;
-      if (!current.bonded(i, j)) broken.emplace_back(i, j);
+      while (c != cur.end() && *c < j) ++c;
+      if (c == cur.end() || *c != j) broken.emplace_back(i, j);
     }
   }
   return broken;

@@ -20,8 +20,9 @@ class AggregationTree {
   std::size_t depth_for(std::size_t leaves) const;
 
   /// Combine per-rank chunks into one AtomData. All chunks must share the
-  /// same box; atom order is chunk order (stable).
-  md::AtomData aggregate(const std::vector<md::AtomData>& chunks) const;
+  /// same box; atom order is chunk order (stable). The chunks are taken by
+  /// value, so a temporary or moved-from vector is merged without a copy.
+  md::AtomData aggregate(std::vector<md::AtomData> chunks) const;
 
   /// Split an atom set into `parts` contiguous chunks (the inverse, used by
   /// tests and by the example that emulates parallel ranks).
