@@ -155,8 +155,8 @@ std::vector<double> CentralSymmetry::compute(const md::AtomData& atoms) const {
   trace::KernelSpan span(cfg_.sink, "csym", cfg_.threads,
                          static_cast<double>(atoms.size()));
   const auto want = static_cast<std::size_t>(cfg_.num_neighbors);
-  // Rows at the inner radius settle almost every atom with about half the
-  // candidates of a cutoff row (docs/PERFORMANCE.md "CSym's inner shell").
+  // Rows at the inner radius gather fewer candidates than cutoff rows and
+  // settle almost every atom (docs/PERFORMANCE.md "CSym's inner shell").
   // Where that radius reaches the cutoff, the rows are whole and settle
   // every atom.
   const double inner = inner_radius(atoms, want, cfg_.cutoff);
