@@ -1,19 +1,39 @@
-# Passes only when EXE, run with ARGS, exits with EXIT (default 0) and its
-# output (stdout, then stderr) contains the line EXPECT and every line of
-# EXPECT_FILE (ctest's PASS_REGULAR_EXPRESSION alone would ignore the exit
-# code).
-#   cmake -DEXE=<program> [-DARGS=<arguments>] [-DEXIT=<code>]
-#         [-DEXPECT=<text>] [-DEXPECT_FILE=<file>] -P expect_output.cmake
+# Passes only when EXE, run with ARGS in DIR (default: the current
+# directory), exits with EXIT (default 0) and its output (stdout, then
+# stderr) either contains the line EXPECT and every line of EXPECT_FILE, or
+# equals the whole of EXACT_FILE (ctest's PASS_REGULAR_EXPRESSION alone
+# would ignore the exit code). In exact mode every match of the regular
+# expression MASK (e.g. a wall-clock timing) is replaced by '*' before the
+# comparison, and a mismatch is written to <EXACT_FILE name>.actual in the
+# current directory, not DIR, and shown as a diff.
+#   cmake -DEXE=<program> [-DARGS=<arguments>] [-DDIR=<dir>] [-DEXIT=<code>]
+#         [-DEXPECT=<text>] [-DEXPECT_FILE=<file>]
+#         [-DEXACT_FILE=<file> [-DMASK=<regex>]] -P expect_output.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if(NOT DEFINED EXIT)
   set(EXIT 0)
 endif()
-execute_process(COMMAND ${EXE} ${args} RESULT_VARIABLE rc
-                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT DEFINED DIR)
+  set(DIR .)
+endif()
+execute_process(COMMAND ${EXE} ${args} WORKING_DIRECTORY "${DIR}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 set(out "${out}${err}")
 message("${out}")
 if(NOT rc EQUAL EXIT)
   message(FATAL_ERROR "${EXE} exited with ${rc}, expected ${EXIT}")
+endif()
+if(DEFINED EXACT_FILE)
+  if(DEFINED MASK)
+    string(REGEX REPLACE "${MASK}" "*" out "${out}")
+  endif()
+  file(READ "${EXACT_FILE}" want)
+  if(NOT out STREQUAL want)
+    get_filename_component(name "${EXACT_FILE}" NAME)
+    file(WRITE "${name}.actual" "${out}")
+    execute_process(COMMAND diff -u "${EXACT_FILE}" "${name}.actual")
+    message(FATAL_ERROR "${EXE} output differs from ${EXACT_FILE}")
+  endif()
 endif()
 set(lines)
 if(DEFINED EXPECT)
