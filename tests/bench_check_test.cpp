@@ -169,6 +169,32 @@ TEST(BenchSchema, EveryGatedMetricIsABoundedColumn) {
   }
 }
 
+TEST(BenchSchema, SimOnlyHoldsEverySimulatedColumnEqual) {
+  // A simulated column is present in every valid row (it is bounded), and
+  // --sim-only fails on any change to it, up or down, while the full
+  // comparison lets a move inside the allowance through.
+  for (const bs::Schema& s : bs::kSchemas) {
+    const Value base = valid(s.tag);
+    EXPECT_TRUE(compare_to_baseline(base, base, 15, true).empty()) << s.tag;
+    for (const std::string_view column : s.simulated) {
+      EXPECT_TRUE(std::any_of(
+          s.columns.begin(), s.columns.end(),
+          [&](const bs::Bound& b) { return b.column == column; }))
+          << s.tag << " " << column;
+      for (const double delta : {-1.0, 1.0}) {
+        Value fresh = valid(s.tag);
+        Value& x = member(rows(fresh).back(), column);
+        x = number(x.number + delta);
+        EXPECT_TRUE(has_finding(compare_to_baseline(fresh, base, 15, true),
+                                std::string(column) + " changed"))
+            << s.tag << " " << column << " " << delta;
+        EXPECT_TRUE(compare_to_baseline(fresh, base, 15, false).empty())
+            << s.tag << " " << column << " " << delta;
+      }
+    }
+  }
+}
+
 TEST(BenchSchema, EveryCoverageRuleFails) {
   struct Mutant {
     std::string_view tag;

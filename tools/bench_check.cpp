@@ -216,8 +216,19 @@ std::vector<std::string> compare_to_baseline(const Value& fresh,
                     "' is missing from the fresh run (coverage lost)");
       continue;
     }
+    if (sim_only) {
+      for (const std::string_view column : s->simulated) {
+        const double* base = number(r, column);
+        const double* got = number(*it->second, column);
+        if (base != nullptr && got != nullptr && *base != *got) {
+          out.push_back("'" + name + "' " + str(column) + " changed: " +
+                        fmt(*base) + " -> " + fmt(*got) +
+                        " (simulated; must equal the baseline)");
+        }
+      }
+      continue;
+    }
     for (const benchschema::Gate& g : s->gates) {
-      if (sim_only && g.wall_clock) continue;
       const std::string metric = str(g.metric);
       // A metric the baseline row never carried is not gateable; one
       // present with value 0 is a real measurement and still gates.

@@ -15,9 +15,9 @@ std::vector<std::string> check_schema(const trace::json::Value& root);
 
 /// The per-row regression gate: every `baseline` row must still exist in
 /// `fresh` and must not have regressed past `max_regression_pct` on its
-/// schema's gated metrics; `sim_only` skips the wall-clock ones. The
-/// baseline must pass its schema row too; those findings start with
-/// "baseline ".
+/// schema's gated metrics; `sim_only` instead holds the schema's simulated
+/// columns equal to the baseline's. The baseline must pass its schema row
+/// too; those findings start with "baseline ".
 std::vector<std::string> compare_to_baseline(
     const trace::json::Value& fresh, const trace::json::Value& baseline,
     double max_regression_pct, bool sim_only);

@@ -5,7 +5,8 @@
 //
 // With --baseline it also compares the fresh artifact against a committed
 // baseline of the same schema, row by row, on the row's gated metrics
-// (--max-regression PCT, default 15); --sim-only skips the wall-clock ones.
+// (--max-regression PCT, default 15); --sim-only instead holds the columns
+// the simulation reproduces bit for bit equal to the baseline's.
 // The baseline is checked against its schema row as well.
 // To re-record a baseline after an intentional change:
 //   bench_check FRESH && cp FRESH BASELINE

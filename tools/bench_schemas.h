@@ -7,7 +7,8 @@
 // bounds, then per `results` row its name (kNameColumn), the `names` (a row
 // naming an unknown value gets one finding and no other column checks),
 // the column bounds and the ordering rule; last the row's coverage rule.
-// With --baseline it then compares every row's `gates`.
+// With --baseline it then compares every row's `gates`, or under
+// --sim-only its `simulated` columns for equality.
 #pragma once
 
 #include <limits>
@@ -65,14 +66,11 @@ struct Coverage {
 /// A metric the baseline gate compares row by row, keyed by the rows'
 /// `benchmark` names. A fresh value more than --max-regression percent
 /// worse than the baseline's is a finding, as is a baseline row the fresh
-/// run no longer covers; rows only the fresh run has are fine.
+/// run no longer covers; rows only the fresh run has are fine. Gates are
+/// the full, manual/CI-perf comparison: --sim-only skips them all.
 struct Gate {
   std::string_view metric;
   bool higher_is_worse;  // latency-style; false: throughput-style
-  /// Machine-dependent: skipped under --sim-only, so only simulated-time
-  /// gates run as default ctest entries and the full comparison is a
-  /// manual/CI-perf step.
-  bool wall_clock;
   /// Absolute delta a higher-is-worse metric may reach over a baseline of
   /// exactly 0, where a percentage is undefined (a fleet point that
   /// performed no resizes reports resize_p99_ms 0.0).
@@ -87,6 +85,10 @@ struct Schema {
   std::span<const Bound> columns = {};
   std::span<const NotBelow> ordered = {};
   std::span<const Gate> gates = {};
+  /// Columns a fixed seed reproduces bit for bit on any host: --sim-only
+  /// compares them for equality in every baseline row, which is what the
+  /// default ctest entries run. Each is a bounded column, so it is present.
+  std::span<const std::string_view> simulated = {};
   Coverage coverage = {};
 };
 
@@ -107,12 +109,14 @@ inline constexpr Bound kKernelsColumns[] = {
 };
 inline constexpr Need kSerialAndThreaded[] = {{{"threads", 1, 1}},
                                               {{"threads", 1, kInf, true}}};
-inline constexpr Gate kKernelsGates[] = {{"ns_per_atom", true, true, 1.0}};
+inline constexpr Gate kKernelsGates[] = {{"ns_per_atom", true, 1.0}};
 
 // ioc.bench.fleet/v2 (bench/fleet_scale -> BENCH_fleet.json). The scaling
 // story needs a single-shard reference point and a federated one.
-// resize_p99_ms is simulated time under a fixed seed, so it reproduces
-// bit-for-bit on any host and its gate is a default ctest entry.
+// resize_p99_ms, resizes, trades_committed and events come from the
+// simulation under a fixed seed, so they reproduce bit for bit on any host
+// and --sim-only holds them equal to the baseline's (a default ctest
+// entry); a change that moves one re-records the baseline on purpose.
 // events_per_wall_sec is the best sustained chunk rate over a large
 // steady-state window; its gate catches reintroduced per-message costs and
 // "faster by doing less of its job" alongside plain slowdowns.
@@ -120,6 +124,8 @@ inline constexpr Bound kFleetColumns[] = {
     {"shards", 1, 4096},
     {"pipelines", 1},
     {"resize_p99_ms", 0},
+    {"resizes", 0},
+    {"trades_committed", 0},
     {"events", 0, kInf, true},
     {"events_per_wall_sec", 0, kInf, true},
     {"allocs_per_event", 0},
@@ -127,9 +133,11 @@ inline constexpr Bound kFleetColumns[] = {
 inline constexpr Need kSingleAndSharded[] = {{{"shards", 1, 1}},
                                              {{"shards", 1, kInf, true}}};
 inline constexpr Gate kFleetGates[] = {
-    {"resize_p99_ms", true, false, 1.0},
-    {"events_per_wall_sec", false, true, 0},
+    {"resize_p99_ms", true, 1.0},
+    {"events_per_wall_sec", false, 0},
 };
+inline constexpr std::string_view kFleetSimulated[] = {
+    "resize_p99_ms", "resizes", "trades_committed", "events"};
 
 // ioc.bench.des/v1 (bench/des_queue_bench -> BENCH_des.json). Every
 // (workload, pending) point covers both queue implementations, so the
@@ -146,7 +154,7 @@ inline constexpr Bound kDesColumns[] = {
 };
 inline constexpr Need kBothImpls[] = {{{"impl"}, "binary_heap"},
                                       {{"impl"}, "ladder"}};
-inline constexpr Gate kDesGates[] = {{"ns_per_op", true, true, 1.0}};
+inline constexpr Gate kDesGates[] = {{"ns_per_op", true, 1.0}};
 
 // ioc.bench.svc/v1 (tools/ioc_loadgen -> BENCH_svc.json): one row per load
 // run against the live HTTP control API. A dropped response is a
@@ -163,8 +171,8 @@ inline constexpr Bound kSvcColumns[] = {
 inline constexpr NotBelow kSvcOrdered[] = {{"p99_ms", "p50_ms"}};
 inline constexpr Need kManyConnections[] = {{{"connections", 256}}};
 inline constexpr Gate kSvcGates[] = {
-    {"p99_ms", true, true, 1.0},
-    {"requests_per_sec", false, true, 0},
+    {"p99_ms", true, 1.0},
+    {"requests_per_sec", false, 0},
 };
 
 inline constexpr Schema kSchemas[] = {
@@ -179,6 +187,7 @@ inline constexpr Schema kSchemas[] = {
      .unit = "resize_p99_ms",
      .columns = kFleetColumns,
      .gates = kFleetGates,
+     .simulated = kFleetSimulated,
      .coverage = {.needs = kSingleAndSharded}},
     {.tag = "ioc.bench.des/v1",
      .unit = "ns_per_op",
