@@ -404,29 +404,28 @@ TEST(FedPipelineOwner, ResizeFromAnOwnerReplacedMidApplyIsDropped) {
 
 // --- trade recovery --------------------------------------------------------
 
-/// Three shards (s0: 4 spares, s1: 1, s2: 2) and a root on a bare bus, with
-/// no pipelines. The test posts one trade request, s1 <- 2 nodes; the root
-/// picks s0, the shard with the most spares, as the donor. A watcher fails
-/// members over the moment the donor has escrowed (or another condition
-/// holds), so the trade runs into the recovery branches a soak reaches only
-/// by chance.
+/// Shards with the given spares (by default three: s0 4, s1 1, s2 2) and a
+/// root on a bare bus, with no pipelines. The test posts one trade request,
+/// s1 <- 2 nodes; the root picks s0, the shard with the most spares, as the
+/// donor. A watcher fails members over the moment the donor has escrowed
+/// (or another condition holds), so the trade runs into the recovery
+/// branches a soak reaches only by chance.
 struct TradeRig {
-  static constexpr std::size_t kNodes = 7;
-
   ioc::des::Simulator sim;
   ioc::net::Cluster cluster{sim, 5};
   ioc::net::Network net{cluster};
   ioc::ev::Bus bus{net};
   ioc::fed::Root root{bus, /*node=*/0, /*trace=*/nullptr};
   std::vector<std::unique_ptr<ioc::fed::Shard>> shards;
+  std::size_t nodes = 0;  ///< every shard's spares at the start
   bool fired = false;
 
-  TradeRig() {
-    const std::size_t spares[] = {4, 1, 2};
+  explicit TradeRig(const std::vector<std::size_t>& spares = {4, 1, 2}) {
     ioc::net::NodeId next = 1000;
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < spares.size(); ++i) {
       std::vector<ioc::net::NodeId> staging;
       for (std::size_t j = 0; j < spares[i]; ++j) staging.push_back(next++);
+      nodes += spares[i];
       shards.push_back(std::make_unique<ioc::fed::Shard>(
           bus, "s" + std::to_string(i), static_cast<ioc::net::NodeId>(1 + i),
           staging, ioc::fed::Shard::Options{}));
@@ -464,7 +463,7 @@ struct TradeRig {
   bool conserved() const {
     std::size_t n = open_escrow();
     for (const auto& s : shards) n += s->pool().total();
-    return n == kNodes;
+    return n == nodes;
   }
 
  private:
@@ -540,7 +539,24 @@ TEST(TradeRecovery, FencedDonorAbortRepairsEscrowIntoTheLiveHeir) {
   EXPECT_EQ(rig.open_escrow(), 0u);
   EXPECT_EQ(rig.donor().pool().total(), 0u);
   EXPECT_EQ(rig.recipient().pool().total(), 0u);
-  EXPECT_EQ(rig.shards[2]->pool().total(), TradeRig::kNodes);
+  EXPECT_EQ(rig.shards[2]->pool().total(), rig.nodes);
+}
+
+TEST(TradeRecovery, FencedDonorAbortFollowsTheHeirChainPastAFencedHeir) {
+  // Four shards. Once the donor escrowed, s0 is failed over, then its heir
+  // s2 (whose heir is s1), then the recipient s1 (whose heir is s3): the
+  // trade aborts, and the fenced donor's escrow must follow the heir chain
+  // past the fenced s2 and s1 to s3, which by then holds every other node
+  // too.
+  TradeRig rig({4, 1, 2, 1});
+  ASSERT_EQ(rig.root.ring().successor("s0"), "s2");
+  rig.run({&rig.donor(), rig.shards[2].get(), &rig.recipient()});
+  ASSERT_TRUE(rig.fired);
+  EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
+  EXPECT_EQ(rig.root.stats().trades_committed, 0u);
+  EXPECT_TRUE(rig.conserved());
+  EXPECT_EQ(rig.open_escrow(), 0u);
+  EXPECT_EQ(rig.shards[3]->pool().total(), rig.nodes);
 }
 
 TEST(TradeRecovery, RecipientFencedAfterLiveCommitSettlesOnce) {
