@@ -16,6 +16,7 @@ Container::Container(Env env, ContainerSpec spec,
                      dt::Stream* input)
     : env_(std::move(env)),
       spec_(std::move(spec)),
+      name_id_(util::intern(spec_.name)),
       head_node_(head_node),
       input_(input),
       disk_group_(spec_.name + ".out"),

@@ -70,6 +70,8 @@ class Container {
 
   // --- identity & state -------------------------------------------------
   const std::string& name() const { return spec_.name; }
+  /// The name, interned once at construction (the GM's trace peer).
+  util::NameId name_id() const { return name_id_; }
   const ContainerSpec& spec() const { return spec_; }
   State state() const { return state_; }
   bool online() const { return state_ == State::kOnline; }
@@ -174,6 +176,7 @@ class Container {
 
   Env env_;
   ContainerSpec spec_;
+  util::NameId name_id_;
   net::NodeId head_node_;
   dt::Stream* input_;
   std::unique_ptr<dt::Stream> output_;

@@ -38,7 +38,7 @@ GlobalManager::GlobalManager(Container::Env env, const PipelineSpec& spec,
     c->set_gm_endpoint(mon_ep_);
     // Current state, not the spec's: a failover GM inherits containers that
     // may have been activated or taken offline since launch.
-    rounds_.track(c->name(),
+    rounds_.track(c->name_id(),
                   c->online() ? CmState::kIdle : CmState::kOffline);
   }
 }
@@ -120,7 +120,7 @@ des::Task<ev::Message> GlobalManager::escalate_fence(Container* c,
     if (survivor->online()) survivor->set_sink(true);
   }
   c->fence();
-  const std::size_t freed = rounds_.fence(name, pool_);
+  const std::size_t freed = rounds_.fence(c->name_id(), pool_);
   recompute_sinks();
   ProtocolReport rep;
   rep.action = "fence";
@@ -149,11 +149,11 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
   // One token for the whole round, retries included: the CM-side reply
   // cache recognizes a resend and replays its answer instead of executing
   // the request a second time.
-  rounds_.open(c->name(), m);
-  const CmState from = rounds_.state(c->name());
+  rounds_.open(c->name_id(), m);
+  const CmState from = rounds_.state(c->name_id());
   const std::uint64_t token = m.token;
   ev::Message reply = co_await rounds_.run_round(
-      c->name(), ctl_ep_, c->manager_endpoint(), std::move(m), opt_.round);
+      c->name_id(), ctl_ep_, c->manager_endpoint(), std::move(m), opt_.round);
   const RoundEnd end = round_end(reply);
   if (end == RoundEnd::kSelfDied) {
     // The GM itself died under this round (simulated crash). Stop quietly;
@@ -166,12 +166,12 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
     ev::Message fenced = co_await escalate_fence(c, token);
     co_return fenced;
   }
-  const int delta = rounds_.close(c->name(), reply);
+  const int delta = rounds_.close(c->name_id(), reply);
   // One span per Fig. 3 control round, labeled with the FSM edge the round
   // drove, so a trace shows both what a round cost and why it was legal.
   if (trace::active(env_.trace)) {
     const std::string edge = std::string(cm_state_name(from)) + " -> " +
-                             cm_state_name(rounds_.state(c->name()));
+                             cm_state_name(rounds_.state(c->name_id()));
     env_.trace->span(type, "control", c->name(), 0, t0,
                      env_.sim->now(),
                      {{"delta", static_cast<double>(delta)}}, edge);

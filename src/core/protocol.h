@@ -5,11 +5,13 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "des/time.h"
 #include "ev/intern.h"
 #include "net/cluster.h"
+#include "util/intern.h"
 
 namespace ioc::core {
 
@@ -62,10 +64,10 @@ inline constexpr const char* kMarkEscalate = "ESCALATE";
 
 // Federation markers (src/fed). FAILOVER/REASSIGN record a shard fenced by
 // the root and a pipeline moved to its consistent-hash successor; the
-// TRADE_* family brackets a cross-shard resource trade (container field =
-// "trade#N"). Every TRADE_BEGIN must reach exactly one of COMMIT / ABORT /
-// FENCE — rule IOC106 flags a trade that never terminates, because an
-// unterminated trade is exactly an escrow that can leak.
+// TRADE_* family brackets a cross-shard resource trade (peer "trade#N").
+// Every TRADE_BEGIN must reach exactly one of COMMIT / ABORT / FENCE — rule
+// IOC106 flags a trade that never terminates, because an unterminated trade
+// is exactly an escrow that can leak.
 inline constexpr const char* kMarkFailover = "FAILOVER";
 inline constexpr const char* kMarkReassign = "REASSIGN";
 inline constexpr const char* kMarkTradeBegin = "TRADE_BEGIN";
@@ -142,14 +144,19 @@ struct SwitchToDiskPayload {
 /// on its way to a container manager, or the terminating reply. The GM
 /// appends these to an always-on trace; the lint trace checker replays the
 /// trace through the Fig. 3 state machine (protocol_fsm.h) to audit
-/// protocol legality and node-count conservation after the fact.
+/// protocol legality and node-count conservation after the fact. The peer
+/// is an interned name (a container, a pipeline, a shard or "trade#N"), so
+/// an entry owns nothing; util::name_of resolves it where it is printed.
 struct ControlTraceEvent {
   des::SimTime at = 0;
-  std::string container;
+  util::NameId peer = util::kEmptyName;
   ev::MessageId type = ev::kNoMessageId;  ///< kMidIncrease, kMidDone, ...
   bool to_cm = true;  ///< true: GM -> CM request; false: CM -> GM reply
   int delta = 0;      ///< node delta carried by a DONE reply
 };
+static_assert(std::is_trivially_copyable_v<ControlTraceEvent> &&
+                  sizeof(ControlTraceEvent) <= 24,
+              "a control-trace entry is a 24-byte value");
 
 /// One entry of the global manager's action log; benches and examples print
 /// these to show what management did and why.

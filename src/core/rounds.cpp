@@ -7,7 +7,7 @@
 
 namespace ioc::core {
 
-des::Task<ev::Message> Coordinator::run_round(std::string peer,
+des::Task<ev::Message> Coordinator::run_round(util::NameId peer,
                                               ev::EndpointId from,
                                               ev::EndpointId to, ev::Message m,
                                               const ev::RoundOptions& opt) {
@@ -33,16 +33,17 @@ des::Task<ev::Message> Coordinator::run_round(std::string peer,
     const bool unreachable = reply.type_id == ev::kMidErrUnreachable;
     if (!timeout && !unreachable) co_return reply;  // a real reply
     marker(peer, kMidMarkTimeout);
+    const std::string_view name = util::name_of(peer);
     if (trace::active(sink_)) {
-      sink_->span("timeout", "control", peer, token, sim.now(), sim.now());
+      sink_->span("timeout", "control", name, token, sim.now(), sim.now());
     }
     const auto backoff = ev::ladder_step(opt, attempt, unreachable);
     if (!backoff) co_return reply;
     marker(peer, kMidMarkRetry);
     if (trace::active(sink_)) {
-      sink_->span("retry", "control", peer, token, sim.now(), sim.now());
+      sink_->span("retry", "control", name, token, sim.now(), sim.now());
     }
-    IOC_WARN << peer << ": " << type << " round timed out; retry "
+    IOC_WARN << name << ": " << type << " round timed out; retry "
              << attempt + 1 << "/" << opt.retries;
     co_await des::delay(sim, *backoff);
   }
@@ -57,54 +58,49 @@ RoundEnd round_end(const ev::Message& reply) {
   return RoundEnd::kReply;
 }
 
-CmState Coordinator::state(const std::string& peer) const {
+CmState Coordinator::state(util::NameId peer) const {
   auto it = fsm_.find(peer);
   return it == fsm_.end() ? CmState::kIdle : it->second.state();
 }
 
-void Coordinator::append(const std::string& peer, ev::MessageId type,
-                         bool to_cm, int delta) {
-  ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = peer;
-  ev.type = type;
-  ev.to_cm = to_cm;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));
+void Coordinator::append(util::NameId peer, ev::MessageId type, bool to_cm,
+                         int delta) {
+  trace_.push_back({bus_->sim().now(), peer, type, to_cm, delta});
 }
 
-void Coordinator::record(const std::string& peer, ev::MessageId type,
-                         bool to_cm, int delta) {
+void Coordinator::record(util::NameId peer, ev::MessageId type, bool to_cm,
+                         int delta) {
   append(peer, type, to_cm, delta);
   auto it = fsm_.find(peer);
   if (it != fsm_.end()) {
     const bool legal = it->second.advance(trace_.back().type);
     IOC_CHECK(legal) << "protocol violation: " << ev::type_name(type)
-                     << " for " << peer << " in state "
+                     << " for " << util::name_of(peer) << " in state "
                      << cm_state_name(it->second.state()) << " at " << owner_;
     (void)legal;
   }
 }
 
-void Coordinator::marker(const std::string& peer, ev::MessageId marker,
-                         int delta) {
+void Coordinator::marker(util::NameId peer, ev::MessageId marker, int delta) {
   append(peer, marker, /*to_cm=*/true, delta);
 }
 
-void Coordinator::open(const std::string& peer, ev::Message& m) {
+void Coordinator::open(util::NameId peer, ev::Message& m) {
   record(peer, m.type_id, /*to_cm=*/true, 0);
   m.token = bus_->fresh_token();
 }
 
-int Coordinator::close(const std::string& peer, const ev::Message& reply) {
+int Coordinator::close(util::NameId peer, const ev::Message& reply) {
   int delta = 0;
   if (const auto* done = reply.as<DonePayload>()) delta = done->report.delta;
   record(peer, reply.type_id, /*to_cm=*/false, delta);
   return delta;
 }
 
-std::size_t Coordinator::fence(const std::string& peer, ResourcePool& pool) {
-  const std::size_t freed = pool.reclaim_all(peer).size();
+std::size_t Coordinator::fence(util::NameId peer, ResourcePool& pool) {
+  // The ledger still books nodes to owner names.
+  const std::size_t freed =
+      pool.reclaim_all(std::string(util::name_of(peer))).size();
   // The recorded delta is the pool's view; the lint replay settles the
   // fenced peer's width to zero regardless (an in-flight grant may not have
   // reached the trace ledger yet).

@@ -67,49 +67,49 @@ class Coordinator {
 
   /// Start checking `peer`'s conversation from state `s`. A peer already
   /// tracked keeps its state.
-  void track(const std::string& peer, CmState s) {
+  void track(util::NameId peer, CmState s) {
     fsm_.emplace(peer, ProtocolFsm(s));
   }
   /// Fig. 3 state of `peer` (kIdle when untracked).
-  CmState state(const std::string& peer) const;
+  CmState state(util::NameId peer) const;
 
   /// Append a protocol message to the trace and advance the peer's FSM; an
   /// illegal message fails IOC_CHECK in debug builds.
-  void record(const std::string& peer, ev::MessageId type, bool to_cm,
-              int delta);
+  void record(util::NameId peer, ev::MessageId type, bool to_cm, int delta);
   /// Append a robustness marker (TIMEOUT, ESCALATE, TRADE_*, ...). Markers
   /// never touch the FSM.
-  void marker(const std::string& peer, ev::MessageId marker, int delta = 0);
+  void marker(util::NameId peer, ev::MessageId marker, int delta = 0);
 
   /// Open a round to `peer`: record `m` as sent and give it a fresh token.
-  void open(const std::string& peer, ev::Message& m);
+  void open(util::NameId peer, ev::Message& m);
   /// Drive one control round from `from` to `to`, logging its markers and
   /// spans against `peer`. `m.token` must already be assigned (one token
   /// for the whole round, retries included).
-  des::Task<ev::Message> run_round(std::string peer, ev::EndpointId from,
+  des::Task<ev::Message> run_round(util::NameId peer, ev::EndpointId from,
                                    ev::EndpointId to, ev::Message m,
                                    const ev::RoundOptions& opt);
   /// Record a real reply; returns the node delta its DONE carries (0 for
   /// any other reply).
-  int close(const std::string& peer, const ev::Message& reply);
+  int close(util::NameId peer, const ev::Message& reply);
 
   /// The fence record of an escalation: reclaim everything `pool` booked to
   /// `peer`, append ESCALATE with the freed count, and leave the peer
   /// offline. Returns the number of nodes freed. The caller fences the peer
   /// itself first and does its own repair after.
-  std::size_t fence(const std::string& peer, ResourcePool& pool);
+  std::size_t fence(util::NameId peer, ResourcePool& pool);
 
   const std::vector<ControlTraceEvent>& trace() const { return trace_; }
 
  private:
-  void append(const std::string& peer, ev::MessageId type, bool to_cm,
-              int delta);
+  void append(util::NameId peer, ev::MessageId type, bool to_cm, int delta);
 
   ev::BusIf* bus_;
   std::string owner_;
   trace::TraceSink* sink_;
   std::vector<ControlTraceEvent> trace_;
-  std::map<std::string, ProtocolFsm> fsm_;
+  /// The tracked peers' Fig. 3 state. A map, not a vector indexed by the
+  /// process-wide id, which would need an "untracked" state.
+  std::map<util::NameId, ProtocolFsm> fsm_;
 };
 
 /// A container manager's bounded reply cache. Replies to mutating requests

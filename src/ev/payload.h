@@ -3,9 +3,9 @@
 // put one malloc/free pair on every control message carrying a payload
 // struct. Payload keeps values up to kInlineBytes (48) in the message
 // itself — every steady-state payload (HeartbeatWire, IncreasePayload,
-// NeedsPayload, ...) fits — and falls back to the heap only for the rare
-// large ones (DonePayload's report, TradeWire), which ride resize/trade
-// rounds, not the hot path. See DESIGN.md §16 for the size budget.
+// NeedsPayload, TradeWire, ...) fits — and falls back to the heap only for
+// the rare large ones (DonePayload's report), which ride resize rounds, not
+// the hot path. See DESIGN.md §16 for the size budget.
 //
 // Semantics match the std::any subset the codebase used: copyable,
 // movable, `p = value` to store, `as<T>()` (exact-type, typeid-based) to

@@ -55,13 +55,8 @@ Fleet::Fleet(Options opt)
         bus_, static_cast<net::NodeId>(1 + opt_.shards + i),
         "pipe-" + std::to_string(i));
     p->set_fence_tick(&fence_ticks_);
-    const std::string& owner = root_->owner_of(p->name());
-    for (auto& s : shards_) {
-      if (s->manager_id() == owner) {
-        s->add_pipeline(p.get());
-        break;
-      }
-    }
+    // The root registered shards_[i] as slot i.
+    shards_[root_->ring().owner(p->name())]->add_pipeline(p.get());
     pipelines_.push_back(std::move(p));
   }
 }

@@ -1,5 +1,7 @@
 #include "fed/hash.h"
 
+#include <string>
+
 namespace ioc::fed {
 
 namespace {
@@ -9,7 +11,7 @@ namespace {
 constexpr std::size_t kVnodes = 64;
 }  // namespace
 
-std::uint64_t stable_hash(const std::string& s) {
+std::uint64_t stable_hash(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : s) {
     h ^= c;
@@ -27,61 +29,49 @@ std::uint64_t stable_hash(const std::string& s) {
   return h;
 }
 
-std::uint64_t HashRing::point(const std::string& shard,
-                              std::size_t replica) const {
-  return stable_hash(shard + "#" + std::to_string(replica));
-}
-
-void HashRing::add(const std::string& shard) {
-  if (shards_.count(shard) > 0) return;
-  shards_[shard] = true;
+void HashRing::add(Slot slot, std::string_view name) {
+  auto [member, added] = points_.try_emplace(slot);
+  if (!added) return;
   for (std::size_t i = 0; i < kVnodes; ++i) {
-    // On a (astronomically unlikely) point collision the lexicographically
-    // smaller shard name wins, so ownership never depends on add() order.
-    auto [it, inserted] = ring_.emplace(point(shard, i), shard);
-    if (!inserted && shard < it->second) it->second = shard;
+    const std::uint64_t p =
+        stable_hash(std::string(name) + "#" + std::to_string(i));
+    member->second.push_back(p);
+    // On a (astronomically unlikely) point collision the smaller slot wins,
+    // so ownership never depends on add() order.
+    auto [it, inserted] = ring_.emplace(p, slot);
+    if (!inserted && slot < it->second) it->second = slot;
   }
 }
 
-void HashRing::remove(const std::string& shard) {
-  if (shards_.erase(shard) == 0) return;
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == shard) {
-      it = ring_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void HashRing::remove(Slot slot) {
+  if (points_.erase(slot) == 0) return;
+  std::erase_if(ring_, [slot](const auto& point) {
+    return point.second == slot;
+  });
   // Re-add surviving shards' points a removed collision winner shadowed.
-  for (const auto& [s, unused] : shards_) {
-    for (std::size_t i = 0; i < kVnodes; ++i) {
-      ring_.emplace(point(s, i), s);
-    }
+  for (const auto& [s, points] : points_) {
+    for (const std::uint64_t p : points) ring_.emplace(p, s);
   }
 }
 
-bool HashRing::contains(const std::string& shard) const {
-  return shards_.count(shard) > 0;
-}
-
-const std::string& HashRing::owner(const std::string& key) const {
-  static const std::string kEmpty;
-  if (ring_.empty()) return kEmpty;
+Slot HashRing::owner(std::string_view key) const {
+  if (ring_.empty()) return kNoSlot;
   auto it = ring_.lower_bound(stable_hash(key));
   if (it == ring_.end()) it = ring_.begin();  // wrap
   return it->second;
 }
 
-std::string HashRing::successor(const std::string& shard) const {
-  if (shards_.count(shard) == 0 || shards_.size() < 2) return "";
+Slot HashRing::successor(Slot slot) const {
+  const auto member = points_.find(slot);
+  if (member == points_.end() || points_.size() < 2) return kNoSlot;
   // Walk clockwise from the shard's first point to the next distinct shard.
-  auto it = ring_.lower_bound(point(shard, 0));
+  auto it = ring_.lower_bound(member->second.front());
   for (std::size_t steps = 0; steps <= ring_.size(); ++steps) {
     if (it == ring_.end()) it = ring_.begin();
-    if (it->second != shard) return it->second;
+    if (it->second != slot) return it->second;
     ++it;
   }
-  return "";
+  return kNoSlot;
 }
 
 }  // namespace ioc::fed

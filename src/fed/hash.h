@@ -1,6 +1,7 @@
 // Consistent-hash ring assigning pipelines (and any other string key) to GM
-// shards. Each shard contributes 64 points on a 64-bit ring; a key belongs
-// to the shard owning the first point at or after the key's hash.
+// shards, known by slot. Each shard contributes 64 points on a 64-bit ring,
+// hashed from its name; a key belongs to the shard owning the first point
+// at or after the key's hash.
 // Properties the federation layer leans on, covered by tests/fed_test.cpp:
 //
 //  * deterministic: the hash is FNV-1a over the bytes, no pointer values,
@@ -12,34 +13,37 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <string_view>
+#include <vector>
 
 namespace ioc::fed {
 
+/// A shard's index in the root's shard list.
+using Slot = std::uint32_t;
+/// No shard: an empty ring's owner, a lone shard's successor.
+inline constexpr Slot kNoSlot = ~Slot{0};
+
 /// Deterministic 64-bit FNV-1a. Exposed for tests and for callers that want
 /// to pre-bucket keys the way the ring will.
-std::uint64_t stable_hash(const std::string& s);
+std::uint64_t stable_hash(std::string_view s);
 
 class HashRing {
  public:
-  void add(const std::string& shard);
-  void remove(const std::string& shard);
-  bool contains(const std::string& shard) const;
-  /// Distinct shards on the ring.
-  std::size_t size() const { return shards_.size(); }
+  /// Put shard `slot` on the ring at the points its `name` hashes to.
+  void add(Slot slot, std::string_view name);
+  void remove(Slot slot);
+  bool contains(Slot slot) const { return points_.count(slot) > 0; }
 
-  /// The shard owning `key`. Empty string when the ring is empty.
-  const std::string& owner(const std::string& key) const;
-  /// The next distinct shard clockwise from `shard`'s first point — the
-  /// heir that adopts its spare nodes on failover. Empty when `shard` is
-  /// absent or alone on the ring.
-  std::string successor(const std::string& shard) const;
+  /// The shard owning `key`; kNoSlot when the ring is empty.
+  Slot owner(std::string_view key) const;
+  /// The next distinct shard clockwise from `slot`'s first point — the heir
+  /// that adopts its spare nodes on failover. kNoSlot when `slot` is absent
+  /// or alone on the ring.
+  Slot successor(Slot slot) const;
 
  private:
-  std::uint64_t point(const std::string& shard, std::size_t replica) const;
-
-  std::map<std::uint64_t, std::string> ring_;  // point -> shard
-  std::map<std::string, bool> shards_;
+  std::map<std::uint64_t, Slot> ring_;                // point -> shard
+  std::map<Slot, std::vector<std::uint64_t>> points_;  // shard -> its points
 };
 
 }  // namespace ioc::fed

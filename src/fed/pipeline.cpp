@@ -13,7 +13,7 @@ constexpr des::SimTime kApplyDelay = 2 * des::kMillisecond;
 }  // namespace
 
 FedPipeline::FedPipeline(ev::BusIf& bus, net::NodeId node, std::string name)
-    : bus_(&bus), name_(std::move(name)) {
+    : bus_(&bus), name_(std::move(name)), name_id_(util::intern(name_)) {
   ep_ = bus_->open(node, "fed.pipe." + name_).id();
   proc_ = spawn(bus_->sim(), service_loop());
 }

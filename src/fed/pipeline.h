@@ -37,6 +37,7 @@
 #include "des/time.h"
 #include "ev/bus_if.h"
 #include "net/cluster.h"
+#include "util/intern.h"
 
 namespace ioc::fed {
 
@@ -46,6 +47,8 @@ class FedPipeline {
   ~FedPipeline();
 
   const std::string& name() const { return name_; }
+  /// The name, interned once at construction (its shard's trace peer).
+  util::NameId name_id() const { return name_id_; }
   ev::EndpointId endpoint() const { return ep_; }
   std::size_t width() const { return nodes_.size(); }
   /// Ground truth for ResourcePool::reconcile after a failover.
@@ -95,6 +98,7 @@ class FedPipeline {
 
   ev::BusIf* bus_;
   std::string name_;
+  util::NameId name_id_;
   ev::EndpointId ep_ = ev::kInvalidEndpoint;
   ev::EndpointId owner_ep_ = ev::kInvalidEndpoint;
   std::vector<std::uint64_t>* owner_marks_ = nullptr;  ///< null until placed

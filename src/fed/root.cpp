@@ -40,9 +40,10 @@ Root::Root(ev::BusIf& bus, net::NodeId node, trace::TraceSink* trace)
 Root::~Root() { shutdown(); }
 
 void Root::add_shard(Shard* s) {
-  s->set_root(ctl_ep_, static_cast<std::uint32_t>(shards_.size()));
-  shards_.push_back({s, bus_->sim().now(), 0});
-  ring_.add(s->manager_id());
+  const auto slot = static_cast<Slot>(shards_.size());
+  s->set_root(ctl_ep_, slot);
+  shards_.push_back({s, bus_->sim().now()});
+  ring_.add(slot, s->manager_id());
 }
 
 void Root::start() {
@@ -63,13 +64,6 @@ void Root::shutdown() {
   trade_ep_ = ev::kInvalidEndpoint;
 }
 
-Shard* Root::find_shard(const std::string& id) const {
-  for (const ShardEntry& e : shards_) {
-    if (e.shard->manager_id() == id) return e.shard;
-  }
-  return nullptr;
-}
-
 des::Process Root::service_loop() {
   while (true) {
     ev::Endpoint* self = bus_->find(ctl_ep_);
@@ -86,8 +80,10 @@ des::Process Root::service_loop() {
       }
     } else if (msg->type_id == kMidTradeReq) {
       if (const auto* req = msg->as<TradeRequestWire>()) {
+        IOC_CHECK(req->recipient < shards_.size())
+            << "trade request from unregistered slot " << req->recipient;
         // Latest ask wins; the trade loop drains one request at a time.
-        pending_req_[req->recipient] = req->count;
+        shards_[req->recipient].wanted = req->count;
       }
     }
   }
@@ -107,17 +103,18 @@ des::Process Root::sweep_loop() {
 }
 
 void Root::failover(Shard* s) {
-  const std::string dead = s->manager_id();
+  const Slot dead = s->slot();
   // Pick the heir before removing the dead shard — successor() needs its
   // ring position to know where its arc drained to.
-  const std::string heir_id = ring_.successor(dead);
+  const Slot heir = ring_.successor(dead);
   ring_.remove(dead);
   s->fence();
-  heir_[dead] = heir_id;
+  shards_[dead].heir = heir;
   ++stats_.failovers;
-  rounds_.marker(dead, core::kMidMarkFailover);
-  IOC_WARN << "root fencing shard " << dead << " (heartbeat timeout); heir "
-           << (heir_id.empty() ? "<none>" : heir_id);
+  rounds_.marker(s->name_id(), core::kMidMarkFailover);
+  IOC_WARN << "root fencing shard " << s->manager_id()
+           << " (heartbeat timeout); heir "
+           << (heir == kNoSlot ? "<none>" : shards_[heir].shard->manager_id());
 
   for (FedPipeline* p : s->release_pipelines()) {
     // Ledger repair across the shard boundary: sync the dead shard's ledger
@@ -128,8 +125,8 @@ void Root::failover(Shard* s) {
     // simulation time.
     s->pool().reconcile(p->name(), p->nodes());
     auto nodes = s->pool().detach_all(p->name());
-    const std::string target_id = ring_.owner(p->name());
-    Shard* target = target_id.empty() ? nullptr : find_shard(target_id);
+    const Slot owner = ring_.owner(p->name());
+    Shard* target = owner == kNoSlot ? nullptr : shards_[owner].shard;
     if (target == nullptr || target->fenced()) {
       // No shard left to own it: fence the pipeline, strand its nodes as
       // spares of the dead pool — conserved, unusable, and loudly logged.
@@ -142,7 +139,7 @@ void Root::failover(Shard* s) {
     target->pool().attach(p->name(), nodes);
     target->adopt(p);
     ++stats_.pipelines_reassigned;
-    rounds_.marker(p->name(), core::kMidMarkReassign,
+    rounds_.marker(p->name_id(), core::kMidMarkReassign,
                    static_cast<int>(nodes.size()));
   }
 
@@ -159,18 +156,14 @@ void Root::failover(Shard* s) {
   }
 }
 
-Shard* Root::live_heir(const std::string& dead_id) {
-  std::string cur = dead_id;
+Shard* Root::live_heir(Slot dead) {
   // The heir chain is acyclic among fenced shards (each link was recorded
-  // when its head was fenced, pointing at a then-unfenced shard), but cap
-  // the walk anyway.
-  for (std::size_t i = 0; i <= heir_.size(); ++i) {
-    auto it = heir_.find(cur);
-    if (it == heir_.end() || it->second.empty()) return nullptr;
-    Shard* h = find_shard(it->second);
-    if (h == nullptr) return nullptr;
-    if (!h->fenced()) return h;
-    cur = it->second;
+  // when its head was fenced, pointing at a then-unfenced shard), so it
+  // visits each shard at most once; cap the walk anyway.
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    dead = shards_[dead].heir;
+    if (dead == kNoSlot) return nullptr;
+    if (!shards_[dead].shard->fenced()) return shards_[dead].shard;
   }
   return nullptr;
 }
@@ -183,23 +176,23 @@ des::Process Root::trade_loop() {
     if (bus_->find(trade_ep_) == nullptr) break;
     // One trade at a time, strictly serialized: transaction ids (and with
     // them the D2T tokens) are monotone, which is what keeps the members'
-    // O(1) at-most-once guards sound.
-    std::string recip_id;
-    std::uint32_t count = 0;
-    for (auto& [r, c] : pending_req_) {
-      Shard* rs = find_shard(r);
-      if (c == 0 || rs == nullptr || rs->failed()) continue;
-      recip_id = r;
-      count = c;
-      break;
+    // O(1) at-most-once guards sound. Of the live shards asking, the one
+    // with the smallest id goes first.
+    ShardEntry* asking = nullptr;
+    for (ShardEntry& e : shards_) {
+      if (e.wanted == 0 || e.shard->failed()) continue;
+      if (asking == nullptr ||
+          e.shard->manager_id() < asking->shard->manager_id()) {
+        asking = &e;
+      }
     }
-    if (recip_id.empty()) continue;
-    pending_req_[recip_id] = 0;
-    Shard* recipient = find_shard(recip_id);
+    if (asking == nullptr) continue;
+    const std::uint32_t count = std::exchange(asking->wanted, 0);
+    Shard* recipient = asking->shard;
     Shard* donor = nullptr;
     std::uint32_t best = 0;
     for (const ShardEntry& e : shards_) {
-      if (e.shard->failed() || e.shard->manager_id() == recip_id) continue;
+      if (e.shard->failed() || e.shard == recipient) continue;
       if (e.spares > best) {
         best = e.spares;
         donor = e.shard;
@@ -216,7 +209,7 @@ des::Process Root::trade_loop() {
 des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
                                 std::uint32_t count) {
   const std::uint64_t txn = ++txn_counter_;
-  const std::string tid = "trade#" + std::to_string(txn);
+  const util::NameId tid = util::intern("trade#" + std::to_string(txn));
   rounds_.marker(tid, core::kMidMarkTradeBegin, static_cast<int>(count));
 
   auto round = [&](ev::MessageId type, std::uint64_t phase, Shard* member,
@@ -229,8 +222,7 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
                              std::move(m), kRoundLadder);
   };
 
-  TradeWire wire{txn, donor->manager_id(), recipient->manager_id(), count,
-                 {}};
+  TradeWire wire{txn, donor->slot(), recipient->slot(), count, {}};
   bool fenced_round = false;
   bool donor_reachable = true;
   bool recipient_reachable = true;
@@ -318,7 +310,7 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
     ++stats_.trades_aborted;
   }
   if (trace::active(trace_)) {
-    trace_->span("trade", "fed", tid, txn, bus_->sim().now(),
+    trace_->span("trade", "fed", util::name_of(tid), txn, bus_->sim().now(),
                  bus_->sim().now(),
                  {{"nodes", static_cast<double>(nodes.size())},
                   {"commit", commit ? 1.0 : 0.0}});
@@ -332,7 +324,7 @@ void Root::settle_member(Shard* s, std::uint64_t txn, bool commit,
   // the coming failover sweeps whatever lands there over to the survivors.
   // A fenced member's pool is frozen history: its side lands in the live
   // heir's (or stays put when the whole fleet is dead; conserved).
-  Shard* into = s->fenced() ? live_heir(s->manager_id()) : s;
+  Shard* into = s->fenced() ? live_heir(s->slot()) : s;
   if (into == nullptr) into = s;
   s->apply_decision(txn, commit, as_donor, nodes, into->pool());
 }

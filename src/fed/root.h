@@ -7,11 +7,13 @@
 //    via ResourcePool::reconcile across the shard boundary. A beat carries
 //    the shard's slot in the root's shard list and its spare count, nothing
 //    else, and lands in that slot's entry, so neither side's per-beat work
-//    grows with pipelines or shards;
+//    grows with pipelines or shards. The root, its ring and the trade wires
+//    know a shard only by that slot;
 //  * brokering cross-shard trades: a shard whose pool ran dry posts a
-//    TRADE_REQ; the root picks the donor with the most reported spares and
-//    drives a D2T-style begin/vote/decide exchange against both shards. The
-//    root settles every trade in-process immediately after its rounds,
+//    TRADE_REQ; the root serves the requesting shard with the smallest id
+//    first, picks the donor with the most reported spares and drives a
+//    D2T-style begin/vote/decide exchange against both shards. The root
+//    settles every trade in-process immediately after its rounds,
 //    through each member's own Shard::apply_decision (idempotently —
 //    members that already applied the decision are no-ops, fenced ones
 //    included), so an in-flight trade either completes or is fenced and
@@ -23,8 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/protocol.h"
@@ -57,10 +57,7 @@ class Root {
   /// and points it at the root's control endpoint and at its slot in the
   /// shard list; the list never shrinks, so the slot is stable.
   void add_shard(Shard* s);
-  /// The shard that should own `pipeline` under the current (live) ring.
-  const std::string& owner_of(const std::string& pipeline) const {
-    return ring_.owner(pipeline);
-  }
+  /// The live ring: its owner() is the slot that should own a pipeline.
   const HashRing& ring() const { return ring_; }
 
   void start();
@@ -94,25 +91,25 @@ class Root {
                      const std::vector<net::NodeId>& nodes);
   /// The live pool that inherits a fenced shard's repairs: follow the heir
   /// chain recorded at failover to the first unfenced shard.
-  Shard* live_heir(const std::string& dead_id);
-  Shard* find_shard(const std::string& id) const;
+  Shard* live_heir(Slot dead);
 
   ev::BusIf* bus_;
   net::NodeId node_;
   trace::TraceSink* trace_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
-  /// A registered shard and what its heartbeats last told the root. A beat
-  /// finds its entry by the slot it carries.
+  /// A registered shard, what its heartbeats and trade requests last told
+  /// the root, and its heir once failed over. A beat or a request finds its
+  /// entry by the slot it carries.
   struct ShardEntry {
     Shard* shard = nullptr;
     des::SimTime last_hb = 0;
-    std::uint32_t spares = 0;  // last reported
+    std::uint32_t spares = 0;   // last reported
+    std::uint32_t wanted = 0;   // nodes its latest TRADE_REQ asked for
+    Slot heir = kNoSlot;        // who adopted its spares at failover
   };
   std::vector<ShardEntry> shards_;
   HashRing ring_;
-  std::map<std::string, std::uint32_t> pending_req_;  // recipient -> count
-  std::map<std::string, std::string> heir_;           // dead -> heir id
   std::uint64_t txn_counter_ = 0;
   bool stopped_ = false;
   Stats stats_;

@@ -18,6 +18,7 @@ Shard::Shard(ev::BusIf& bus, std::string id, net::NodeId node,
              const std::vector<net::NodeId>& staging, Options opt)
     : bus_(&bus),
       id_(std::move(id)),
+      name_id_(util::intern(id_)),
       node_(node),
       pool_(staging),
       opt_(opt),
@@ -46,7 +47,7 @@ void Shard::take(FedPipeline* p) {
 
 void Shard::add_pipeline(FedPipeline* p) {
   take(p);
-  rounds_.track(p->name(), core::CmState::kIdle);
+  rounds_.track(p->name_id(), core::CmState::kIdle);
 }
 
 void Shard::adopt(FedPipeline* p) {
@@ -55,8 +56,8 @@ void Shard::adopt(FedPipeline* p) {
   // our pool before calling adopt; re-reconcile against the pipeline's own
   // node list so ledger and ground truth agree from the first policy tick.
   pool_.reconcile(p->name(), p->nodes());
-  rounds_.track(p->name(), p->fenced() ? core::CmState::kOffline
-                                       : core::CmState::kIdle);
+  rounds_.track(p->name_id(), p->fenced() ? core::CmState::kOffline
+                                          : core::CmState::kIdle);
 }
 
 std::vector<FedPipeline*> Shard::release_pipelines() {
@@ -164,7 +165,7 @@ des::Process Shard::policy_loop() {
     if (unmet == 0) continue;
     ev::Message m;
     m.type_id = kMidTradeReq;
-    m.payload = TradeRequestWire{id_, static_cast<std::uint32_t>(unmet)};
+    m.payload = TradeRequestWire{slot_, static_cast<std::uint32_t>(unmet)};
     ++stats_.trade_requests;
     co_await bus_->post(ctl_ep_, root_ep_, std::move(m));
   }
@@ -184,7 +185,7 @@ des::Process Shard::heartbeat_loop() {
     m.type_id = core::kMidHeartbeat;
     m.size_bytes = 64;
     // One heartbeat per shard per beat, whatever its pipeline count.
-    m.payload = HeartbeatWire{root_slot_,
+    m.payload = HeartbeatWire{slot_,
                               static_cast<std::uint32_t>(pool_.spare_count())};
     co_await bus_->post(ctl_ep_, root_ep_, std::move(m),
                         ev::TrafficClass::kMonitoring);
@@ -203,9 +204,9 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
     m.type_id = core::kMidDecrease;
     m.payload = core::DecreasePayload{static_cast<std::uint32_t>(-delta)};
   }
-  rounds_.open(p->name(), m);
+  rounds_.open(p->name_id(), m);
   ev::Message reply = co_await rounds_.run_round(
-      p->name(), ctl_ep_, p->endpoint(), std::move(m), kRoundLadder);
+      p->name_id(), ctl_ep_, p->endpoint(), std::move(m), kRoundLadder);
   if (fenced_) co_return;  // the root fenced us mid-round: hands off
   const core::RoundEnd end = core::round_end(reply);
   if (end == core::RoundEnd::kSelfDied) {
@@ -218,7 +219,7 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
     escalate_fence_pipeline(p);
     co_return;
   }
-  rounds_.close(p->name(), reply);
+  rounds_.close(p->name_id(), reply);
   if (const auto* done = reply.as<core::DonePayload>()) {
     if (!done->report.ok) {
       if (!granted.empty()) pool_.reclaim(p->name(), granted);
@@ -235,7 +236,7 @@ void Shard::escalate_fence_pipeline(FedPipeline* p) {
   const std::string name = p->name();
   IOC_WARN << "shard " << id_ << " escalating: fencing pipeline " << name;
   p->fence();
-  const std::size_t freed = rounds_.fence(name, pool_);
+  const std::size_t freed = rounds_.fence(p->name_id(), pool_);
   ++stats_.escalations;
   if (trace::active(opt_.trace)) {
     opt_.trace->span("escalate", "fed", name, 0, bus_->sim().now(),
@@ -255,7 +256,7 @@ des::Process Shard::participant_loop() {
     if (fenced_) continue;
     const auto* wire = msg->as<TradeWire>();
     if (wire == nullptr) continue;  // every trade round carries a TradeWire
-    const bool as_donor = wire->donor == id_;
+    const bool as_donor = wire->donor == slot_;
 
     ev::Message reply;
     reply.token = msg->token;

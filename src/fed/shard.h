@@ -85,8 +85,12 @@ class Shard {
   /// set_root and initial pipeline placement.
   void start();
 
-  /// Stable identity in the fleet; consistent hashing keys on it.
+  /// Stable identity in the fleet; consistent hashing places by it.
   const std::string& manager_id() const { return id_; }
+  /// The id, interned once at construction (the root's trace peer).
+  util::NameId name_id() const { return name_id_; }
+  /// The shard's index in the root's shard list, given by set_root.
+  Slot slot() const { return slot_; }
   core::ResourcePool& pool() { return pool_; }
   /// True once the shard crashed or was fenced by the root.
   bool failed() const { return fenced_ || crashed_; }
@@ -99,11 +103,10 @@ class Shard {
   net::NodeId node() const { return node_; }
   ev::EndpointId ctl_endpoint() const { return ctl_ep_; }
   ev::EndpointId trade_endpoint() const { return trade_ep_; }
-  /// Point the shard at the root's control endpoint; `slot` is the shard's
-  /// index in the root's shard list, which each heartbeat carries.
-  void set_root(ev::EndpointId root, std::uint32_t slot) {
+  /// Point the shard at the root's control endpoint and give it its slot.
+  void set_root(ev::EndpointId root, Slot slot) {
     root_ep_ = root;
-    root_slot_ = slot;
+    slot_ = slot;
   }
 
   /// Initial placement: take ownership of `p` (no ledger movement — the
@@ -164,13 +167,14 @@ class Shard {
 
   ev::BusIf* bus_;
   std::string id_;
+  util::NameId name_id_;
   net::NodeId node_;
   core::ResourcePool pool_;
   Options opt_;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId root_ep_ = ev::kInvalidEndpoint;
-  std::uint32_t root_slot_ = 0;
+  Slot slot_ = 0;
   std::vector<FedPipeline*> pipelines_;
   /// Resize marks, bit i % 64 of word i / 64 for slot i (see the top).
   std::vector<std::uint64_t> marks_;

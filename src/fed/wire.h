@@ -5,10 +5,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ev/intern.h"
+#include "ev/payload.h"
+#include "fed/hash.h"
 #include "net/cluster.h"
 
 namespace ioc::fed {
@@ -21,7 +22,7 @@ namespace ioc::fed {
 /// of a beat stay independent of pipelines per shard (16 shards x 2048
 /// pipelines = 16 heartbeats per round).
 struct HeartbeatWire {
-  std::uint32_t slot = 0;    ///< the shard's index in the root's shard list
+  Slot slot = 0;             ///< the sending shard
   std::uint32_t spares = 0;  ///< spare staging nodes in the shard's pool
 };
 
@@ -30,20 +31,22 @@ struct HeartbeatWire {
 inline constexpr const char* kMsgTradeReq = "TRADE_REQ";
 inline const ev::MessageId kMidTradeReq = ev::intern_type(kMsgTradeReq);
 struct TradeRequestWire {
-  std::string recipient;     ///< requesting shard id
+  Slot recipient = 0;        ///< the requesting shard
   std::uint32_t count = 0;   ///< nodes wanted (the root may trade fewer)
 };
 
 /// Root <-> shard trade-round payload (txn::kBeginMsg / kVoteMsg /
 /// kCommitMsg / kAbortMsg requests and their replies). The donor's VOTE_YES
 /// reply carries the escrowed nodes; the COMMIT request echoes them so the
-/// recipient knows what to attach.
+/// recipient knows what to attach. It fits the payload's inline slot, so a
+/// trade message allocates only for a non-empty node list.
 struct TradeWire {
   std::uint64_t txn = 0;
-  std::string donor;
-  std::string recipient;
+  Slot donor = 0;
+  Slot recipient = 0;
   std::uint32_t count = 0;
   std::vector<net::NodeId> nodes;
 };
+static_assert(sizeof(TradeWire) <= ev::Payload::kInlineBytes);
 
 }  // namespace ioc::fed

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/protocol_fsm.h"
+#include "util/intern.h"
 
 namespace ioc::lint {
 
@@ -33,47 +34,48 @@ LintResult check_trace(const core::PipelineSpec& spec,
   // Containers with a TIMEOUT marker not yet answered by a RETRY or an
   // ESCALATE, remembered with the event index of the dangling TIMEOUT.
   std::map<std::string, std::size_t> dangling_timeout;
-  // Cross-shard trades (container field "trade#N") currently between their
-  // TRADE_BEGIN and terminal marker, with the index of the TRADE_BEGIN; and
-  // every trade id ever seen, so the trades' TIMEOUT/RETRY ladder markers
-  // are routed to the dangling-timeout bookkeeping instead of IOC104.
+  // Cross-shard trades (peer "trade#N") currently between their TRADE_BEGIN
+  // and terminal marker, with the index of the TRADE_BEGIN; and every trade
+  // id ever seen, so the trades' TIMEOUT/RETRY ladder markers are routed to
+  // the dangling-timeout bookkeeping instead of IOC104.
   std::map<std::string, std::size_t> open_trades;
   std::set<std::string> trade_ids;
   for (const auto& ev : trace) {
     ++index;
+    const std::string peer(util::name_of(ev.peer));
     if (core::cm_message_is_trade_marker(ev.type)) {
       // A trade is a bracket: TRADE_BEGIN opens it, exactly one of
       // COMMIT / ABORT / FENCE closes it (and answers any timeout the
       // trade's rounds left dangling — a fence IS the recovery).
-      trade_ids.insert(ev.container);
+      trade_ids.insert(peer);
       if (ev.type == core::kMidMarkTradeBegin) {
-        open_trades.emplace(ev.container, index);
+        open_trades.emplace(peer, index);
       } else {
-        open_trades.erase(ev.container);
-        dangling_timeout.erase(ev.container);
+        open_trades.erase(peer);
+        dangling_timeout.erase(peer);
       }
       continue;
     }
-    if (trade_ids.count(ev.container) > 0) {
+    if (trade_ids.count(peer) > 0) {
       // Retry-ladder markers of a trade's rounds; same TIMEOUT discipline
       // as container rounds, settled by the trade's terminal marker.
       if (ev.type == core::kMidMarkTimeout) {
-        dangling_timeout.emplace(ev.container, index);
+        dangling_timeout.emplace(peer, index);
       } else {
-        dangling_timeout.erase(ev.container);
+        dangling_timeout.erase(peer);
       }
       continue;
     }
     if (ev.type == core::kMidMarkFailover ||
         ev.type == core::kMidMarkReassign) {
-      // Fleet annotations: the container field names a shard or a pipeline
-      // of the federation, not a spec container.
+      // Fleet annotations: the peer is a shard or a pipeline of the
+      // federation, not a spec container.
       continue;
     }
-    auto it = fsm.find(ev.container);
+    auto it = fsm.find(peer);
     if (it == fsm.end()) {
-      if (unknown_reported.insert(ev.container).second) {
-        out.add("IOC104", Severity::kWarning, ev.container, "",
+      if (unknown_reported.insert(peer).second) {
+        out.add("IOC104", Severity::kWarning, peer, "",
                 static_cast<int>(index),
                 "trace references a container the spec does not declare");
       }
@@ -86,12 +88,12 @@ LintResult check_trace(const core::PipelineSpec& spec,
       // container: whatever it owned (including a grant still in flight,
       // which this ledger may not have seen) went back to the spare pool.
       if (ev.type == core::kMidMarkTimeout) {
-        dangling_timeout.emplace(ev.container, index);
+        dangling_timeout.emplace(peer, index);
       } else {
-        dangling_timeout.erase(ev.container);
+        dangling_timeout.erase(peer);
         if (ev.type == core::kMidMarkEscalate) {
-          total -= width[ev.container];
-          width[ev.container] = 0;
+          total -= width[peer];
+          width[peer] = 0;
           m.reset(CmState::kOffline);
         }
       }
@@ -102,25 +104,25 @@ LintResult check_trace(const core::PipelineSpec& spec,
       std::ostringstream msg;
       msg << "message " << ev::type_name(ev.type) << " is illegal in state "
           << core::cm_state_name(before) << " (trace event #" << index << ")";
-      out.add("IOC101", Severity::kError, ev.container, "",
+      out.add("IOC101", Severity::kError, peer, "",
               static_cast<int>(index), msg.str());
       continue;  // do not cascade follow-on errors from a corrupt event
     }
     if (!ev.to_cm && ev.delta != 0) {
-      width[ev.container] += ev.delta;
+      width[peer] += ev.delta;
       total += ev.delta;
-      if (width[ev.container] < 0) {
+      if (width[peer] < 0) {
         std::ostringstream msg;
         msg << "cumulative resize deltas drive the container to "
-            << width[ev.container] << " nodes (trace event #" << index << ")";
-        out.add("IOC103", Severity::kError, ev.container, "",
+            << width[peer] << " nodes (trace event #" << index << ")";
+        out.add("IOC103", Severity::kError, peer, "",
                 static_cast<int>(index), msg.str());
       } else if (total > static_cast<long>(spec.staging_nodes)) {
         std::ostringstream msg;
         msg << "container widths sum to " << total
             << " nodes, above the staging allocation of "
             << spec.staging_nodes << " (trace event #" << index << ")";
-        out.add("IOC103", Severity::kError, ev.container, "",
+        out.add("IOC103", Severity::kError, peer, "",
                 static_cast<int>(index), msg.str());
       }
     }

@@ -67,12 +67,7 @@ FedState FedModel::initial() const {
 
 void FedModel::emit(Step* step, ev::MessageId type, int delta) const {
   if (step == nullptr) return;
-  core::ControlTraceEvent ev;
-  ev.container = kTradeId;
-  ev.type = type;
-  ev.to_cm = false;
-  ev.delta = delta;
-  step->events.push_back(std::move(ev));
+  step->events.push_back({0, util::intern(kTradeId), type, false, delta});
 }
 
 void FedModel::enabled(const FedState& s, std::vector<Action>* out) const {

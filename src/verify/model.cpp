@@ -215,12 +215,8 @@ bool Model::emit_ok(const State& s, std::size_t c) const {
 void Model::emit_event(std::size_t c, ev::MessageId type, bool to_cm,
                        int delta, Step* step) const {
   if (step == nullptr) return;
-  core::ControlTraceEvent ev;
-  ev.container = scenario_.containers[c].name;
-  ev.type = type;
-  ev.to_cm = to_cm;
-  ev.delta = delta;
-  step->events.push_back(std::move(ev));
+  step->events.push_back({0, util::intern(scenario_.containers[c].name),
+                          type, to_cm, delta});
 }
 
 void Model::emit_pair(State& st, std::size_t c, ev::MessageId req, int delta,

@@ -3,7 +3,8 @@
 // ZERO in steady state: after a short warmup (intern tables populated,
 // coroutine frame pools primed, ring buffers at their high-water marks),
 //
-//   * posting a control message across the bus, payload included,
+//   * posting a control message across the bus, payload included (a
+//     trade round's TradeWire among them),
 //   * capturing a span into a TraceSink ring, and
 //   * ingesting a monitoring sample into a MonitoringHub
 //
@@ -28,11 +29,13 @@
 #include "des/simulator.h"
 #include "des/time.h"
 #include "ev/bus.h"
+#include "fed/wire.h"
 #include "mon/hub.h"
 #include "mon/metric.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "trace/sink.h"
+#include "txn/d2t_model.h"
 #include "util/ring_deque.h"
 
 namespace ioc {
@@ -45,14 +48,18 @@ struct PingPayload {
   std::uint64_t detail = 0;
 };
 
+/// Posts `count` messages of type `mid`, one per simulated millisecond,
+/// the i-th carrying payload(i).
+template <class MakePayload>
 des::Process publish_loop(ev::Bus& bus, ev::EndpointId from, ev::EndpointId to,
-                          ev::MessageId mid, int count, int* sent) {
+                          ev::MessageId mid, int count, int* sent,
+                          MakePayload payload) {
   for (int i = 0; i < count; ++i) {
     co_await des::delay(bus.sim(), des::kMillisecond);
     ev::Message m;
     m.type_id = mid;
     m.size_bytes = 64;
-    m.payload = PingPayload{static_cast<std::uint64_t>(i), 7};
+    m.payload = payload(static_cast<std::uint64_t>(i));
     if (co_await bus.post(from, to, std::move(m),
                           ev::TrafficClass::kMonitoring)) {
       ++*sent;
@@ -68,14 +75,17 @@ des::Process drain_loop(ev::Endpoint& ep, int* got) {
   }
 }
 
-TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
+/// Allocations across 256 steady-state posts of type `mid` carrying
+/// payload(i), after a warmup leg of 32.
+template <class MakePayload>
+std::uint64_t steady_state_post_allocs(ev::MessageId mid,
+                                       MakePayload payload) {
   des::Simulator sim;
   net::Cluster cluster{sim, 4};
   net::Network net{cluster};
   ev::Bus bus{net};
   auto& a = bus.open(0, "alloc-test-src");
   auto& b = bus.open(1, "alloc-test-dst");
-  const ev::MessageId mid = ev::intern_type("ALLOC_TEST/ping");
 
   int sent = 0;
   int got = 0;
@@ -83,25 +93,42 @@ TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
   // ladder queue's vectors, and the traffic ledger. 32 messages is far past
   // every one-time growth in that list.
   spawn(sim, drain_loop(b, &got));
-  spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 32, &sent));
+  spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 32, &sent, payload));
   sim.run();
-  ASSERT_EQ(sent, 32);
-  ASSERT_EQ(got, 32);
+  EXPECT_EQ(sent, 32);
+  EXPECT_EQ(got, 32);
 
   // Steady-state leg: every allocation between these two reads is a
   // regression — the publish path (message + inline payload + network
   // protocol + mailbox handoff) must run entirely pool- and stack-side.
   const std::uint64_t before = alloc_count();
-  spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 256, &sent));
+  spawn(sim, publish_loop(bus, a.id(), b.id(), mid, 256, &sent, payload));
   sim.run();
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(sent, 32 + 256);
   EXPECT_EQ(got, 32 + 256);
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " allocations across 256 steady-state posts";
 
   bus.close(b.id());  // end-of-stream for the drain loop
   sim.run();
+  return after - before;
+}
+
+TEST(AllocFree, SteadyStateBusPublishAllocatesNothing) {
+  const std::uint64_t allocs = steady_state_post_allocs(
+      ev::intern_type("ALLOC_TEST/ping"),
+      [](std::uint64_t i) { return PingPayload{i, 7}; });
+  EXPECT_EQ(allocs, 0u) << allocs
+                        << " allocations across 256 steady-state posts";
+}
+
+TEST(AllocFree, BeginRoundTradeWirePostAllocatesNothing) {
+  // A trade round's request before the donor escrowed carries no nodes; the
+  // wire then fits the payload's inline slot instead of being boxed.
+  const std::uint64_t allocs = steady_state_post_allocs(
+      txn::kMidBegin, [](std::uint64_t i) {
+        return fed::TradeWire{i, /*donor=*/0, /*recipient=*/1, 2, {}};
+      });
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations across 256 trade posts";
 }
 
 TEST(AllocFree, CounterSeesMailboxRingGrowth) {

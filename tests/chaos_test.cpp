@@ -24,6 +24,7 @@
 #include "net/network.h"
 #include "txn/d2t.h"
 #include "util/hash.h"
+#include "util/intern.h"
 
 namespace ioc {
 namespace {
@@ -365,7 +366,8 @@ TEST(Escalation, PartitionedManagerIsFencedAndNodesReclaimed) {
   // to the round plumbing that moves any entry or instant fails here.
   std::vector<std::string> trail;
   for (const auto& ev : p.gm().control_trace()) {
-    trail.push_back(std::to_string(ev.at) + " " + ev.container + "/" +
+    trail.push_back(std::to_string(ev.at) + " " +
+                    std::string(util::name_of(ev.peer)) + "/" +
                     std::string(ev::type_name(ev.type)) + "/" +
                     (ev.to_cm ? "req" : "reply") + "/" +
                     std::to_string(ev.delta));

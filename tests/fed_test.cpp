@@ -41,6 +41,7 @@
 #include "lint/trace.h"
 #include "trace/metrics.h"
 #include "util/hash.h"
+#include "util/intern.h"
 #include "verify/checker.h"
 
 namespace {
@@ -50,6 +51,8 @@ using ioc::des::kSecond;
 using ioc::des::SimTime;
 using ioc::fed::Fleet;
 using ioc::fed::HashRing;
+using ioc::fed::kNoSlot;
+using ioc::fed::Slot;
 
 std::vector<std::string> test_keys(std::size_t n) {
   std::vector<std::string> keys;
@@ -65,7 +68,8 @@ std::uint64_t fold_trace(const std::vector<ioc::core::ControlTraceEvent>& t,
   using ioc::util::fnv1a_value;
   for (const auto& e : t) {
     h = fnv1a_value(e.at, h);
-    h = fnv1a(e.container.data(), e.container.size(), h);
+    const std::string_view peer = ioc::util::name_of(e.peer);
+    h = fnv1a(peer.data(), peer.size(), h);
     const std::string_view type = ioc::ev::type_name(e.type);
     h = fnv1a(type.data(), type.size(), h);
     h = fnv1a_value(e.to_cm, h);
@@ -85,7 +89,7 @@ std::uint64_t control_trace_fold(Fleet& fleet) {
 
 HashRing ring_of(std::size_t shards) {
   HashRing ring;
-  for (std::size_t i = 0; i < shards; ++i) ring.add("s" + std::to_string(i));
+  for (Slot i = 0; i < shards; ++i) ring.add(i, "s" + std::to_string(i));
   return ring;
 }
 
@@ -95,14 +99,14 @@ TEST(HashRing, PlacementIsDeterministic) {
   const HashRing a = ring_of(8);
   const HashRing b = ring_of(8);
   for (const auto& key : test_keys(256)) {
-    ASSERT_FALSE(a.owner(key).empty());
+    ASSERT_NE(a.owner(key), kNoSlot);
     EXPECT_EQ(a.owner(key), b.owner(key)) << key;
   }
 }
 
 TEST(HashRing, EveryShardOwnsASliceAndNoneDominates) {
   const HashRing ring = ring_of(8);
-  std::map<std::string, std::size_t> owned;
+  std::map<Slot, std::size_t> owned;
   const auto keys = test_keys(1024);
   for (const auto& key : keys) ++owned[ring.owner(key)];
   EXPECT_EQ(owned.size(), 8u);  // no empty shard at 64 vnodes
@@ -116,15 +120,15 @@ TEST(HashRing, EveryShardOwnsASliceAndNoneDominates) {
 TEST(HashRing, RemovalMovesOnlyTheDeadShardsKeys) {
   HashRing ring = ring_of(8);
   const auto keys = test_keys(1024);
-  std::map<std::string, std::string> before;
+  std::map<std::string, Slot> before;
   for (const auto& key : keys) before[key] = ring.owner(key);
 
-  ring.remove("s3");
+  ring.remove(3);
   std::size_t moved = 0;
   for (const auto& key : keys) {
-    const std::string& now = ring.owner(key);
-    EXPECT_NE(now, "s3");
-    if (before[key] == "s3") {
+    const Slot now = ring.owner(key);
+    EXPECT_NE(now, 3u);
+    if (before[key] == 3) {
       ++moved;
     } else {
       // A key a surviving shard already owned must not move: failover
@@ -138,15 +142,15 @@ TEST(HashRing, RemovalMovesOnlyTheDeadShardsKeys) {
 TEST(HashRing, AdditionMovesKeysOnlyToTheNewShard) {
   HashRing ring = ring_of(8);
   const auto keys = test_keys(1024);
-  std::map<std::string, std::string> before;
+  std::map<std::string, Slot> before;
   for (const auto& key : keys) before[key] = ring.owner(key);
 
-  ring.add("s8");
+  ring.add(8, "s8");
   std::size_t moved = 0;
   for (const auto& key : keys) {
-    const std::string& now = ring.owner(key);
+    const Slot now = ring.owner(key);
     if (now != before[key]) {
-      EXPECT_EQ(now, "s8") << key;  // churn lands on the newcomer only
+      EXPECT_EQ(now, 8u) << key;  // churn lands on the newcomer only
       ++moved;
     }
   }
@@ -157,16 +161,15 @@ TEST(HashRing, AdditionMovesKeysOnlyToTheNewShard) {
 
 TEST(HashRing, SuccessorIsADistinctLiveShard) {
   const HashRing ring = ring_of(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    const std::string id = "s" + std::to_string(i);
-    const std::string heir = ring.successor(id);
-    EXPECT_FALSE(heir.empty());
-    EXPECT_NE(heir, id);
+  for (Slot i = 0; i < 8; ++i) {
+    const Slot heir = ring.successor(i);
+    EXPECT_NE(heir, kNoSlot);
+    EXPECT_NE(heir, i);
     EXPECT_TRUE(ring.contains(heir));
   }
   HashRing lone;
-  lone.add("only");
-  EXPECT_TRUE(lone.successor("only").empty());
+  lone.add(0, "only");
+  EXPECT_EQ(lone.successor(0), kNoSlot);
 }
 
 // --- quiet fleet -----------------------------------------------------------
@@ -472,7 +475,7 @@ struct TradeRig {
     const ioc::ev::EndpointId client = bus.open(4, "test.client").id();
     ioc::ev::Message m;
     m.type_id = ioc::fed::kMidTradeReq;
-    m.payload = ioc::fed::TradeRequestWire{recipient().manager_id(), 2};
+    m.payload = ioc::fed::TradeRequestWire{recipient().slot(), 2};
     co_await bus.post(client, root.ctl_endpoint(), std::move(m));
     bus.close(client);
   }
@@ -492,7 +495,7 @@ TEST(TradeRecovery, DonorAbortRestoresEscrowWhenRecipientIsUnreachable) {
   // vote: the vote round finds no endpoint, the trade aborts, and the live
   // abort at the donor (Shard::apply_decision) puts the escrow back.
   TradeRig rig;
-  ASSERT_EQ(rig.root.ring().successor("s1"), "s0");  // the donor is s1's heir
+  ASSERT_EQ(rig.root.ring().successor(1), 0u);  // the donor is s1's heir
   rig.run({&rig.recipient()});
   ASSERT_TRUE(rig.fired);
   EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
@@ -513,7 +516,7 @@ TEST(TradeRecovery, FencedDonorIsSettledByTheRootAndTheHeirGainsItsPool) {
   // the same nodes) and marks the trade settled at the donor. The donor's
   // remaining spares went to its heir.
   TradeRig rig;
-  ASSERT_EQ(rig.root.ring().successor("s0"), "s2");
+  ASSERT_EQ(rig.root.ring().successor(0), 2u);
   rig.run({&rig.donor()});
   ASSERT_TRUE(rig.fired);
   EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
@@ -549,7 +552,7 @@ TEST(TradeRecovery, FencedDonorAbortFollowsTheHeirChainPastAFencedHeir) {
   // past the fenced s2 and s1 to s3, which by then holds every other node
   // too.
   TradeRig rig({4, 1, 2, 1});
-  ASSERT_EQ(rig.root.ring().successor("s0"), "s2");
+  ASSERT_EQ(rig.root.ring().successor(0), 2u);
   rig.run({&rig.donor(), rig.shards[2].get(), &rig.recipient()});
   ASSERT_TRUE(rig.fired);
   EXPECT_EQ(rig.root.stats().trades_fenced, 1u);
@@ -567,14 +570,14 @@ TEST(TradeRecovery, RecipientFencedAfterLiveCommitSettlesOnce) {
   // own them twice, and the throw would kill the root's trade loop before
   // the trade's terminal marker.
   TradeRig rig;
-  ASSERT_EQ(rig.root.ring().successor("s1"), "s0");
+  ASSERT_EQ(rig.root.ring().successor(1), 0u);
   rig.run({&rig.recipient()},
           [&rig] { return rig.recipient().pool().total() == 3; });
   ASSERT_TRUE(rig.fired);
   EXPECT_NO_THROW(rig.root.rethrow_if_failed());
   const auto& trace = rig.root.control_trace();
   ASSERT_FALSE(trace.empty());
-  EXPECT_EQ(trace.back().container, "trade#1");
+  EXPECT_EQ(ioc::util::name_of(trace.back().peer), "trade#1");
   EXPECT_EQ(trace.back().type, ioc::core::kMidMarkTradeCommit);
   EXPECT_EQ(trace.back().delta, 2);
   EXPECT_EQ(rig.root.stats().trades_committed, 1u);

@@ -13,6 +13,7 @@
 #include "core/runtime.h"
 #include "core/spec.h"
 #include "util/hash.h"
+#include "util/intern.h"
 #include "util/rng.h"
 
 namespace ioc::core {
@@ -135,7 +136,8 @@ TEST_P(ManagementFuzzUnderFaults, InvariantsSurviveActionsOnALossyFabric) {
   std::uint64_t h = util::kFnvOffset;
   for (const auto& ev : p.gm().control_trace()) {
     h = util::fnv1a_value(ev.at, h);
-    h = util::fnv1a(ev.container.data(), ev.container.size(), h);
+    const std::string_view peer = util::name_of(ev.peer);
+    h = util::fnv1a(peer.data(), peer.size(), h);
     const std::string_view type = ev::type_name(ev.type);
     h = util::fnv1a(type.data(), type.size(), h);
     h = util::fnv1a_value(ev.to_cm, h);

@@ -22,6 +22,7 @@
 #include "fed/wire.h"
 #include "lint/trace.h"
 #include "txn/d2t_model.h"
+#include "util/intern.h"
 #include "verify/checker.h"
 
 namespace {
@@ -154,8 +155,9 @@ TEST(Intern, TimeoutMarkerTraceLintsByteIdenticallyAfterRoundTrip) {
   c.name = "bonds";
   c.initial_nodes = 2;
   std::vector<ioc::core::ControlTraceEvent> trace;
-  trace.push_back({0, "bonds", ioc::core::kMidIncrease, true, 0});
-  trace.push_back({1, "bonds", ioc::core::kMidMarkTimeout, true, 0});
+  const ioc::util::NameId bonds = ioc::util::intern("bonds");
+  trace.push_back({0, bonds, ioc::core::kMidIncrease, true, 0});
+  trace.push_back({1, bonds, ioc::core::kMidMarkTimeout, true, 0});
 
   const auto lint = ioc::lint::check_trace(spec, trace);
   EXPECT_EQ(ioc::lint::to_text(lint),

@@ -17,6 +17,7 @@
 #include "lint/trace.h"
 #include "trace/json.h"
 #include "util/config.h"
+#include "util/intern.h"
 
 namespace ioc::lint {
 namespace {
@@ -551,12 +552,7 @@ TEST(ProtocolFsm, ExhaustiveStateMessageTableCrossProduct) {
 
 ControlTraceEvent ev(const char* container, ev::MessageId type, bool to_cm,
                      int delta = 0) {
-  ControlTraceEvent e;
-  e.container = container;
-  e.type = type;
-  e.to_cm = to_cm;
-  e.delta = delta;
-  return e;
+  return {0, util::intern(container), type, to_cm, delta};
 }
 
 TEST(TraceCheck, RecordedIncreaseRoundPasses) {

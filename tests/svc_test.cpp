@@ -27,6 +27,7 @@
 #include "svc/host.h"
 #include "svc/socket_bus.h"
 #include "trace/json.h"
+#include "util/intern.h"
 
 namespace ioc::svc {
 namespace {
@@ -447,7 +448,7 @@ ScriptResult run_script(bool live) {
   p.pump_to_idle();
   EXPECT_TRUE(p.all_done());
   for (const auto& e : p.gm().control_trace()) {
-    out.trace.push_back(e.container + "/" +
+    out.trace.push_back(std::string(util::name_of(e.peer)) + "/" +
                         std::string(ev::type_name(e.type)) + "/" +
                         (e.to_cm ? "req" : "reply") + "/" +
                         std::to_string(e.delta));

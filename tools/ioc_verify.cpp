@@ -102,7 +102,7 @@ bool write_chrome_trace(const std::string& path, const CheckReport& rep) {
       ioc::trace::SpanRecord span;
       span.name_id = ioc::util::intern(ioc::ev::type_name(ev.type));
       span.category_id = ioc::util::intern("control");
-      span.source_id = ioc::util::intern(ev.container);
+      span.source_id = ev.peer;
       span.detail_id = ioc::util::intern(step.label);
       span.step = at;
       span.start = static_cast<ioc::des::SimTime>(at) * 1000;
@@ -155,10 +155,11 @@ int report(const CheckReport& rep, const ioc::core::PipelineSpec& spec,
       const auto& step = rep.counterexample[i];
       std::printf("  %3zu. %s\n", i + 1, step.label.c_str());
       for (const auto& ev : step.events) {
+        const std::string_view peer = ioc::util::name_of(ev.peer);
         const std::string_view type = ioc::ev::type_name(ev.type);
-        std::printf("       %s %s %.*s delta=%d\n", ev.to_cm ? "->" : "<-",
-                    ev.container.c_str(), static_cast<int>(type.size()),
-                    type.data(), ev.delta);
+        std::printf("       %s %.*s %.*s delta=%d\n", ev.to_cm ? "->" : "<-",
+                    static_cast<int>(peer.size()), peer.data(),
+                    static_cast<int>(type.size()), type.data(), ev.delta);
       }
     }
     const auto lint = ioc::lint::check_trace(spec, rep.trace);
