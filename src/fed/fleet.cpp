@@ -1,6 +1,7 @@
 #include "fed/fleet.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "util/rng.h"
@@ -23,6 +24,8 @@ Fleet::Fleet(Options opt)
       cluster_(sim_, 1 + opt.shards + opt.pipelines),
       net_(cluster_),
       bus_(net_) {
+  // Every pipeline is placed on the slot the ring names.
+  if (opt_.shards == 0) throw std::invalid_argument("fed::Fleet: no shards");
   if (opt_.faults_enabled) {
     injector_ = std::make_unique<fault::Injector>(bus_, opt_.faults);
     if (opt_.trace != nullptr) injector_->set_trace(opt_.trace);

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -197,6 +198,12 @@ TEST(Fleet, QuietFleetConvergesAndConserves) {
   EXPECT_EQ(r.converged_pipelines, r.live_pipelines);
   EXPECT_GT(r.resizes, 0u);
   EXPECT_EQ(r.digest, 0xc3d3143d92cd160bull);
+}
+
+TEST(Fleet, ZeroShardsIsRejected) {
+  Fleet::Options opt = quiet_options();
+  opt.shards = 0;
+  EXPECT_THROW(Fleet{opt}, std::invalid_argument);
 }
 
 TEST(Fleet, ScarcePoolsForceCrossShardTrades) {
